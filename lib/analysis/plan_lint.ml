@@ -116,9 +116,13 @@ let of_string s =
 let apply (t : Poly.t) = function
   | Interchange (i, j) -> Poly.interchange t i j
   | Reorder p -> Poly.reorder t (Array.of_list p)
-  (* Factor-1 split/tile is the identity in the plan language (the linter
-     flags it as a no-op); [Poly.split] itself insists on factor > 1. *)
-  | Split (_, 1) | Tile (_, 1) -> t
+  (* Factor-1 split/tile is the identity in the plan language (the typing
+     judgment flags it as a no-op); [Poly.split] itself insists on
+     factor > 1, so only the position is checked here. *)
+  | Split (i, 1) | Tile (i, 1) ->
+      if i < 0 || i >= Poly.loop_count t then
+        raise (Poly.Illegal (Printf.sprintf "split: position %d out of range" i));
+      t
   | Split (i, f) -> Poly.split t ~pos:i ~factor:f
   | Tile (i, f) -> Poly.tile t ~pos:i ~factor:f
   | Fuse i -> Poly.fuse t ~pos:i
@@ -128,128 +132,3 @@ let apply (t : Poly.t) = function
   | Group f -> Poly.group t ~co:"co" ~ci:"ci" ~factor:f
   | Bottleneck (it, f) -> Poly.bottleneck t ~iter:it ~factor:f
   | Depthwise -> Poly.depthwise t ~co:"co" ~ci:"ci"
-
-(* Schedule-aware per-step findings, evaluated BEFORE the step is applied:
-   errors predict that [apply] will reject the step, warnings flag steps
-   that succeed but do nothing useful. *)
-let lint_step (t : Poly.t) step =
-  let n = Poly.loop_count t in
-  let bad_dim i =
-    if i < 0 || i >= n then
-      [ Diagnostic.error ~loop:i ~code:"bad-dimension"
-          "schedule dimension %d is out of range (schedule has %d loops)" i n ]
-    else []
-  in
-  let loop_extent i = Poly.loop_extent (List.nth t.Poly.loops i) in
-  let split_like what i f =
-    bad_dim i
-    @
-    if i < 0 || i >= n then []
-    else
-      let e = loop_extent i in
-      if f = 1 then
-        [ Diagnostic.warn ~loop:i ~code:"no-op" "%s by 1 leaves the schedule unchanged"
-            what ]
-      else if f <= 0 || e mod f <> 0 then
-        [ Diagnostic.error ~loop:i ~code:"indivisible-tile"
-            "%s size %d does not divide the loop extent %d" what f e ]
-      else []
-  in
-  match step with
-  | Interchange (i, j) ->
-      bad_dim i @ bad_dim j
-      @
-      if i = j then
-        [ Diagnostic.warn ~loop:i ~code:"no-op"
-            "interchange of dimension %d with itself is a no-op" i ]
-      else []
-  | Reorder p ->
-      if List.length p <> n || List.sort_uniq compare p <> List.init n (fun i -> i)
-      then
-        [ Diagnostic.error ~code:"bad-dimension"
-            "reorder must be a permutation of 0..%d, got [%s]" (n - 1)
-            (String.concat "," (List.map string_of_int p)) ]
-      else if p = List.init n (fun i -> i) then
-        [ Diagnostic.warn ~code:"no-op" "reorder by the identity permutation is a no-op" ]
-      else []
-  | Split (i, f) -> split_like "split" i f
-  | Tile (i, f) -> split_like "tile" i f
-  | Fuse i ->
-      bad_dim i
-      @ if i >= 0 && i + 1 >= n then
-          [ Diagnostic.error ~loop:i ~code:"bad-dimension"
-              "fuse needs a loop below dimension %d" i ]
-        else []
-  | Unroll (i, f) ->
-      bad_dim i
-      @
-      if i < 0 || i >= n then []
-      else if f <= 1 then
-        [ Diagnostic.warn ~loop:i ~code:"no-op" "unroll by %d leaves the loop rolled" f ]
-      else
-        let e = loop_extent i in
-        if f > e then
-          [ Diagnostic.warn ~loop:i ~code:"unroll-overflow"
-              "unroll factor %d exceeds the loop extent %d and will be clamped" f e ]
-        else []
-  | Vectorize i | Parallelize i -> bad_dim i
-  | Group f -> (
-      match (List.assoc_opt "co" t.Poly.domain, List.assoc_opt "ci" t.Poly.domain) with
-      | None, _ | _, None ->
-          [ Diagnostic.error ~code:"unknown-iterator"
-              "group needs co and ci iterators in the domain" ]
-      | Some eco, Some eci ->
-      if f <= 1 then
-        [ Diagnostic.error ~code:"degenerate-groups"
-            "group count %d is degenerate (must exceed 1)" f ]
-      else
-        (if eco mod f <> 0 then
-           [ Diagnostic.error ~code:"indivisible-channel"
-               "group count %d does not divide the output channels %d" f eco ]
-         else [])
-        @
-        if eci mod f <> 0 then
-          [ Diagnostic.error ~code:"indivisible-channel"
-              "group count %d does not divide the input channels %d" f eci ]
-        else [])
-  | Bottleneck (it, f) -> (
-      match List.assoc_opt it t.Poly.domain with
-      | None ->
-          [ Diagnostic.error ~code:"unknown-iterator"
-              "bottleneck names unknown iterator %s" it ]
-      | Some e ->
-          if f <= 1 then
-            [ Diagnostic.error ~code:"degenerate-factor"
-                "bottleneck factor %d is degenerate (must exceed 1)" f ]
-          else if e mod f <> 0 then
-            [ Diagnostic.error ~code:"indivisible-extent"
-                "bottleneck factor %d does not divide the %s extent %d" f it e ]
-          else [])
-  | Depthwise -> (
-      match (List.assoc_opt "co" t.Poly.domain, List.assoc_opt "ci" t.Poly.domain) with
-      | None, _ | _, None ->
-          [ Diagnostic.error ~code:"unknown-iterator"
-              "depthwise needs co and ci iterators in the domain" ]
-      | Some eco, Some eci ->
-          if eco <> eci then
-            [ Diagnostic.error ~code:"depthwise-mismatch"
-                "depthwise requires equal channel extents, got co=%d ci=%d" eco eci ]
-          else [])
-
-let lint (t : Poly.t) steps =
-  let rec go t diags = function
-    | [] -> (Some t, diags)
-    | step :: rest -> (
-        let found = lint_step t step in
-        let diags = diags @ found in
-        if List.exists Diagnostic.is_error found then (None, diags)
-        else
-          match apply t step with
-          | t' -> go t' diags rest
-          | exception Poly.Illegal msg ->
-              ( None,
-                diags
-                @ [ Diagnostic.error ~code:"illegal-transformation"
-                      "step %s rejected: %s" (to_string step) msg ] ))
-  in
-  go t [] steps

@@ -1,14 +1,13 @@
-(** A small plan language and linter for schedule transformations.
+(** The plan language for schedule transformations: its syntax and its
+    concrete semantics.
 
     A plan is a [;]-separated list of transformation steps, e.g.
     ["split@1:2;interchange@1,2;unroll@5:4"], applied left to right to a
-    baseline schedule.  The linter walks the plan step by step against
-    the evolving schedule and reports the diagnostic taxonomy of the
-    issue: [Error] findings ([bad-dimension], [indivisible-tile],
-    [degenerate-groups], [indivisible-channel], [indivisible-extent],
-    [depthwise-mismatch], [illegal-transformation]) predict that the
-    transformation is rejected outright; [Warn] findings ([no-op],
-    [unroll-overflow]) flag steps that apply but achieve nothing. *)
+    baseline schedule.  This module holds the step type, the parser and
+    printer, and {!apply}, which runs a step through the real {!Poly}
+    transformation.  Which steps are legal is decided in one place, the
+    typing judgment {!Plan_types.infer}; the linter {!Plan_types.lint} is
+    its projection onto concrete schedules. *)
 
 type step =
   | Interchange of int * int  (** [interchange@I,J] — swap dimensions *)
@@ -34,13 +33,5 @@ val plan_to_string : step list -> string
 
 val apply : Poly.t -> step -> Poly.t
 (** Apply one step to a schedule.  Raises {!Poly.Illegal} exactly as the
-    underlying transformation does. *)
-
-val lint_step : Poly.t -> step -> Diagnostic.t list
-(** Findings for one step against the current schedule, computed before
-    application: errors predict {!apply} would reject it. *)
-
-val lint : Poly.t -> step list -> Poly.t option * Diagnostic.t list
-(** Walk a plan, applying each clean step and collecting findings.  Stops
-    at the first error (further steps would lint against a schedule that
-    cannot exist); returns the final schedule when every step applied. *)
+    underlying transformation does; a factor-1 [split] or [tile] is the
+    identity, but its position must still be in range. *)

@@ -8,12 +8,14 @@
    a pure fold over abstract states and keeps the enumerator's state space
    small.
 
-   The judgment is deliberately *strict*: a step is well-typed iff the
-   linter finds nothing at all — neither an error (the step would be
-   rejected or would raise [Poly.Illegal]) nor a warning (the step would
-   apply but change nothing).  Strictness buys an exact characterization,
-   [check] succeeds ⇔ [Plan_lint.lint] is clean, which the differential
-   fuzzer in {!Sanitizer} holds in both directions. *)
+   This is the only statement of the per-step side conditions.  A failed
+   condition is a diagnostic: an error when [Poly] would reject the step,
+   a warning when the step applies but changes nothing.  The judgment is
+   deliberately *strict* — any finding makes a step ill-typed, so typed
+   plans carry no no-ops — while [lint] below projects the same findings
+   onto a concrete schedule and applies warning-only steps.  The reference
+   for both is [Poly]: {!Sanitizer.run_typed} and the test-suite check
+   the verdicts and successor states against the real transformations. *)
 
 type env = {
   te_domain : (string * int) list;
@@ -159,7 +161,7 @@ let infer env step =
         let digits = List.nth env.te_loops i in
         if f = 1 then
           Error
-            [ Diagnostic.error ~loop:i ~code:"useless-step"
+            [ Diagnostic.warn ~loop:i ~code:"no-op"
                 "%s: factor 1 leaves the schedule unchanged" rule ]
         else
           match digits with
@@ -220,7 +222,7 @@ let infer env step =
       | [] ->
           if i = j then
             Error
-              [ Diagnostic.error ~loop:i ~code:"useless-step"
+              [ Diagnostic.warn ~loop:i ~code:"no-op"
                   "%s: interchange of dimension %d with itself is a no-op" rule i ]
           else
             let li = List.nth env.te_loops i and lj = List.nth env.te_loops j in
@@ -239,7 +241,7 @@ let infer env step =
                 (String.concat "," (List.map string_of_int p)) ]
       else if p = List.init n (fun i -> i) then
         Error
-          [ Diagnostic.error ~code:"useless-step"
+          [ Diagnostic.warn ~code:"no-op"
               "%s: reorder by the identity permutation is a no-op" rule ]
       else
         let arr = Array.of_list env.te_loops in
@@ -284,16 +286,21 @@ let infer env step =
       match bad_dim i with
       | _ :: _ as ds -> Error ds
       | [] ->
-          if f <= 1 then
+          if f <= 0 then
             Error
-              [ Diagnostic.error ~loop:i ~code:"useless-step"
-                  "%s: unroll by %d leaves the loop rolled" rule f ]
+              [ Diagnostic.error ~loop:i ~code:"degenerate-factor"
+                  "%s: unroll factor %d is degenerate (must be positive)" rule f ]
+          else if f = 1 then
+            Error
+              [ Diagnostic.warn ~loop:i ~code:"no-op"
+                  "%s: unroll by 1 leaves the loop rolled" rule ]
           else
             let e = loop_extent (List.nth env.te_loops i) in
             if f > e then
               Error
-                [ Diagnostic.error ~loop:i ~code:"unroll-overflow"
-                    "%s: unroll factor %d exceeds the loop extent %d" rule f e ]
+                [ Diagnostic.warn ~loop:i ~code:"unroll-overflow"
+                    "%s: unroll factor %d exceeds the loop extent %d and will be \
+                     clamped" rule f e ]
             else Ok env)
   | Plan_lint.Vectorize i | Plan_lint.Parallelize i -> (
       match bad_dim i with _ :: _ as ds -> Error ds | [] -> Ok env)
@@ -378,6 +385,32 @@ let check ?(deps = []) env steps =
             Error
               [ Diagnostic.error ~code:"legality-unknown"
                   "T-Legal: direction analysis is undecided: %s" why ])
+
+(* --- the linter: the judgment projected onto concrete schedules -------- *)
+
+(* Every finding comes from [infer]; warnings do not stop the walk, the
+   step is applied through [Poly] as written.  [apply] keeps the last
+   word: should it still reject a step the judgment let through, that is
+   reported rather than raised. *)
+let lint (t : Poly.t) steps =
+  let rec go t diags = function
+    | [] -> (Some t, diags)
+    | step :: rest -> (
+        let found =
+          match infer (env_of_schedule t) step with Ok _ -> [] | Error ds -> ds
+        in
+        let diags = diags @ found in
+        if List.exists Diagnostic.is_error found then (None, diags)
+        else
+          match Plan_lint.apply t step with
+          | t' -> go t' diags rest
+          | exception Poly.Illegal msg ->
+              ( None,
+                diags
+                @ [ Diagnostic.error ~code:"illegal-transformation"
+                      "step %s rejected: %s" (Plan_lint.to_string step) msg ] ))
+  in
+  go t [] steps
 
 (* --- rule inversion ----------------------------------------------------- *)
 

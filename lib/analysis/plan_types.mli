@@ -1,25 +1,29 @@
-(** A static type system for the plan language.
+(** The static type system for the plan language — the one place that
+    decides which {!Plan_lint.step}s are legal.
 
-    Assigns every {!Plan_lint.step} a typing rule over an abstract
-    schedule state: the iteration domain (channel extents, kept current
-    across neural transformations) plus the mixed-radix digit structure
-    of every loop — exactly the part of a {!Poly.t} that decides whether
-    a step is applicable, with the per-loop annotations erased.
+    Assigns every step a typing rule over an abstract schedule state: the
+    iteration domain (channel extents, kept current across neural
+    transformations) plus the mixed-radix digit structure of every loop —
+    exactly the part of a {!Poly.t} that decides whether a step is
+    applicable, with the per-loop annotations erased.
 
-    The judgment is {e strict}: a step is well-typed iff {!Plan_lint.lint}
-    would record {e nothing} for it — no error (the step would be rejected
-    or raise {!Poly.Illegal}) and no warning (the step would apply but be a
-    no-op).  This gives an exact characterization in both directions:
+    A failed side condition is a {!Diagnostic.t}.  [Error] findings mean
+    the real transformation ({!Plan_lint.apply}, i.e. {!Poly}) rejects the
+    step; [Warn] findings ([no-op], [unroll-overflow]) mean it applies but
+    leaves the abstract state unchanged.  The judgment is {e strict}: a
+    step with any finding is ill-typed, so typed plans never contain
+    no-ops.  The linter {!lint} is the same judgment projected onto
+    concrete schedules: it reports {!infer}'s findings and applies
+    warning-only steps.
 
-    - soundness — [check env steps = Ok _] implies [Plan_lint.lint]
-      applies the whole plan and reports zero diagnostics;
-    - completeness — a plan that lints clean is well-typed.
-
-    Both directions are fuzzed continuously by {!Sanitizer.run_typed} and
-    pinned exhaustively at small sizes by the test-suite.  Inverting the
-    rules yields a generator ({!choices}, {!enumerate}, {!sample_plan})
-    that emits only well-typed plans by construction — no rejection
-    sampling. *)
+    The reference is {!Poly} itself.  {!Sanitizer.run_typed} fuzzes both
+    directions (typed plans apply with the predicted state and agree with
+    {!Poly_legality} on [T-Legal]; plans that {!Poly} applies draw at most
+    warnings) and the test-suite checks, over ill-formed steps too, that
+    {!infer} reports an error exactly when {!Plan_lint.apply} raises.
+    Inverting the rules yields a generator ({!choices}, {!enumerate},
+    {!sample_plan}) that emits only well-typed plans by construction — no
+    rejection sampling. *)
 
 type env = {
   te_domain : (string * int) list;
@@ -62,10 +66,20 @@ val pp : Format.formatter -> env -> unit
 
 val infer : env -> Plan_lint.step -> (env, Diagnostic.t list) result
 (** One-step judgment: [Ok env'] with the successor state when the step
-    is well-typed, [Error diags] naming the violated rule otherwise.  The
+    is well-typed, [Error diags] naming the violated rule otherwise.
+    [diags] holds an [Error] exactly when {!Plan_lint.apply} raises
+    {!Poly.Illegal}; warning-only findings leave the state unchanged.  The
     successor mirrors {!Plan_lint.apply} exactly:
     [infer (env_of_schedule s) step = Ok (env_of_schedule (apply s step))]
-    whenever the step is well-typed (fuzzed by {!Sanitizer.run_typed}). *)
+    whenever the step is well-typed. *)
+
+val lint : Poly.t -> Plan_lint.step list -> Poly.t option * Diagnostic.t list
+(** The judgment as a linter: walk a plan over a concrete schedule,
+    collecting {!infer}'s findings and applying every step without an
+    error through {!Plan_lint.apply}.  Stops at the first error (further
+    steps would lint against a schedule that cannot exist), reporting an
+    [illegal-transformation] if [apply] rejects a step anyway; returns the
+    final schedule when every step applied. *)
 
 val check :
   ?deps:Poly_legality.dependence list ->

@@ -157,7 +157,7 @@ let run ?max_points ~seed ~n () =
     rs_static_time = !static_time;
     rs_oracle_time = !oracle_time }
 
-(* --- typed-vs-oracle differential fuzzer ------------------------------- *)
+(* --- typed-vs-Poly differential fuzzer --------------------------------- *)
 
 type typed_case = {
   tp_index : int;
@@ -183,12 +183,13 @@ let typed_unknown_rate r =
 let typed_passed ?(max_unknown_rate = 0.2) r =
   r.tt_disagreements = [] && typed_unknown_rate r < max_unknown_rate
 
-(* Each case fuzzes both directions of the typing judgment's exactness:
-   a plan emitted by the typed generator must lint clean, predict the
-   applied schedule's abstraction digit-for-digit and agree with the
-   sampling oracle whenever [T-Legal] is decisive; a rejection-sampled
-   random plan must be well-typed exactly when its lint is clean (zero
-   diagnostics). *)
+(* Each case checks the typing judgment against the real transformations
+   in both directions: a plan emitted by the typed generator must apply
+   through [Poly], predict the applied schedule's abstraction
+   digit-for-digit and agree with the sampling oracle whenever [T-Legal]
+   is decisive; a rejection-sampled plan that [Poly] applies may draw
+   warnings from the judgment but no error, and its abstract state must
+   still track the applied schedule. *)
 let run_typed ?max_points ~seed ~n () =
   let rng = Rng.create seed in
   let clean = ref 0 and env_agree = ref 0 and legal_agree = ref 0 in
@@ -215,53 +216,50 @@ let run_typed ?max_points ~seed ~n () =
     let nest = random_nest case_rng in
     let base = Loop_nest.baseline_schedule nest in
     let env0 = Plan_types.env_of_schedule base in
-    (* Direction 1: well-typed by construction ⇒ lints clean, abstracts
-       the applied schedule exactly, and [T-Legal] agrees with the
-       oracle. *)
+    (* Direction 1: well-typed by construction ⇒ applies through [Poly],
+       abstracts the applied schedule exactly, and [T-Legal] agrees with
+       the oracle. *)
     let steps, env_t = Plan_types.sample_plan case_rng ~max_len:4 env0 in
-    (match Plan_lint.lint base steps with
-    | Some s, [] ->
+    (match List.fold_left Plan_lint.apply base steps with
+    | exception Poly.Illegal msg ->
+        fail i steps "typed-but-illegal" "Poly rejected a well-typed plan: %s" msg
+    | s -> (
         incr clean;
         if Plan_types.equal (Plan_types.env_of_schedule s) env_t then incr env_agree
         else fail i steps "env-mismatch" "predicted env diverges from the applied schedule";
         let deps = random_deps case_rng in
         let legal = oracle s deps in
-        (match Plan_types.check ~deps env0 steps with
+        match Plan_types.check ~deps env0 steps with
         | Ok _ ->
             if legal then incr legal_agree
             else fail i steps "legal-but-oracle-illegal" "T-Legal accepted an oracle-illegal plan"
-        | Error ds -> (
-            match ds with
-            | { Diagnostic.d_code = "legality-unknown"; _ } :: _ -> incr unknown
-            | { Diagnostic.d_code = "illegal-dependence"; _ } :: _ ->
-                if legal then
-                  fail i steps "illegal-but-oracle-legal" "T-Legal rejected an oracle-legal plan"
-                else incr legal_agree
-            | _ ->
-                fail i steps "typed-plan-rejected" "the generator emitted an ill-typed plan"))
-    | _, diags ->
-        fail i steps "typed-but-lint-dirty" "lint found: %s"
-          (String.concat "; " (List.map (fun d -> d.Diagnostic.d_msg) diags)));
-    (* Direction 2: rejection-sampled plans are well-typed exactly when
-       their lint is clean. *)
+        | Error ({ Diagnostic.d_code = "legality-unknown"; _ } :: _) -> incr unknown
+        | Error ({ Diagnostic.d_code = "illegal-dependence"; _ } :: _) ->
+            if legal then
+              fail i steps "illegal-but-oracle-legal" "T-Legal rejected an oracle-legal plan"
+            else incr legal_agree
+        | Error _ -> fail i steps "typed-plan-rejected" "the generator emitted an ill-typed plan"));
+    (* Direction 2: [Poly] applied every step of the rejection-sampled
+       plan, so the judgment may only warn, and warning-only steps leave
+       the abstract state unchanged. *)
     let s_r, steps_r = random_plan case_rng base in
-    (match (Plan_lint.lint base steps_r, Plan_types.check env0 steps_r) with
-    | (Some s, []), Ok env ->
-        if Plan_types.equal (Plan_types.env_of_schedule s) env then begin
-          incr survivors;
-          ignore s_r
-        end
-        else fail i steps_r "env-mismatch" "survivor env diverges from the applied schedule"
-    | (Some _, []), Error ds ->
-        fail i steps_r "survivor-ill-typed" "clean survivor rejected: %s"
-          (match ds with d :: _ -> d.Diagnostic.d_msg | [] -> "")
-    | (_, _ :: _), Error _ -> incr dirty
-    | (_, diags), Ok _ ->
-        fail i steps_r "dirty-but-well-typed" "lint found %d diagnostics yet the plan typed"
-          (List.length diags)
-    | (None, []), _ ->
-        (* unreachable: lint only aborts with an error diagnostic *)
-        fail i steps_r "lint-aborted-silently" "lint returned no schedule and no diagnostics")
+    let rec judge env warned = function
+      | [] -> Ok (env, warned)
+      | step :: rest -> (
+          match Plan_types.infer env step with
+          | Ok env' -> judge env' warned rest
+          | Error ds when Diagnostic.errors ds = [] -> judge env true rest
+          | Error ds -> Error ds)
+    in
+    match judge env0 false steps_r with
+    | Error ds ->
+        fail i steps_r "applied-but-ill-typed" "Poly applied a step the judgment rejects: %s"
+          (String.concat "; " (List.map (fun d -> d.Diagnostic.d_msg) (Diagnostic.errors ds)))
+    | Ok (env, warned) ->
+        if not (Plan_types.equal (Plan_types.env_of_schedule s_r) env) then
+          fail i steps_r "env-mismatch" "survivor env diverges from the applied schedule"
+        else if warned then incr dirty
+        else incr survivors
   done;
   { tt_total = n;
     tt_typed_lint_clean = !clean;
@@ -274,8 +272,8 @@ let run_typed ?max_points ~seed ~n () =
 
 let pp_typed_report ppf r =
   Format.fprintf ppf
-    "@[<v>typecheck-fuzz: %d cases · %d typed-lint-clean · %d env-agree · %d \
-     legal-agree · %d unknown (%.1f%%) · %d survivors-typed · %d dirty-rejected \
+    "@[<v>typecheck-fuzz: %d cases · %d typed-applied · %d env-agree · %d \
+     legal-agree · %d unknown (%.1f%%) · %d survivors-typed · %d warn-rejected \
      · %d disagreements@]"
     r.tt_total r.tt_typed_lint_clean r.tt_env_agree r.tt_legal_agree r.tt_unknown
     (100.0 *. typed_unknown_rate r)

@@ -39,33 +39,36 @@ val passed : ?max_unknown_rate:float -> report -> bool
 val pp_report : Format.formatter -> report -> unit
 (** Summary line plus one replayable line per disagreement. *)
 
-(** {1 Typed-vs-oracle differential fuzzer}
+(** {1 Typed-vs-Poly differential fuzzer}
 
-    Fuzzes both directions of {!Plan_types}'s exactness contract on the
-    same seeded corpus of random convolution nests: a plan emitted by the
-    typed generator must lint clean ({!Plan_lint.lint} applies it with
-    zero diagnostics), must predict the applied schedule's abstraction
-    digit-for-digit, and its [T-Legal] verdict must agree with the
-    sampling oracle {!Poly_legality.check}; conversely a rejection-sampled
-    random plan must be well-typed exactly when its lint is clean.  The CI
-    gate ({!typed_passed}): zero disagreements, [Unknown] rate below
-    20%. *)
+    Checks the typing judgment {!Plan_types} against the real
+    transformations on a seeded corpus of random convolution nests, in
+    both directions.  A plan emitted by the typed generator must apply
+    through {!Plan_lint.apply} (i.e. {!Poly}), must predict the applied
+    schedule's abstraction digit-for-digit, and its [T-Legal] verdict must
+    agree with the sampling oracle {!Poly_legality.check}.  Conversely, for
+    a rejection-sampled random plan that {!Poly} applies, {!Plan_types.infer}
+    may reject a step only with [Warn] findings, and the abstract state it
+    tracks must match the applied schedule.  The CI gate
+    ({!typed_passed}): zero disagreements, [Unknown] rate below 20%. *)
 
 type typed_case = {
   tp_index : int;  (** corpus position, for replay *)
   tp_plan : string;  (** the plan, in {!Plan_lint.of_string} syntax *)
-  tp_kind : string;  (** which exactness direction broke *)
+  tp_kind : string;  (** which direction broke, and how *)
   tp_detail : string;  (** human-readable evidence *)
 }
 
 type typed_report = {
   tt_total : int;  (** corpus cases (each fuzzes one typed + one random plan) *)
-  tt_typed_lint_clean : int;  (** typed-generated plans that linted clean *)
+  tt_typed_lint_clean : int;  (** typed-generated plans that applied through {!Poly} *)
   tt_env_agree : int;  (** typed plans whose predicted env matched the schedule *)
   tt_legal_agree : int;  (** decisive [T-Legal] verdicts agreeing with the oracle *)
   tt_unknown : int;  (** [T-Legal] undecided (direction analysis [Unknown]) *)
-  tt_survivors_typed : int;  (** lint-clean random plans that typed *)
-  tt_dirty_rejected : int;  (** linted-dirty random plans correctly rejected *)
+  tt_survivors_typed : int;  (** applied random plans that typed, state matching *)
+  tt_dirty_rejected : int;
+      (** applied random plans the strict judgment rejected with warnings
+          only, state matching *)
   tt_disagreements : typed_case list;  (** exactness violations, in corpus order *)
 }
 

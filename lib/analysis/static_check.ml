@@ -78,7 +78,7 @@ let report_of_schedule ~site ~label ~subject nest s =
 let analyze_plan ~site ~label nest steps =
   let baseline = Loop_nest.baseline_schedule nest in
   let subject = "plan " ^ Plan_lint.plan_to_string steps in
-  match Plan_lint.lint baseline steps with
+  match Plan_types.lint baseline steps with
   | Some s, diags ->
       let r = report_of_schedule ~site ~label ~subject nest s in
       { r with sr_diags = diags @ r.sr_diags }

@@ -150,13 +150,13 @@ let t_lint_parse_roundtrip () =
 
 let t_lint_indivisible_tile () =
   let baseline = Loop_nest.baseline_schedule small_nest in
-  let s, diags = Plan_lint.lint baseline (parse "tile@2:5") in
+  let s, diags = Plan_types.lint baseline (parse "tile@2:5") in
   Alcotest.(check bool) "no schedule" true (s = None);
   Alcotest.(check bool) "indivisible-tile" true (has_code "indivisible-tile" diags)
 
 let t_lint_warnings_still_apply () =
   let baseline = Loop_nest.baseline_schedule small_nest in
-  let s, diags = Plan_lint.lint baseline (parse "split@0:1;unroll@5:64") in
+  let s, diags = Plan_types.lint baseline (parse "split@0:1;unroll@5:64") in
   Alcotest.(check bool) "schedule produced" true (s <> None);
   Alcotest.(check bool) "no-op warned" true (has_code "no-op" diags);
   Alcotest.(check bool) "unroll-overflow warned" true
@@ -166,7 +166,7 @@ let t_lint_warnings_still_apply () =
 
 let t_lint_bad_dimension () =
   let baseline = Loop_nest.baseline_schedule small_nest in
-  let _, diags = Plan_lint.lint baseline (parse "interchange@0,9") in
+  let _, diags = Plan_types.lint baseline (parse "interchange@0,9") in
   Alcotest.(check bool) "bad-dimension" true (has_code "bad-dimension" diags)
 
 (* --- Differential sanitizer -------------------------------------------- *)

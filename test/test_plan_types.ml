@@ -1,8 +1,9 @@
 (* Typed plan algebra tests: the plan-syntax round-trip, degenerate lint
    inputs, a table-driven typing suite (one well-typed and one ill-typed
    instance per step kind), exhaustive agreement between the typed
-   enumerator and the lint-clean set at small sizes, and the typed
-   differential fuzzer gate. *)
+   enumerator and the lint-clean set at small sizes, the typed
+   differential fuzzer gate, and a property holding the judgment to
+   [Poly] itself on ill-formed steps. *)
 
 let conv_domain = [ ("co", 4); ("ci", 6); ("oh", 4); ("ow", 4) ]
 let base_env () = Plan_types.env_of_schedule (Poly.of_domain conv_domain)
@@ -62,7 +63,7 @@ let t_roundtrip_each_constructor () =
 
 let lint_one step =
   let s = Poly.of_domain conv_domain in
-  Plan_lint.lint s [ step ]
+  Plan_types.lint s [ step ]
 
 let has_error diags =
   List.exists (fun d -> d.Diagnostic.d_severity = Diagnostic.Error) diags
@@ -85,13 +86,33 @@ let t_fuse_last_dimension () =
   Alcotest.(check bool) "error reported" true (has_error diags);
   Alcotest.(check bool) "plan rejected" true (final = None)
 
+let t_unroll_nonpositive_factor () =
+  (* [Poly.unroll] rejects a factor below 1: one error, not a no-op. *)
+  let final, diags = lint_one (Plan_lint.Unroll (2, 0)) in
+  Alcotest.(check bool) "plan rejected" true (final = None);
+  Alcotest.(check (list string)) "one degenerate-factor error"
+    [ "error:degenerate-factor" ]
+    (List.map
+       (fun d ->
+         Diagnostic.severity_to_string d.Diagnostic.d_severity ^ ":" ^ d.Diagnostic.d_code)
+       diags)
+
+let t_factor_one_out_of_range () =
+  (* The factor-1 identity still needs an existing loop. *)
+  let s = Poly.of_domain conv_domain in
+  List.iter
+    (fun step ->
+      match Plan_lint.apply s step with
+      | _ -> Alcotest.failf "%s applied" (Plan_lint.to_string step)
+      | exception Poly.Illegal _ -> ())
+    [ Plan_lint.Split (99, 1); Tile (99, 1) ]
+
 (* --- table-driven typing suite ----------------------------------------- *)
 
-(* One well-typed and one ill-typed instance per step kind.  Each verdict
-   is cross-checked against the linter, so the table re-asserts the
-   exactness contract (well-typed iff zero diagnostics) case by case.
-   Depthwise needs its own square domain: on conv_domain it is the
-   ill-typed sample (co <> ci). *)
+(* One well-typed and one ill-typed instance per step kind (the judgment
+   is checked against [Poly] by the [properties] group).  Depthwise needs
+   its own square domain: on conv_domain it is the ill-typed sample
+   (co <> ci). *)
 let square_env () =
   Plan_types.env_of_schedule
     (Poly.of_domain [ ("co", 4); ("ci", 4); ("oh", 4); ("ow", 4) ])
@@ -109,6 +130,7 @@ let typing_table () =
     ("fuse at last dim", base_env (), Fuse 3, false);
     ("unroll well", base_env (), Unroll (3, 2), true);
     ("unroll overflow", base_env (), Unroll (3, 8), false);
+    ("unroll non-positive factor", base_env (), Unroll (3, 0), false);
     ("vectorize well", base_env (), Vectorize 3, true);
     ("vectorize out of range", base_env (), Vectorize 9, false);
     ("parallelize well", base_env (), Parallelize 0, true);
@@ -127,10 +149,6 @@ let t_typing_table () =
         match Plan_types.infer env step with Ok _ -> true | Error _ -> false
       in
       Alcotest.(check bool) (name ^ ": judgment") expect_well typed;
-      (* Exactness against the oracle: well-typed iff the linter records
-         nothing for the step. *)
-      let _, diags = Plan_lint.lint (Plan_types.schedule_of_env env) [ step ] in
-      Alcotest.(check bool) (name ^ ": lint agrees") expect_well (diags = []);
       if not expect_well then
         (* Ill-typed diagnostics lead with the violated rule's name. *)
         let prefixed msg =
@@ -197,7 +215,7 @@ let universe env =
       [ Plan_lint.Depthwise ] ]
 
 let lint_clean env plan =
-  match Plan_lint.lint (Plan_types.schedule_of_env env) plan with
+  match Plan_types.lint (Plan_types.schedule_of_env env) plan with
   | Some _, [] -> true
   | _ -> false
 
@@ -255,7 +273,7 @@ let t_sampled_plans_lint_clean () =
       ("lint-clean: " ^ Plan_lint.plan_to_string plan)
       true (lint_clean env plan);
     (* The final environment matches the linted schedule's abstraction. *)
-    match Plan_lint.lint (Plan_types.schedule_of_env env) plan with
+    match Plan_types.lint (Plan_types.schedule_of_env env) plan with
     | Some s, [] ->
         Alcotest.(check bool) "env tracks schedule" true
           (Plan_types.equal env' (Plan_types.env_of_schedule s))
@@ -273,10 +291,83 @@ let t_typed_fuzzer_gate () =
        r.Sanitizer.tt_disagreements);
   Alcotest.(check bool) "gate passes" true (Sanitizer.typed_passed r)
 
+(* --- the judgment against Poly, ill-formed steps included ---------------- *)
+
+(* Steps with out-of-range dimensions, non-permutation reorders and
+   non-positive factors, which the CI fuzzer never generates. *)
+let wild_step_gen =
+  let open QCheck.Gen in
+  let dim = int_range (-1) 7 in
+  let factor = int_range (-1) 9 in
+  let iter = oneofl [ "co"; "ci"; "oh"; "ow"; "zz" ] in
+  let reorder =
+    oneof
+      [ (int_range 1 7 >>= fun n -> shuffle_l (List.init n (fun i -> i)));
+        list_size (int_range 0 6) (int_range (-1) 6) ]
+  in
+  oneof
+    [ map2 (fun i j -> Plan_lint.Interchange (i, j)) dim dim;
+      map (fun p -> Plan_lint.Reorder p) reorder;
+      map2 (fun p f -> Plan_lint.Split (p, f)) dim factor;
+      map2 (fun p f -> Plan_lint.Tile (p, f)) dim factor;
+      map (fun p -> Plan_lint.Fuse p) dim;
+      map2 (fun p f -> Plan_lint.Unroll (p, f)) dim factor;
+      map (fun p -> Plan_lint.Vectorize p) dim;
+      map (fun p -> Plan_lint.Parallelize p) dim;
+      map (fun f -> Plan_lint.Group f) factor;
+      map2 (fun it f -> Plan_lint.Bottleneck (it, f)) iter factor;
+      return Plan_lint.Depthwise ]
+
+(* A small conv domain, a prefix of wild steps (those [Poly] rejects are
+   skipped) to reach fused, split and grouped schedules, and the step
+   under test. *)
+let judged_arb =
+  let open QCheck.Gen in
+  let ext = oneofl [ 1; 2; 4; 6 ] in
+  let domain =
+    map
+      (fun (co, ci, oh, ow) -> [ ("co", co); ("ci", ci); ("oh", oh); ("ow", ow) ])
+      (quad ext ext ext ext)
+  in
+  QCheck.make
+    ~print:(fun (d, prefix, step) ->
+      Printf.sprintf "domain [%s] prefix [%s] step %s"
+        (String.concat "," (List.map (fun (n, e) -> Printf.sprintf "%s=%d" n e) d))
+        (Plan_lint.plan_to_string prefix) (Plan_lint.to_string step))
+    (triple domain (list_size (int_range 0 5) wild_step_gen) wild_step_gen)
+
+let judgment_matches_poly (domain, prefix, step) =
+  let s =
+    List.fold_left
+      (fun s st -> try Plan_lint.apply s st with Poly.Illegal _ -> s)
+      (Poly.of_domain domain) prefix
+  in
+  let env = Plan_types.env_of_schedule s in
+  let applied =
+    match Plan_lint.apply s step with
+    | s' -> Some (Plan_types.env_of_schedule s')
+    | exception Poly.Illegal _ -> None
+  in
+  match (Plan_types.infer env step, applied) with
+  | Ok env', Some env_applied -> Plan_types.equal env' env_applied
+  | Error ds, Some env_applied when Diagnostic.errors ds = [] ->
+      Plan_types.equal env env_applied
+  | Error ds, None when Diagnostic.errors ds <> [] -> true
+  | Ok _, None -> QCheck.Test.fail_report "well-typed but Poly rejects it"
+  | Error ds, Some _ ->
+      QCheck.Test.fail_reportf "Poly applies it but the judgment errs: %s"
+        (String.concat "; " (List.map Diagnostic.to_string ds))
+  | Error ds, None ->
+      QCheck.Test.fail_reportf "Poly rejects it but the judgment only warns: %s"
+        (String.concat "; " (List.map Diagnostic.to_string ds))
+
 let qcheck_tests =
   let open QCheck in
   [ Test.make ~name:"plan syntax round-trips through of_string/to_string"
-      ~count:200 plan_arb roundtrip_prop ]
+      ~count:200 plan_arb roundtrip_prop;
+    Test.make
+      ~name:"judgment errs exactly when Poly rejects; successor env matches"
+      ~count:5000 judged_arb judgment_matches_poly ]
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -286,10 +377,15 @@ let () =
       ( "degenerate",
         [ quick "reorder repeated" t_reorder_repeated_dimension;
           quick "reorder out of range" t_reorder_out_of_range;
-          quick "fuse last dim" t_fuse_last_dimension ] );
+          quick "fuse last dim" t_fuse_last_dimension;
+          quick "unroll non-positive factor" t_unroll_nonpositive_factor;
+          quick "factor-1 split out of range" t_factor_one_out_of_range ] );
       ("typing", [ quick "table" t_typing_table ]);
       ( "exhaustive",
         [ quick "enumerate = lint-clean" t_enumerate_matches_lint_clean;
           quick "samples lint clean" t_sampled_plans_lint_clean ] );
       ("fuzzer", [ quick "typed gate" t_typed_fuzzer_gate ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

@@ -1,8 +1,9 @@
-(* Typed-vs-oracle differential fuzzer CLI: fuzz seeded cases and fail
-   (exit 1) when the plan type system disagrees with the linter or the
-   sampling oracle in either direction — a well-typed plan that lints
-   dirty / fails legality, or a lint-clean survivor the judgment rejects.
-   Wired into CI through the @typecheck-fuzz alias. *)
+(* Typed-vs-Poly differential fuzzer CLI: fuzz seeded cases and fail
+   (exit 1) when the plan typing judgment disagrees with the real
+   transformations or the sampling oracle — a well-typed plan that Poly
+   rejects, applies to a different state or whose T-Legal verdict the
+   oracle contradicts, or a plan Poly applies that the judgment rejects
+   with an error.  Wired into CI through the @typecheck-fuzz alias. *)
 
 let () =
   let plans = ref 1000 and seed = ref 2026 and max_unknown = ref 0.2 in
@@ -26,7 +27,7 @@ let () =
   if Sanitizer.typed_passed ~max_unknown_rate:!max_unknown report then exit 0
   else begin
     if report.Sanitizer.tt_disagreements <> [] then
-      Format.eprintf "typecheck_diff: type system and linter/oracle disagree@."
+      Format.eprintf "typecheck_diff: type system and Poly/oracle disagree@."
     else
       Format.eprintf "typecheck_diff: Unknown rate %.1f%% exceeds the %.1f%% bound@."
         (100.0 *. Sanitizer.typed_unknown_rate report)
