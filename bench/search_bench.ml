@@ -135,8 +135,8 @@ let strategy_run ~n strategy =
   let model = Models.build (Models.resnet18 ()) rng in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
   let r =
-    Unified_search.search ~candidates:n ~strategy ~rng:(Rng.split rng)
-      ~device:Device.i7 ~probe model
+    Unified_search.search ~candidates:n ~strategy ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   let survivors =
     r.Unified_search.r_explored - r.r_rejected - List.length r.r_quarantined
@@ -332,8 +332,8 @@ let () =
           ~input_size:model.Models.input_size
       in
       let r =
-        Unified_search.search ~candidates:fam_candidates ~rng:(Rng.split rng)
-          ~device:Device.i7 ~probe model
+        Unified_search.search ~candidates:fam_candidates ~ctx:(Eval_ctx.create ())
+          ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
       in
       let survivors =
         r.Unified_search.r_explored - r.r_rejected

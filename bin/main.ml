@@ -326,7 +326,7 @@ let search_cmd =
       if trace <> None || metrics then Obs.create ?trace_file:trace ()
       else Obs.disabled
     in
-    let ctx = Eval_ctx.create ~cache_capacity:cache_cap ~device:dev ~obs () in
+    let ctx = Eval_ctx.create ~cache_capacity:cache_cap ~fault ~obs () in
     Format.fprintf ppf "unified search: %s on %s, %d candidates@." model.Models.name
       dev.Device.dev_name candidates;
     if workers > 1 then
@@ -338,7 +338,7 @@ let search_cmd =
     if strategy <> Strategy.Random then
       Format.fprintf ppf "strategy:  %s@." (Strategy.to_string strategy);
     let r =
-      Unified_search.search ~candidates ~static_filter ~fault ?budget ?checkpoint
+      Unified_search.search ~candidates ~static_filter ?budget ?checkpoint
         ~checkpoint_every ~workers ~schedule ~strategy ~ctx ~rng:(Rng.split rng)
         ~device:dev ~probe model
     in
@@ -413,10 +413,11 @@ let nas_cmd =
     let model = Models.build (config_of_name network) rng in
     let dev = device_of_name device in
     let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
-    let bs = Blockswap.search ~samples:candidates ~rng:(Rng.split rng) ~probe model in
+    let ctx = Eval_ctx.create () in
+    let bs = Blockswap.search ~samples:candidates ~ctx ~rng:(Rng.split rng) ~probe model in
     let plans = Array.map (fun impl -> Site_plan.make impl) bs.Blockswap.bs_impls in
-    let ev = Pipeline.evaluate dev model ~plans in
-    let base = Pipeline.baseline dev model in
+    let ev = Pipeline.evaluate ~ctx dev model ~plans in
+    let base = Pipeline.baseline ~ctx dev model in
     Format.fprintf ppf "BlockSwap NAS baseline: %s on %s@." model.Models.name dev.Device.dev_name;
     Format.fprintf ppf "baseline %a -> NAS %a (%.2fx), params %d -> %d@."
       Exp_common.pp_us base.Pipeline.ev_latency_s Exp_common.pp_us ev.Pipeline.ev_latency_s

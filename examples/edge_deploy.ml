@@ -15,7 +15,8 @@ let () =
   let model = Models.build (Models.densenet161 ()) rng in
   let device = Device.maxwell_mgpu in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
-  let baseline = Pipeline.baseline device model in
+  let ctx = Eval_ctx.create () in
+  let baseline = Pipeline.baseline ~ctx device model in
   Format.fprintf ppf "deploying %s on %a@." model.Models.name Device.pp device;
   Format.fprintf ppf "baseline latency %a, %.2fM conv params@.@." Exp_common.pp_us
     baseline.Pipeline.ev_latency_s
@@ -26,7 +27,7 @@ let () =
     Exp_common.pp_us budget_s;
 
   let r =
-    Unified_search.search ~candidates:200 ~rng:(Rng.split rng) ~device ~probe model
+    Unified_search.search ~candidates:200 ~ctx ~rng:(Rng.split rng) ~device ~probe model
   in
   let best = r.Unified_search.r_best in
   Format.fprintf ppf "unified search: best %a (%.2fx), %d/%d rejected by Fisher@."

@@ -15,25 +15,28 @@ let () =
   let model = Models.build (Models.resnet34 ()) rng in
   let device = Device.i7 in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
+  let ctx = Eval_ctx.create () in
   Format.fprintf ppf "network: %s (%d transformable sites, %d nodes, %.2fM paper-scale conv params)@."
     model.Models.name
     (Array.length model.Models.sites)
     (Graph.node_count model.Models.graph)
-    (float_of_int (Pipeline.baseline device model).Pipeline.ev_params /. 1e6);
+    (float_of_int (Pipeline.baseline ~ctx device model).Pipeline.ev_params /. 1e6);
   Format.fprintf ppf "target:  %a@.@." Device.pp device;
 
   (* The NAS baseline first. *)
-  let bs = Blockswap.search ~samples:80 ~rng:(Rng.split rng) ~probe model in
+  let bs = Blockswap.search ~samples:80 ~ctx ~rng:(Rng.split rng) ~probe model in
   let nas_plans = Array.map (fun impl -> Site_plan.make impl) bs.Blockswap.bs_impls in
-  let nas = Pipeline.evaluate device model ~plans:nas_plans in
-  let baseline = Pipeline.baseline device model in
+  let nas = Pipeline.evaluate ~ctx device model ~plans:nas_plans in
+  let baseline = Pipeline.baseline ~ctx device model in
   Format.fprintf ppf "TVM baseline : %a@." Exp_common.pp_us baseline.Pipeline.ev_latency_s;
   Format.fprintf ppf "NAS baseline : %a (%.2fx)@.@." Exp_common.pp_us
     nas.Pipeline.ev_latency_s
     (baseline.Pipeline.ev_latency_s /. nas.Pipeline.ev_latency_s);
 
   (* The unified search. *)
-  let r = Unified_search.search ~candidates:250 ~rng:(Rng.split rng) ~device ~probe model in
+  let r =
+    Unified_search.search ~candidates:250 ~ctx ~rng:(Rng.split rng) ~device ~probe model
+  in
   Format.fprintf ppf "Unified      : %a (%.2fx), %d/%d candidates rejected by Fisher, %a wall@.@."
     Exp_common.pp_us r.Unified_search.r_best.Unified_search.cd_latency_s
     (Unified_search.speedup r) r.r_rejected r.r_explored Timing.pp_seconds r.r_wall_s;

@@ -1,7 +1,7 @@
 type 'a t = {
   table : (string, 'a) Hashtbl.t;
   order : string Queue.t;
-  mutable capacity : int;
+  capacity : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -23,11 +23,14 @@ let create ?(capacity = 8192) () =
     misses = 0;
     evictions = 0 }
 
-let evict_to t cap =
-  while Hashtbl.length t.table >= cap && not (Queue.is_empty t.order) do
+(* Evict oldest-first down to one free slot, then add [key]. *)
+let insert t key v =
+  while Hashtbl.length t.table >= t.capacity && not (Queue.is_empty t.order) do
     Hashtbl.remove t.table (Queue.pop t.order);
     t.evictions <- t.evictions + 1
-  done
+  done;
+  Hashtbl.replace t.table key v;
+  Queue.push key t.order
 
 let remember t key f =
   match Hashtbl.find_opt t.table key with
@@ -37,23 +40,10 @@ let remember t key f =
   | None ->
       t.misses <- t.misses + 1;
       let v = f () in
-      evict_to t t.capacity;
-      Hashtbl.replace t.table key v;
-      Queue.push key t.order;
+      insert t key v;
       v
 
 let find_opt t key = Hashtbl.find_opt t.table key
-
-let clear t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
-let set_capacity t n =
-  t.capacity <- max 1 n;
-  evict_to t (t.capacity + 1)
 
 let capacity t = t.capacity
 
@@ -83,9 +73,7 @@ let merge_entries t kvs =
     (fun inserted (key, v) ->
       if Hashtbl.mem t.table key then inserted
       else begin
-        evict_to t t.capacity;
-        Hashtbl.replace t.table key v;
-        Queue.push key t.order;
+        insert t key v;
         inserted + 1
       end)
     0 kvs

@@ -30,15 +30,8 @@ val remember : 'a t -> string -> (unit -> 'a) -> 'a
 val find_opt : 'a t -> string -> 'a option
 (** Lookup without touching the hit/miss counters. *)
 
-val clear : 'a t -> unit
-(** Drop every entry and reset the counters (capacity unchanged). *)
-
-val set_capacity : 'a t -> int -> unit
-(** Rebound the cache (clamped to at least 1), evicting FIFO down to the
-    new bound immediately. *)
-
 val capacity : 'a t -> int
-(** Current entry bound. *)
+(** The entry bound fixed at {!create}. *)
 
 val stats : 'a t -> stats
 (** Snapshot of the hit/miss/eviction counters and current size — the

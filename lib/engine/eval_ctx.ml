@@ -1,66 +1,28 @@
 type t = {
-  ec_device : Device.t;
   ec_cost_cache : float Bounded_cache.t;
   ec_fisher_cache : Fisher.scores Bounded_cache.t;
   ec_fault : Fault.t;
-  ec_budget : int option;
-  ec_checkpoint : string option;
-  ec_checkpoint_every : int;
   ec_obs : Obs.t;
-  (* A shared ref, not a mutable field: derived views ([with_device],
-     [with_knobs], [with_obs]) are record copies that must keep feeding
-     the same accumulator. *)
+  (* A shared ref, not a mutable field: a [with_obs] view is a record
+     copy that must keep feeding the same accumulator. *)
   ec_tune_configs : int ref;
 }
 
 let create ?(cache_capacity = 8192) ?(fisher_capacity = 4096) ?(fault = Fault.none)
-    ?budget ?checkpoint ?(checkpoint_every = 25) ?(device = Device.i7)
     ?(obs = Obs.disabled) () =
-  { ec_device = device;
-    ec_cost_cache = Bounded_cache.create ~capacity:cache_capacity ();
+  { ec_cost_cache = Bounded_cache.create ~capacity:cache_capacity ();
     ec_fisher_cache = Bounded_cache.create ~capacity:fisher_capacity ();
     ec_fault = fault;
-    ec_budget = budget;
-    ec_checkpoint = checkpoint;
-    ec_checkpoint_every = checkpoint_every;
     ec_obs = obs;
     ec_tune_configs = ref 0 }
 
-(* The one piece of module-level mutable state left in the system: the
-   context behind the legacy (context-free) wrappers.  Workers never touch
-   it — parallel evaluation always runs on explicit forks. *)
-let default_ctx : t option ref = ref None
-
-let default () =
-  match !default_ctx with
-  | Some c -> c
-  | None ->
-      let c = create () in
-      default_ctx := Some c;
-      c
-
-let with_device t device = { t with ec_device = device }
-
 let with_obs t obs = { t with ec_obs = obs }
 
-let with_knobs ?fault ?budget ?checkpoint ?checkpoint_every t =
-  { t with
-    ec_fault = (match fault with Some f -> f | None -> t.ec_fault);
-    ec_budget = (match budget with Some _ -> budget | None -> t.ec_budget);
-    ec_checkpoint =
-      (match checkpoint with Some _ -> checkpoint | None -> t.ec_checkpoint);
-    ec_checkpoint_every =
-      (match checkpoint_every with Some n -> n | None -> t.ec_checkpoint_every) }
-
 let fork t =
-  { ec_device = t.ec_device;
-    ec_cost_cache = Bounded_cache.create ~capacity:(Bounded_cache.capacity t.ec_cost_cache) ();
+  { ec_cost_cache = Bounded_cache.create ~capacity:(Bounded_cache.capacity t.ec_cost_cache) ();
     ec_fisher_cache =
       Bounded_cache.create ~capacity:(Bounded_cache.capacity t.ec_fisher_cache) ();
     ec_fault = Fault.copy t.ec_fault;
-    ec_budget = t.ec_budget;
-    ec_checkpoint = t.ec_checkpoint;
-    ec_checkpoint_every = t.ec_checkpoint_every;
     ec_obs = Obs.fork t.ec_obs;
     ec_tune_configs = ref 0 }
 
@@ -115,17 +77,8 @@ let load_caches ~path t =
           (Bounded_cache.merge_entries t.ec_cost_cache sn.cs_cost
           + Bounded_cache.merge_entries t.ec_fisher_cache sn.cs_fisher)
 
-let reset t =
-  Bounded_cache.clear t.ec_cost_cache;
-  Bounded_cache.clear t.ec_fisher_cache;
-  t.ec_tune_configs := 0
-
-let device t = t.ec_device
 let obs t = t.ec_obs
 let fault t = t.ec_fault
-let budget t = t.ec_budget
-let checkpoint t = t.ec_checkpoint
-let checkpoint_every t = t.ec_checkpoint_every
 let cost_cache t = t.ec_cost_cache
 let fisher_cache t = t.ec_fisher_cache
 let cost_stats t = Bounded_cache.stats t.ec_cost_cache

@@ -1,17 +1,17 @@
 (** The explicit evaluation context.
 
     Everything candidate evaluation used to keep in module-level mutable
-    state lives here instead: the bounded workload-cost memo (formerly a
-    global in [Pipeline]), the Fisher-score memo (formerly the per-search
-    [fo_cache] in [Unified_search]), the target device, autotuner
-    accounting, and the supervisor/fault/checkpoint knobs.  Because a
-    context owns all of that, evaluation is reentrant: two contexts never
-    observe each other's cache hits, and a worker pool can evaluate
-    candidate chunks against per-domain forks of one parent context.
-
-    Legacy entry points (e.g. [Pipeline.evaluate dev model ~plans] without
-    a [?ctx]) route through the process-wide {!default} context, so
-    existing callers keep their exact behavior. *)
+    state lives here instead: the bounded workload-cost memo, the
+    Fisher-score memo, autotuner accounting, the fault-injection plan and
+    the observability recorder.  There is no process-wide default: every
+    evaluation entry point ([Pipeline], [Unified_search], [Blockswap],
+    [Fbnet], [Interpolate]) takes a required [~ctx], so whoever starts the
+    work decides which caches it shares.  Because a context owns all of
+    that state, evaluation is reentrant: two contexts never observe each
+    other's cache hits, and a worker pool can evaluate candidate chunks
+    against per-domain forks of one parent context.  The target device is
+    not part of the context — it is an explicit argument of every
+    evaluation, and every memo key embeds its name. *)
 
 type t
 
@@ -19,30 +19,15 @@ val create :
   ?cache_capacity:int ->
   ?fisher_capacity:int ->
   ?fault:Fault.t ->
-  ?budget:int ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?device:Device.t ->
   ?obs:Obs.t ->
   unit ->
   t
 (** A fresh context.  [cache_capacity] bounds the workload-cost memo
     (default 8192) and [fisher_capacity] the Fisher-score memo (default
-    4096); both evict FIFO.  [fault] (default {!Fault.none}), [budget],
-    [checkpoint] and [checkpoint_every] (default 25) are the evaluation
-    knobs a search resolves when no explicit argument overrides them.
-    [device] (default {!Device.i7}) is the target the context evaluates
-    against.  [obs] (default {!Obs.disabled}) is the observability
-    recorder every evaluation through this context reports to. *)
-
-val default : unit -> t
-(** The process-wide default context backing the legacy wrappers.  Created
-    lazily on first use; shared by every caller that does not pass its own
-    context. *)
-
-val with_device : t -> Device.t -> t
-(** The same context (sharing caches, counters and knobs) retargeted at
-    another device.  Safe because every memo key embeds the device name. *)
+    4096); both evict FIFO.  [fault] (default {!Fault.none}) is the
+    fault-injection plan every search through this context draws from.
+    [obs] (default {!Obs.disabled}) is the observability recorder every
+    evaluation through this context reports to. *)
 
 val with_obs : t -> Obs.t -> t
 (** The same context (sharing caches, the fault plan and the autotuner
@@ -50,19 +35,9 @@ val with_obs : t -> Obs.t -> t
     how the parallel evaluator gives each item its own trace buffer while
     keeping the worker's memo caches warm across items. *)
 
-val with_knobs :
-  ?fault:Fault.t ->
-  ?budget:int ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  t ->
-  t
-(** Override the evaluation knobs that are given, keep the rest (caches
-    stay shared with the original). *)
-
 val fork : t -> t
-(** A per-domain worker context: same device, capacities and knobs, fresh
-    empty caches and counters, an independent copy of the fault plan
+(** A per-domain worker context: same capacities, fresh empty caches and
+    counters, an independent copy of the fault plan
     (fault draws are pure in (seed, key, target), so a fork trips exactly
     the faults the parent would), and a forked observability recorder
     whose spans open at the parent's current depth.  Use {!absorb} after
@@ -98,13 +73,7 @@ val load_caches : path:string -> t -> (int, Nas_error.t) result
     corrupt or foreign file is a structured {!Nas_error.Checkpoint_error}
     — the caller logs it and cold-starts; it never crashes. *)
 
-val reset : t -> unit
-(** Clear both memo caches and the autotuner counter. *)
-
 (* --- accessors --------------------------------------------------------- *)
-
-val device : t -> Device.t
-(** The target device this context evaluates against. *)
 
 val obs : t -> Obs.t
 (** The context's observability recorder ({!Obs.disabled} unless one was
@@ -112,15 +81,6 @@ val obs : t -> Obs.t
 
 val fault : t -> Fault.t
 (** The fault-injection plan ({!Fault.none} by default). *)
-
-val budget : t -> int option
-(** The default evaluation budget, if any. *)
-
-val checkpoint : t -> string option
-(** The default checkpoint path, if any. *)
-
-val checkpoint_every : t -> int
-(** Candidates between checkpoint snapshots. *)
 
 val cost_cache : t -> float Bounded_cache.t
 (** The workload-cost memo: key = device|workload-dims|schedule-hints. *)

@@ -26,7 +26,7 @@ type data = {
 
 (* --- 1. Fisher filtering ---------------------------------------------- *)
 
-let fisher_ablation mode =
+let fisher_ablation ~ctx mode =
   let rng = Rng.create (Exp_common.master_seed + 201) in
   let model = Models.build (Models.resnet34 ()) rng in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
@@ -44,7 +44,7 @@ let fisher_ablation mode =
   let costed =
     List.map
       (fun plans ->
-        (plans, (Pipeline.evaluate device model ~plans).Pipeline.ev_latency_s))
+        (plans, (Pipeline.evaluate ~ctx device model ~plans).Pipeline.ev_latency_s))
       pool
   in
   let sorted = List.sort (fun (_, a) (_, b) -> compare a b) costed in
@@ -133,14 +133,14 @@ let cache_validation () =
 
 (* --- 3. Interleaving -------------------------------------------------- *)
 
-let interleave_ablation mode =
+let interleave_ablation ~ctx mode =
   let rng = Rng.create (Exp_common.master_seed + 203) in
   let model = Models.build (Models.resnet34 ()) rng in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
   let device = Device.i7 in
   let n = Exp_common.candidates mode / 2 in
   let unified =
-    Unified_search.search ~candidates:n ~rng:(Rng.split rng) ~device ~probe model
+    Unified_search.search ~candidates:n ~ctx ~rng:(Rng.split rng) ~device ~probe model
   in
   (* NAS-only: restrict each mutated site to the menu-block plans (no
      interleaved sequences, no schedule hints). *)
@@ -163,7 +163,7 @@ let interleave_ablation mode =
     let scores = Fisher.score candidate probe in
     if Fisher.legal_clipped ~baseline:baseline_scores scores then begin
       let plans = Array.map (fun impl -> Site_plan.make impl) impls in
-      let lat = (Pipeline.evaluate device model ~plans).Pipeline.ev_latency_s in
+      let lat = (Pipeline.evaluate ~ctx device model ~plans).Pipeline.ev_latency_s in
       match !best with
       | Some b when b <= lat -> ()
       | _ -> best := Some lat
@@ -175,9 +175,10 @@ let interleave_ablation mode =
     ia_unified_speedup = Unified_search.speedup unified }
 
 let compute mode =
-  { fisher = fisher_ablation mode;
+  let ctx = Eval_ctx.create () in
+  { fisher = fisher_ablation ~ctx mode;
     cache = cache_validation ();
-    interleave = interleave_ablation mode }
+    interleave = interleave_ablation ~ctx mode }
 
 let print ppf d =
   Exp_common.section ppf "Ablations";

@@ -23,6 +23,7 @@ let new_families () =
   List.filter (fun e -> not e.Zoo.ze_paper) Zoo.all
 
 let compute mode =
+  let ctx = Eval_ctx.create () in
   let rows = ref [] in
   List.iteri
     (fun i (e : Zoo.entry) ->
@@ -35,7 +36,7 @@ let compute mode =
       let results =
         Unified_search.search_multi
           ~candidates:(Exp_common.candidates mode)
-          ~rng:(Rng.split rng) ~devices:Device.all ~probe model
+          ~ctx ~rng:(Rng.split rng) ~devices:Device.all ~probe model
       in
       List.iter
         (fun (device, r) ->

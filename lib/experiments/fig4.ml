@@ -21,6 +21,7 @@ let nas_speedup r = r.tvm_s /. r.nas_s
 let ours_speedup r = r.tvm_s /. r.ours_s
 
 let compute mode =
+  let ctx = Eval_ctx.create () in
   let rows = ref [] and nas_impls = ref [] in
   List.iteri
     (fun i config ->
@@ -31,7 +32,7 @@ let compute mode =
       let bs =
         Blockswap.search
           ~samples:(Exp_common.blockswap_samples mode)
-          ~rng:(Rng.split rng) ~probe model
+          ~ctx ~rng:(Rng.split rng) ~probe model
       in
       nas_impls := (model.Models.name, bs.Blockswap.bs_impls) :: !nas_impls;
       let nas_plans = Array.map (fun impl -> Site_plan.make impl) bs.Blockswap.bs_impls in
@@ -39,11 +40,11 @@ let compute mode =
       let results =
         Unified_search.search_multi
           ~candidates:(Exp_common.candidates mode)
-          ~rng:(Rng.split rng) ~devices:Device.all ~probe model
+          ~ctx ~rng:(Rng.split rng) ~devices:Device.all ~probe model
       in
       List.iter
         (fun (device, r) ->
-          let nas_ev = Pipeline.evaluate device model ~plans:nas_plans in
+          let nas_ev = Pipeline.evaluate ~ctx device model ~plans:nas_plans in
           rows :=
             { network = model.Models.name;
               device;

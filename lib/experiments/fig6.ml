@@ -34,6 +34,7 @@ let compute mode =
   let model = Models.build (Models.resnet34 ~scale:`Imagenet ()) rng in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
   let device = Device.i7 in
+  let ctx = Eval_ctx.create () in
   (* Distinct conv shapes of the network, at paper scale. *)
   let unique =
     List.fold_left
@@ -79,11 +80,11 @@ let compute mode =
     List.mapi
       (fun index w ->
         let site = site_of_workload index w in
-        let tvm_s = Pipeline.workload_cost device w in
+        let tvm_s = Pipeline.workload_cost ~ctx device w in
         let sensitive = sensitive_for w in
         let cost seq =
           if sensitive || not (Sequences.valid site seq) then None
-          else Some (Pipeline.site_cost device site (Sequences.plan seq))
+          else Some (Pipeline.site_cost ~ctx device site (Sequences.plan seq))
         in
         { index;
           label = w.Conv_impl.w_label;

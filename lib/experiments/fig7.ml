@@ -12,6 +12,7 @@ type data = { rows : row list }
 
 let compute mode (fig4 : Fig4.data) =
   let device = Device.i7 in
+  let ctx = Eval_ctx.create () in
   let rows =
     List.filter_map
       (fun (r : Fig4.row) ->
@@ -33,7 +34,7 @@ let compute mode (fig4 : Fig4.data) =
             Fbnet.search ~rounds:(Exp_common.fbnet_rounds mode)
               ~population:(Exp_common.fbnet_population mode)
               ~train_steps:(match mode with Exp_common.Quick -> 20 | Exp_common.Full -> 60)
-              ~rng:(Rng.split rng) ~device ~data model
+              ~ctx ~rng:(Rng.split rng) ~device ~data model
           in
           Some
             { network = r.Fig4.network;

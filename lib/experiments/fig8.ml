@@ -17,6 +17,7 @@ let configs () =
 
 let compute mode =
   let device = Device.i7 in
+  let ctx = Eval_ctx.create () in
   let steps = (2 * Exp_common.train_steps mode) / 5 in
   let rows =
     List.mapi
@@ -29,7 +30,7 @@ let compute mode =
         let result =
           Unified_search.search
             ~candidates:(Exp_common.candidates mode / 4)
-            ~rng:(Rng.split rng) ~device ~probe model
+            ~ctx ~rng:(Rng.split rng) ~device ~probe model
         in
         let best = result.Unified_search.r_best in
         let data =

@@ -10,7 +10,7 @@ let compute mode =
   let points =
     Interpolate.run ~seeds:(Exp_common.seeds mode)
       ~train_steps:(Exp_common.train_steps mode)
-      ~rng:(Rng.split rng) ~device:Device.i7 ~data model
+      ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~data model
   in
   { points }
 

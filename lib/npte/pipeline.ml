@@ -12,27 +12,6 @@ type evaluated = {
   ev_fixed_cost_s : float;
 }
 
-type cache_stats = Bounded_cache.stats = {
-  cs_hits : int;
-  cs_misses : int;
-  cs_size : int;
-  cs_capacity : int;
-  cs_evictions : int;
-}
-
-(* All memoization lives in the evaluation context; the wrappers below
-   default to the process-wide context so legacy callers keep their exact
-   behavior, and explicit-context callers (e.g. per-domain workers) get
-   fully isolated caches. *)
-let ctx_or_default = function Some c -> c | None -> Eval_ctx.default ()
-
-let clear_cache () = Bounded_cache.clear (Eval_ctx.cost_cache (Eval_ctx.default ()))
-
-let set_cache_capacity n =
-  Bounded_cache.set_capacity (Eval_ctx.cost_cache (Eval_ctx.default ())) n
-
-let cache_stats () = Bounded_cache.stats (Eval_ctx.cost_cache (Eval_ctx.default ()))
-
 let hints_key (h : Autotune.hints) =
   Printf.sprintf "u%s.s%s"
     (match h.Autotune.h_unroll_co with None -> "-" | Some f -> string_of_int f)
@@ -43,8 +22,7 @@ let workload_key dev (w : Conv_impl.workload) hints =
     w.Conv_impl.w_in_channels w.w_out_channels w.w_kernel w.w_stride w.w_groups
     w.w_spatial (hints_key hints)
 
-let workload_cost ?ctx ?(hints = Autotune.no_hints) dev w =
-  let ctx = ctx_or_default ctx in
+let workload_cost ~ctx ?(hints = Autotune.no_hints) dev w =
   let key = workload_key dev w hints in
   Bounded_cache.remember (Eval_ctx.cost_cache ctx) key (fun () ->
       (* Only memo misses pay the autotuner sweep, so this is the
@@ -69,8 +47,7 @@ let workload_cost ?ctx ?(hints = Autotune.no_hints) dev w =
       Obs.observe obs "time.cost_model_s" (Obs.now obs -. t0);
       cost)
 
-let site_cost ?ctx dev site (plan : Site_plan.t) =
-  let ctx = ctx_or_default ctx in
+let site_cost ~ctx dev site (plan : Site_plan.t) =
   if not (Site_plan.valid site plan) then
     Nas_error.invalid_plan "site_cost: plan %s invalid for %s" plan.Site_plan.sp_name
       site.Conv_impl.site_label;
@@ -109,8 +86,7 @@ let prepare model =
             / w.w_groups))
         0 pp_fixed }
 
-let evaluate_prepared ?ctx dev prep ~plans =
-  let ctx = ctx_or_default ctx in
+let evaluate_prepared ~ctx dev prep ~plans =
   if Array.length plans <> Array.length prep.pp_sites then
     Nas_error.shape_mismatch "evaluate: %d plans for %d sites (one plan per site)"
       (Array.length plans) (Array.length prep.pp_sites);
@@ -144,10 +120,10 @@ let evaluate_prepared ?ctx dev prep ~plans =
     ev_sites = site_evals;
     ev_fixed_cost_s = fixed_cost }
 
-let evaluate ?ctx dev model ~plans = evaluate_prepared ?ctx dev (prepare model) ~plans
+let evaluate ~ctx dev model ~plans = evaluate_prepared ~ctx dev (prepare model) ~plans
 
-let baseline ?ctx dev model =
-  evaluate ?ctx dev model
+let baseline ~ctx dev model =
+  evaluate ~ctx dev model
     ~plans:(Array.map (fun _ -> Site_plan.baseline) model.Models.sites)
 
 let of_impls model = Array.map (fun impl -> Site_plan.make impl) model.Models.impls

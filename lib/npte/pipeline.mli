@@ -4,11 +4,10 @@
     Every convolution workload of the (paper-scale) network is lowered to a
     loop nest, the plan's schedule hints are applied, the autotuner sweeps
     its parameter grid under the analytic cost model, and the best schedule's
-    latency is kept.  Results are memoized on workload dimensions in the
-    {!Eval_ctx.t} the caller passes; without one, the process-wide default
-    context is used, so the legacy (context-free) arity behaves exactly as
-    before.  Because all memoization lives in the context, evaluation is
-    reentrant and safe to run on per-domain context forks. *)
+    latency is kept.  Results are memoized on device and workload
+    dimensions in the {!Eval_ctx.t} every entry point requires.  Because
+    all memoization lives in that context, evaluation is reentrant and
+    safe to run on per-domain context forks. *)
 
 type site_eval = {
   se_site : Conv_impl.site;  (** paper-scale dimensions *)
@@ -25,13 +24,12 @@ type evaluated = {
 }
 
 val workload_cost :
-  ?ctx:Eval_ctx.t -> ?hints:Autotune.hints -> Device.t -> Conv_impl.workload -> float
+  ctx:Eval_ctx.t -> ?hints:Autotune.hints -> Device.t -> Conv_impl.workload -> float
 (** Autotuned latency of one convolution plus its fused elementwise
-    (batch-norm + ReLU) pass.  Memoized in [ctx] (default: the process
-    default context).  A non-finite cost-model output raises
+    (batch-norm + ReLU) pass.  Memoized in [ctx].  A non-finite cost-model output raises
     {!Nas_error.Fail}[ (Non_finite Cost_model)] (and is never cached). *)
 
-val site_cost : ?ctx:Eval_ctx.t -> Device.t -> Conv_impl.site -> Site_plan.t -> float
+val site_cost : ctx:Eval_ctx.t -> Device.t -> Conv_impl.site -> Site_plan.t -> float
 (** Cost of one (paper-scale) site under a plan: the sum over the plan's
     realized convolutions.  Raises {!Nas_error.Fail}[ (Invalid_plan _)] on
     a plan inapplicable to the site. *)
@@ -47,44 +45,23 @@ val prepare : Models.t -> prepared
     result is immutable and safe to share across worker domains. *)
 
 val evaluate_prepared :
-  ?ctx:Eval_ctx.t -> Device.t -> prepared -> plans:Site_plan.t array -> evaluated
+  ctx:Eval_ctx.t -> Device.t -> prepared -> plans:Site_plan.t array -> evaluated
 (** {!evaluate} against a {!prepared} model — bit-identical results, but
     the per-model setup is paid once instead of once per candidate.
     Raises {!Nas_error.Fail}[ (Shape_mismatch _)] unless there is exactly
     one plan per site. *)
 
 val evaluate :
-  ?ctx:Eval_ctx.t -> Device.t -> Models.t -> plans:Site_plan.t array -> evaluated
+  ctx:Eval_ctx.t -> Device.t -> Models.t -> plans:Site_plan.t array -> evaluated
 (** Evaluate the model with one plan per transformable site (a {!prepare}
     plus {!evaluate_prepared} in one call).  Raises
     {!Nas_error.Fail}[ (Shape_mismatch _)] unless there is exactly one plan
     per site. *)
 
-val baseline : ?ctx:Eval_ctx.t -> Device.t -> Models.t -> evaluated
+val baseline : ctx:Eval_ctx.t -> Device.t -> Models.t -> evaluated
 (** [evaluate] with every site at {!Site_plan.baseline}. *)
 
 val of_impls : Models.t -> Site_plan.t array
 (** Plans matching the model's current implementation assignment (used to
     cost a BlockSwap/FBNet-mutated model, which carries no schedule
     hints). *)
-
-(* --- legacy cache controls (operate on the default context) ------------ *)
-
-val clear_cache : unit -> unit
-
-type cache_stats = Bounded_cache.stats = {
-  cs_hits : int;
-  cs_misses : int;
-  cs_size : int;
-  cs_capacity : int;
-  cs_evictions : int;
-}
-
-val cache_stats : unit -> cache_stats
-(** Hit/miss/size/eviction counters of the default context's workload memo
-    cache, for the supervisor's report.  Explicit-context callers should
-    use {!Eval_ctx.cost_stats} instead. *)
-
-val set_cache_capacity : int -> unit
-(** Bound the default context's memo cache (entries beyond the cap are
-    evicted FIFO).  Default 8192; clamped to at least 1. *)

@@ -47,9 +47,8 @@ let impls_signature seed impls =
   Printf.sprintf "bs|%d|%s" seed
     (String.concat ";" (Array.to_list (Array.map Conv_impl.to_string impls)))
 
-let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ?ctx ~rng ~probe
+let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ~ctx ~rng ~probe
     model =
-  let ctx = match ctx with Some c -> c | None -> Eval_ctx.default () in
   let obs = Eval_ctx.obs ctx in
   Obs.with_span obs "blockswap" @@ fun () ->
   let baseline_impls = Array.map (fun _ -> Conv_impl.Full) model.Models.sites in

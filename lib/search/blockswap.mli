@@ -22,7 +22,7 @@ val search :
   ?samples:int ->
   ?budget_ratio:float ->
   ?slack:float ->
-  ?ctx:Eval_ctx.t ->
+  ctx:Eval_ctx.t ->
   rng:Rng.t ->
   probe:Train.batch ->
   Models.t ->
@@ -31,6 +31,5 @@ val search :
     parameter count is at most [budget_ratio] (default 0.45) of the
     original's and returns the Fisher-legal one with the highest clipped
     Fisher Potential (the same legality standard as the unified search).
-    Fisher scores are memoized in [ctx] (default: the process default
-    context), so resampled configurations pay neither a rebuild nor a
-    probe pass. *)
+    Fisher scores are memoized in [ctx], so resampled configurations pay
+    neither a rebuild nor a probe pass. *)

@@ -20,13 +20,12 @@ let softmax_sample rng logits =
     exps;
   !choice
 
-let latency_of ?ctx device model impls =
+let latency_of ~ctx device model impls =
   let plans = Array.map (fun impl -> Site_plan.make impl) impls in
-  (Pipeline.evaluate ?ctx device model ~plans).Pipeline.ev_latency_s
+  (Pipeline.evaluate ~ctx device model ~plans).Pipeline.ev_latency_s
 
 let search ?(rounds = 4) ?(population = 6) ?(train_steps = 40)
-    ?(latency_weight = 0.35) ?ctx ~rng ~device ~data model =
-  let ctx = match ctx with Some c -> c | None -> Eval_ctx.default () in
+    ?(latency_weight = 0.35) ~ctx ~rng ~device ~data model =
   let obs = Eval_ctx.obs ctx in
   Obs.with_span obs "fbnet" @@ fun () ->
   let menus = Array.map Blockswap.menu model.Models.sites in

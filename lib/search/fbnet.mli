@@ -29,7 +29,7 @@ val search :
   ?population:int ->
   ?train_steps:int ->
   ?latency_weight:float ->
-  ?ctx:Eval_ctx.t ->
+  ctx:Eval_ctx.t ->
   rng:Rng.t ->
   device:Device.t ->
   data:Synthetic_data.t ->

@@ -33,8 +33,7 @@ let configurations model =
       `Ours,
       Array.mapi (fun i site -> if i mod 2 = 0 then sg site else g 4 site) sites ) ]
 
-let run ?(seeds = 3) ?(train_steps = 60) ?ctx ~rng ~device ~data model =
-  let ctx = match ctx with Some c -> c | None -> Eval_ctx.default () in
+let run ?(seeds = 3) ?(train_steps = 60) ~ctx ~rng ~device ~data model =
   let obs = Eval_ctx.obs ctx in
   Obs.with_span obs "interpolate" @@ fun () ->
   let val_batches =

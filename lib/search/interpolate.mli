@@ -20,7 +20,7 @@ type point = {
 val run :
   ?seeds:int ->
   ?train_steps:int ->
-  ?ctx:Eval_ctx.t ->
+  ctx:Eval_ctx.t ->
   rng:Rng.t ->
   device:Device.t ->
   data:Synthetic_data.t ->

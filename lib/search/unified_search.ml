@@ -111,13 +111,14 @@ let typed_pool rng model ~candidates =
   let n_typed = max 0 (candidates - List.length seeds) in
   Array.of_list (seeds @ List.init n_typed (fun _ -> Strategy.typed_plans rng model))
 
-(* Evaluate one candidate under guards and (optional) injected faults.
-   [Some cand] = survivor, [None] = Fisher-rejected (a healthy outcome);
-   every failure mode raises a structured {!Nas_error.Fail} for the
-   caller to quarantine. *)
-let eval_candidate ~ctx ~fault ~index ~slack ~static_filter ~oracle ~device ~probe
-    ~prepared model plans =
+(* Evaluate one candidate under guards and [ctx]'s (optional) injected
+   faults.  [Some cand] = survivor, [None] = Fisher-rejected (a healthy
+   outcome); every failure mode raises a structured {!Nas_error.Fail} for
+   the caller to quarantine. *)
+let eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~probe ~prepared
+    model plans =
   let obs = Eval_ctx.obs ctx in
+  let fault = Eval_ctx.fault ctx in
   if Fault.trip fault ~key:index Fault.Plan_gen then
     Nas_error.fail (Nas_error.Injected_fault "plan generation");
   Obs.with_span obs "legality" (fun () ->
@@ -189,12 +190,12 @@ type outcome =
    merge exactly (integer adds) and quarantine notes ride between the
    spans, so the merged trace and the [search.*] counters are identical
    for every worker count. *)
-let eval_outcome ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepared
-    model index plans =
+let eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared model
+    index plans =
   let obs = Eval_ctx.obs ctx in
   match
     Nas_error.guard (fun () ->
-        eval_candidate ~ctx ~fault ~index ~slack ~static_filter ~oracle ~device ~probe
+        eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~probe
           ~prepared model plans)
   with
   | Ok (Some cand) ->
@@ -317,7 +318,7 @@ let guided_next_round rng model ~seen ~survivors ~room =
    index order), so the result is deterministic for every worker count.
    Checkpointing is not supported — the round state is cheap to recompute
    and a guided run is budget-capped anyway. *)
-let guided_run ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepared
+let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
     ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model =
   let explored = ref 0 in
   let rejected = ref 0 in
@@ -339,8 +340,8 @@ let guided_run ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepare
     let eval wctx i =
       if stop () then O_skipped
       else
-        eval_outcome ~ctx:wctx ~fault:(Eval_ctx.fault wctx) ~slack ~static_filter
-          ~oracle ~device ~probe ~prepared model (base + i) arr.(i)
+        eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
+          model (base + i) arr.(i)
     in
     let outcomes =
       if workers <= 1 || Array.length arr <= 1 then
@@ -373,26 +374,13 @@ let guided_run ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepare
           ~room:(limit - !explored)
     else round := []
   done;
-  ignore fault;
   (!best, !explored, !rejected, !quarantine_rev, !processed, !skipped)
 
 let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
-    ?(static_filter = true) ?(stop = fun () -> false) ?fault ?budget ?checkpoint
-    ?checkpoint_every ?(workers = 1) ?(schedule = Parallel_eval.Dynamic)
-    ?on_sched_stats ?(strategy = Strategy.Random) ?ctx ~rng ~device ~probe model =
+    ?(static_filter = true) ?(stop = fun () -> false) ?budget ?checkpoint
+    ?(checkpoint_every = 25) ?(workers = 1) ?(schedule = Parallel_eval.Dynamic)
+    ?on_sched_stats ?(strategy = Strategy.Random) ~ctx ~rng ~device ~probe model =
   let start = Unix.gettimeofday () in
-  (* Resolve the context: explicit knob arguments override the context's,
-     which override the defaults. *)
-  let ctx =
-    Eval_ctx.with_knobs ?fault ?budget ?checkpoint ?checkpoint_every
-      (Eval_ctx.with_device
-         (match ctx with Some c -> c | None -> Eval_ctx.default ())
-         device)
-  in
-  let fault = Eval_ctx.fault ctx in
-  let budget = Eval_ctx.budget ctx in
-  let checkpoint = Eval_ctx.checkpoint ctx in
-  let checkpoint_every = Eval_ctx.checkpoint_every ctx in
   let obs = Eval_ctx.obs ctx in
   Obs.with_span obs "search" @@ fun () ->
   (* Candidate-independent setup, hoisted out of the per-candidate hot
@@ -420,8 +408,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
     let limit = match budget with Some b -> min candidates b | None -> candidates in
     let best, explored, rejected, quarantine_rev, processed, skipped =
       Obs.with_span obs "evaluate" (fun () ->
-          guided_run ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe
-            ~prepared ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model)
+          guided_run ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
+            ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model)
     in
     Obs.set obs "search.generated" explored;
     Obs.set obs "search.resumed" 0;
@@ -515,8 +503,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
           end
           else begin
             merge_outcome !i
-              (eval_outcome ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe
-                 ~prepared model !i pool.(!i));
+              (eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
+                 model !i pool.(!i));
             incr i;
             if checkpoint <> None && !i mod checkpoint_every = 0 && !i < n then
               save_checkpoint !i
@@ -537,8 +525,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
              ~first ~limit (fun wctx i ->
                if stop () then O_skipped
                else
-                 eval_outcome ~ctx:wctx ~fault:(Eval_ctx.fault wctx) ~slack
-                   ~static_filter ~oracle ~device ~probe ~prepared model i pool.(i))));
+                 eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device ~probe
+                   ~prepared model i pool.(i))));
   (* Resume point: the first unprocessed index.  When the stop hook fired
      mid-pool, candidates past it that a parallel worker already finished
      are simply re-evaluated on resume (they are deterministic). *)
@@ -569,9 +557,8 @@ let speedup r = r.r_baseline.Pipeline.ev_latency_s /. r.r_best.cd_latency_s
 
 let quarantine_counts r = Nas_error.count_classes r.r_quarantined
 
-let search_multi ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12) ?ctx ~rng
+let search_multi ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12) ~ctx ~rng
     ~devices ~probe model =
-  let ctx = match ctx with Some c -> c | None -> Eval_ctx.default () in
   let start = Unix.gettimeofday () in
   let oracle = make_oracle rng model probe in
   let baseline_fisher = oracle.fo_reference.Fisher.total in

@@ -52,7 +52,6 @@ val search :
   ?slack:float ->
   ?static_filter:bool ->
   ?stop:(unit -> bool) ->
-  ?fault:Fault.t ->
   ?budget:int ->
   ?checkpoint:string ->
   ?checkpoint_every:int ->
@@ -60,7 +59,7 @@ val search :
   ?schedule:Parallel_eval.schedule ->
   ?on_sched_stats:(Parallel_eval.run_stats -> unit) ->
   ?strategy:Strategy.t ->
-  ?ctx:Eval_ctx.t ->
+  ctx:Eval_ctx.t ->
   rng:Rng.t ->
   device:Device.t ->
   probe:Train.batch ->
@@ -88,9 +87,13 @@ val search :
     is at candidate granularity.  A run whose hook never fires is
     bit-identical to one without a hook.
 
-    [ctx] (default: the process default context) owns the memo caches and
-    the default evaluation knobs; an explicit [fault] / [budget] /
-    [checkpoint] / [checkpoint_every] argument overrides the context's.
+    [ctx] owns the memo caches, the fault-injection plan and the
+    observability recorder.  Warm caches only add hits: a search returns
+    the same result on a fresh context as on one that earlier runs have
+    filled.  Faults come only from the context ({!Eval_ctx.create}
+    [~fault], default {!Fault.none}): the plan injects deterministic
+    faults into the Fisher oracle / cost model / plan generation, the
+    corrupted candidates are quarantined and the search still completes.
 
     [workers] (default 1) evaluates the candidate pool on that many OCaml 5
     domains, each against its own context fork.  Outcomes are merged in
@@ -109,10 +112,6 @@ val search :
     per-worker item/steal/busy accounting after the evaluation phase —
     timing-dependent telemetry, deliberately outside the deterministic
     result; BENCH_search.json records it as per-worker utilization.
-
-    [fault] (default {!Fault.none}) injects deterministic faults into the
-    Fisher oracle / cost model / plan generation; the corrupted candidates
-    are quarantined and the search still completes.
 
     [budget] caps cumulative candidate evaluations; on exhaustion the
     search saves a checkpoint (if [checkpoint] is set), returns its
@@ -152,7 +151,7 @@ val search_multi :
   ?candidates:int ->
   ?mutate_prob:float ->
   ?slack:float ->
-  ?ctx:Eval_ctx.t ->
+  ctx:Eval_ctx.t ->
   rng:Rng.t ->
   devices:Device.t list ->
   probe:Train.batch ->
@@ -161,5 +160,6 @@ val search_multi :
 (** Like {!search} for several devices at once: the candidate pool and its
     Fisher evaluations (the expensive part) are shared; only the cost
     ranking is per-device.  Guarded like {!search} (shared-phase
-    quarantines appear in every device's [r_quarantined]); fault injection
-    and checkpointing are single-device features. *)
+    quarantines appear in every device's [r_quarantined]).  Fault
+    injection and checkpointing are single-device features: [ctx]'s fault
+    plan is not drawn from here. *)

@@ -152,8 +152,8 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe config device 
     in
     let ctx =
       Eval_ctx.create ~cache_capacity:cfg.cf_cache_capacity
-        ~fisher_capacity:cfg.cf_fisher_capacity ~fault:session_fault ~device
-        ~obs:session_obs ()
+        ~fisher_capacity:cfg.cf_fisher_capacity ~fault:session_fault ~obs:session_obs
+        ()
     in
     ignore (locked t (fun () -> Eval_ctx.warm_from ctx ~src:t.sv_shared));
     let wall0 = t.sv_clock () in

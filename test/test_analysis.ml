@@ -221,7 +221,7 @@ let t_static_filter_bit_identical () =
   let run ~static_filter ~workers =
     let rng, model, probe = setup () in
     Unified_search.search ~candidates:25 ~static_filter ~workers
-      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+      ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   let reference = run ~static_filter:false ~workers:1 in
   List.iter

@@ -1,6 +1,6 @@
 (* Evaluation-engine tests: the bounded memo cache, explicit evaluation
-   contexts (isolation, legacy-wrapper equivalence, forks), and the
-   domain-parallel evaluator (index-ordered results, workers=1 vs
+   contexts (isolation, forks, cache warmth never changing a result), and
+   the domain-parallel evaluator (index-ordered results, workers=1 vs
    workers=N determinism on a seeded search, with and without injected
    faults and budgets). *)
 
@@ -41,21 +41,7 @@ let t_cache_stats_and_errors () =
   (* A raising thunk counts as a miss and caches nothing. *)
   (try ignore (Bounded_cache.remember c "bad" (fun () -> failwith "boom"))
    with Failure _ -> ());
-  Alcotest.(check (option int)) "failure not cached" None (Bounded_cache.find_opt c "bad");
-  Bounded_cache.clear c;
-  let s = Bounded_cache.stats c in
-  Alcotest.(check int) "clear resets size" 0 s.Bounded_cache.cs_size;
-  Alcotest.(check int) "clear resets hits" 0 s.cs_hits
-
-let t_cache_set_capacity () =
-  let c = Bounded_cache.create ~capacity:8 () in
-  List.iter
-    (fun k -> ignore (Bounded_cache.remember c k (fun () -> 0)))
-    [ "a"; "b"; "c"; "d"; "e"; "f" ];
-  Bounded_cache.set_capacity c 2;
-  let s = Bounded_cache.stats c in
-  Alcotest.(check bool) "rebound evicts immediately" true (s.Bounded_cache.cs_size <= 2);
-  Alcotest.(check int) "capacity updated" 2 s.cs_capacity
+  Alcotest.(check (option int)) "failure not cached" None (Bounded_cache.find_opt c "bad")
 
 let t_cache_absorb () =
   let a = Bounded_cache.create ~capacity:4 () in
@@ -69,7 +55,7 @@ let t_cache_absorb () =
   Alcotest.(check int) "hits folded" 1 s.cs_hits;
   Alcotest.(check int) "size untouched" 1 s.cs_size
 
-(* --- context isolation & legacy equivalence ----------------------------- *)
+(* --- context isolation ---------------------------------------------------- *)
 
 let t_ctx_isolation () =
   let ctx1 = Eval_ctx.create () in
@@ -87,25 +73,6 @@ let t_ctx_isolation () =
   Alcotest.(check int) "ctx2 missed" 1 (Eval_ctx.cost_stats ctx2).Bounded_cache.cs_misses;
   Alcotest.(check int) "ctx1 unaffected by ctx2" 1
     (Eval_ctx.cost_stats ctx1).Bounded_cache.cs_hits
-
-let t_legacy_wrapper_equivalence () =
-  let _, model, _ = setup () in
-  let w = test_workload 6 in
-  Pipeline.clear_cache ();
-  let legacy = Pipeline.workload_cost Device.i7 w in
-  let explicit = Pipeline.workload_cost ~ctx:(Eval_ctx.create ()) Device.i7 w in
-  Alcotest.(check (float 1e-12)) "workload_cost matches" legacy explicit;
-  let plans = Array.map (fun _ -> Site_plan.baseline) model.Models.sites in
-  let ev_legacy = Pipeline.evaluate Device.i7 model ~plans in
-  let ev_explicit = Pipeline.evaluate ~ctx:(Eval_ctx.create ()) Device.i7 model ~plans in
-  Alcotest.(check (float 1e-12)) "evaluate latency matches"
-    ev_legacy.Pipeline.ev_latency_s ev_explicit.Pipeline.ev_latency_s;
-  Alcotest.(check int) "evaluate params match" ev_legacy.Pipeline.ev_params
-    ev_explicit.Pipeline.ev_params;
-  (* The legacy cache controls drive the default context. *)
-  Pipeline.clear_cache ();
-  Alcotest.(check int) "clear_cache empties the default context" 0
-    (Pipeline.cache_stats ()).Pipeline.cs_size
 
 let t_ctx_fork () =
   let parent =
@@ -166,8 +133,8 @@ let quarantine_fingerprint r =
 
 let run_search ?fault ?budget ?schedule ~workers () =
   let rng, model, probe = setup () in
-  Unified_search.search ~candidates:16 ?fault ?budget ?schedule ~workers
-    ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+  Unified_search.search ~candidates:16 ?budget ?schedule ~workers
+    ~ctx:(Eval_ctx.create ?fault ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
 
 let check_identical a b =
   Alcotest.(check string) "same best plans"
@@ -213,6 +180,69 @@ let t_quarantine_sorted () =
   let sigs = List.map fst r.Unified_search.r_quarantined in
   Alcotest.(check (list string)) "quarantine sorted by signature"
     (List.sort compare sigs) sigs
+
+(* --- cache warmth ---------------------------------------------------------- *)
+
+(* A search on a fresh context must match the same search on a context
+   that has just run a different seed, and on one warmed by [warm_from]
+   with a finished run: memo entries are pure functions of their keys, so
+   warm caches may only add hits.  Each run reports to its own recorder
+   (a [with_obs] view keeps the warm caches), so the [search.*] counters
+   are per run. *)
+let seeded_search ctx seed =
+  let rng = Rng.create seed in
+  let model = Models.build (Models.resnet18 ()) rng in
+  let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
+  let obs = Obs.create () in
+  let r =
+    Unified_search.search ~candidates:12 ~ctx:(Eval_ctx.with_obs ctx obs)
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+  in
+  let counters =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"search." k)
+      (Metrics.counters (Obs.metrics obs))
+  in
+  (r, counters)
+
+let t_warmth_never_changes_result () =
+  let seeds = [ 1; 2; 3 ] in
+  let fresh = List.map (fun s -> (s, Eval_ctx.create ())) seeds in
+  let cold = List.map (fun (s, ctx) -> (s, seeded_search ctx s)) fresh in
+  let check_same what seed (a, ca) (b, cb) =
+    let msg m = Printf.sprintf "seed %d, %s: %s" seed what m in
+    Alcotest.(check string) (msg "winner")
+      (Unified_search.plans_signature a.Unified_search.r_best.Unified_search.cd_plans)
+      (Unified_search.plans_signature b.Unified_search.r_best.Unified_search.cd_plans);
+    Alcotest.(check int64) (msg "winner latency bits")
+      (Int64.bits_of_float a.Unified_search.r_best.Unified_search.cd_latency_s)
+      (Int64.bits_of_float b.Unified_search.r_best.Unified_search.cd_latency_s);
+    Alcotest.(check int) (msg "rejected") a.r_rejected b.r_rejected;
+    Alcotest.(check (list (pair string string))) (msg "quarantine")
+      (quarantine_fingerprint a) (quarantine_fingerprint b);
+    Alcotest.(check (list (pair string int))) (msg "search.* counters") ca cb
+  in
+  (* Warmed from the finished run of the same seed: every lookup can hit. *)
+  List.iter
+    (fun (s, src) ->
+      let ctx = Eval_ctx.create () in
+      ignore (Eval_ctx.warm_from ctx ~src);
+      let warm = seeded_search ctx s in
+      Alcotest.(check bool) "warm run hit the fisher memo" true
+        ((Eval_ctx.fisher_stats ctx).Bounded_cache.cs_hits > 0);
+      check_same "warm_from" s (List.assoc s cold) warm)
+    fresh;
+  (* On the context that has just run the next seed (its cost memo is warm
+     for the same network). *)
+  List.iter
+    (fun s ->
+      let other = List.assoc ((s mod 3) + 1) fresh in
+      let hits0 = (Eval_ctx.cost_stats other).Bounded_cache.cs_hits in
+      let after_other = seeded_search other s in
+      Alcotest.(check bool) "reused context hit the cost memo" true
+        ((Eval_ctx.cost_stats other).Bounded_cache.cs_hits > hits0);
+      check_same "after another seed" s (List.assoc s cold) after_other)
+    seeds
 
 (* --- dynamic scheduler --------------------------------------------------- *)
 
@@ -343,13 +373,12 @@ let () =
     [ ( "bounded-cache",
         [ quick "fifo eviction" t_cache_fifo;
           quick "stats and error paths" t_cache_stats_and_errors;
-          quick "set_capacity" t_cache_set_capacity;
           quick "absorb" t_cache_absorb ] );
       ( "eval-ctx",
         [ quick "isolation" t_ctx_isolation;
-          quick "legacy wrappers" t_legacy_wrapper_equivalence;
           quick "fork" t_ctx_fork;
-          quick "fisher memo bounded" t_fisher_memo_bounded ] );
+          quick "fisher memo bounded" t_fisher_memo_bounded;
+          quick "cache warmth never changes a result" t_warmth_never_changes_result ] );
       ( "parallel",
         [ quick "map_range order" t_map_range_order;
           quick "determinism" t_parallel_determinism;

@@ -55,8 +55,8 @@ let t_search_winner_trains () =
   let data = Synthetic_data.cifar_like_small (Rng.split r) ~n:128 in
   let probe = Synthetic_data.fixed_batch (Rng.split r) data ~batch_size:16 in
   let result =
-    Unified_search.search ~candidates:25 ~rng:(Rng.split r) ~device:Device.i7
-      ~probe model
+    Unified_search.search ~candidates:25 ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split r) ~device:Device.i7 ~probe model
   in
   let impls =
     Array.map (fun p -> p.Site_plan.sp_impl) result.Unified_search.r_best.Unified_search.cd_plans
@@ -107,8 +107,8 @@ let t_filter_statistics () =
   let model = Models.build (Models.resnet18 ()) r in
   let probe = Exp_common.probe_batch (Rng.split r) ~input_size:16 in
   let result =
-    Unified_search.search ~candidates:40 ~rng:(Rng.split r) ~device:Device.i7
-      ~probe model
+    Unified_search.search ~candidates:40 ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split r) ~device:Device.i7 ~probe model
   in
   (* With aggressive random candidates a meaningful share must be rejected
      (the paper reports ~90%; we assert a loose band). *)

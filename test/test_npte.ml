@@ -93,7 +93,7 @@ let t_pipeline_baseline_positive () =
   let m = model () in
   List.iter
     (fun dev ->
-      let ev = Pipeline.baseline dev m in
+      let ev = Pipeline.baseline ~ctx:(Eval_ctx.create ()) dev m in
       Alcotest.(check bool) (dev.Device.short_name ^ " latency > 0") true
         (ev.Pipeline.ev_latency_s > 0.0);
       Alcotest.(check bool) "params > 0" true (ev.ev_params > 0))
@@ -102,7 +102,8 @@ let t_pipeline_baseline_positive () =
 let t_pipeline_grouping_faster_and_smaller () =
   let m = model () in
   let dev = Device.i7 in
-  let baseline = Pipeline.baseline dev m in
+  let ctx = Eval_ctx.create () in
+  let baseline = Pipeline.baseline ~ctx dev m in
   let plans =
     Array.map
       (fun site ->
@@ -111,24 +112,32 @@ let t_pipeline_grouping_faster_and_smaller () =
         else Site_plan.baseline)
       m.Models.sites
   in
-  let ev = Pipeline.evaluate dev m ~plans in
+  let ev = Pipeline.evaluate ~ctx dev m ~plans in
   Alcotest.(check bool) "faster" true (ev.Pipeline.ev_latency_s < baseline.Pipeline.ev_latency_s);
   Alcotest.(check bool) "smaller" true (ev.ev_params < baseline.ev_params);
   Alcotest.(check bool) "fewer macs" true (ev.ev_macs < baseline.ev_macs)
 
 let t_pipeline_memoization_consistent () =
-  Pipeline.clear_cache ();
+  let ctx = Eval_ctx.create () in
   let m = model () in
-  let a = Pipeline.baseline Device.i7 m in
-  let b = Pipeline.baseline Device.i7 m in
+  let a = Pipeline.baseline ~ctx Device.i7 m in
+  let cold = Eval_ctx.cost_stats ctx in
+  let b = Pipeline.baseline ~ctx Device.i7 m in
+  let warm = Eval_ctx.cost_stats ctx in
   Alcotest.(check (float 1e-12)) "memoized result identical"
-    a.Pipeline.ev_latency_s b.Pipeline.ev_latency_s
+    a.Pipeline.ev_latency_s b.Pipeline.ev_latency_s;
+  Alcotest.(check bool) "second baseline adds hits" true
+    (warm.Bounded_cache.cs_hits > cold.Bounded_cache.cs_hits);
+  Alcotest.(check int) "second baseline adds no misses" cold.Bounded_cache.cs_misses
+    warm.Bounded_cache.cs_misses
 
 let t_pipeline_rejects_wrong_arity () =
   let m = model () in
   Alcotest.(check bool) "arity enforced" true
     (try
-       ignore (Pipeline.evaluate Device.i7 m ~plans:[| Site_plan.baseline |]);
+       ignore
+         (Pipeline.evaluate ~ctx:(Eval_ctx.create ()) Device.i7 m
+            ~plans:[| Site_plan.baseline |]);
        false
      with Nas_error.Fail (Nas_error.Shape_mismatch _) -> true)
 

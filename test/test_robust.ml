@@ -220,8 +220,8 @@ let t_search_nan_fisher_quarantined () =
   let rng, model, probe = setup () in
   let fault = Fault.make ~targets:[ Fault.Fisher_oracle ] ~seed:9 ~rate:1.0 () in
   let r =
-    Unified_search.search ~candidates:15 ~fault ~rng:(Rng.split rng)
-      ~device:Device.i7 ~probe model
+    Unified_search.search ~candidates:15 ~ctx:(Eval_ctx.create ~fault ())
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   Alcotest.(check bool) "completed" true r.Unified_search.r_complete;
   Alcotest.(check int) "all candidates quarantined" r.r_explored
@@ -240,8 +240,8 @@ let t_search_survives_30pct_faults () =
   let rng, model, probe = setup () in
   let fault = Fault.make ~seed:11 ~rate:0.3 () in
   let r =
-    Unified_search.search ~candidates:30 ~fault ~rng:(Rng.split rng)
-      ~device:Device.i7 ~probe model
+    Unified_search.search ~candidates:30 ~ctx:(Eval_ctx.create ~fault ())
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   Alcotest.(check bool) "completed" true r.Unified_search.r_complete;
   Alcotest.(check bool) "some faults actually fired" true (Fault.injected fault > 0);
@@ -266,8 +266,8 @@ let t_search_fault_free_unchanged () =
   let run fault =
     let rng, model, probe = setup () in
     let r =
-      Unified_search.search ~candidates:20 ?fault ~rng:(Rng.split rng)
-        ~device:Device.i7 ~probe model
+      Unified_search.search ~candidates:20 ~ctx:(Eval_ctx.create ?fault ())
+        ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
     in
     r.Unified_search.r_best.Unified_search.cd_latency_s
   in
@@ -277,10 +277,12 @@ let t_search_fault_free_unchanged () =
 let t_search_checkpoint_resume () =
   let path = tmp_path "nas_pte_search_ckpt.bin" in
   Checkpoint.remove ~path;
+  (* Every run gets a fresh context, so the resumed run starts with cold
+     caches: only the checkpoint carries state between runs. *)
   let run ?budget ?checkpoint () =
     let rng, model, probe = setup () in
     Unified_search.search ~candidates:20 ?budget ?checkpoint ~checkpoint_every:5
-      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+      ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   let full = run () in
   let partial = run ~budget:7 ~checkpoint:path () in
@@ -303,35 +305,34 @@ let t_search_checkpoint_resume () =
 (* --- bounded pipeline cache ---------------------------------------------- *)
 
 let t_cache_bounded () =
-  Pipeline.clear_cache ();
-  Pipeline.set_cache_capacity 4;
+  let ctx = Eval_ctx.create ~cache_capacity:4 () in
   let w co =
     { Conv_impl.w_in_channels = 4; w_out_channels = co; w_kernel = 3; w_stride = 1;
       w_groups = 1; w_spatial = 8; w_label = Printf.sprintf "test-co%d" co }
   in
-  List.iter (fun co -> ignore (Pipeline.workload_cost Device.i7 (w co))) [ 1; 2; 3; 4; 5; 6 ];
-  let s = Pipeline.cache_stats () in
-  Alcotest.(check bool) "size capped" true (s.Pipeline.cs_size <= 4);
+  List.iter
+    (fun co -> ignore (Pipeline.workload_cost ~ctx Device.i7 (w co)))
+    [ 1; 2; 3; 4; 5; 6 ];
+  let s = Eval_ctx.cost_stats ctx in
+  Alcotest.(check bool) "size capped" true (s.Bounded_cache.cs_size <= 4);
   Alcotest.(check int) "all were misses" 6 s.cs_misses;
   Alcotest.(check bool) "evictions happened" true (s.cs_evictions > 0);
   (* Re-costing an evicted workload must reproduce the same value. *)
-  let a = Pipeline.workload_cost Device.i7 (w 1) in
-  Pipeline.clear_cache ();
-  Pipeline.set_cache_capacity 8192;
-  let b = Pipeline.workload_cost Device.i7 (w 1) in
+  let a = Pipeline.workload_cost ~ctx Device.i7 (w 1) in
+  let b = Pipeline.workload_cost ~ctx:(Eval_ctx.create ()) Device.i7 (w 1) in
   Alcotest.(check (float 1e-12)) "eviction is value-transparent" a b
 
 let t_cache_stats_counts () =
-  Pipeline.clear_cache ();
+  let ctx = Eval_ctx.create () in
   let w =
     { Conv_impl.w_in_channels = 4; w_out_channels = 4; w_kernel = 3; w_stride = 1;
       w_groups = 1; w_spatial = 8; w_label = "test-stats" }
   in
-  ignore (Pipeline.workload_cost Device.i7 w);
-  ignore (Pipeline.workload_cost Device.i7 w);
-  ignore (Pipeline.workload_cost Device.i7 w);
-  let s = Pipeline.cache_stats () in
-  Alcotest.(check int) "one miss" 1 s.Pipeline.cs_misses;
+  ignore (Pipeline.workload_cost ~ctx Device.i7 w);
+  ignore (Pipeline.workload_cost ~ctx Device.i7 w);
+  ignore (Pipeline.workload_cost ~ctx Device.i7 w);
+  let s = Eval_ctx.cost_stats ctx in
+  Alcotest.(check int) "one miss" 1 s.Bounded_cache.cs_misses;
   Alcotest.(check int) "two hits" 2 s.cs_hits;
   Alcotest.(check int) "one entry" 1 s.cs_size
 

@@ -10,8 +10,8 @@ let setup () =
 let t_unified_improves_or_equals_baseline () =
   let rng, model, probe = setup () in
   let r =
-    Unified_search.search ~candidates:40 ~rng:(Rng.split rng) ~device:Device.i7
-      ~probe model
+    Unified_search.search ~candidates:40 ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   Alcotest.(check bool) "speedup >= 1" true (Unified_search.speedup r >= 1.0);
   Alcotest.(check bool) "accounting" true
@@ -21,8 +21,8 @@ let t_unified_deterministic () =
   let run () =
     let rng, model, probe = setup () in
     let r =
-      Unified_search.search ~candidates:25 ~rng:(Rng.split rng) ~device:Device.i7
-        ~probe model
+      Unified_search.search ~candidates:25 ~ctx:(Eval_ctx.create ())
+        ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
     in
     r.Unified_search.r_best.Unified_search.cd_latency_s
   in
@@ -31,8 +31,8 @@ let t_unified_deterministic () =
 let t_unified_multi_matches_single_pool () =
   let rng, model, probe = setup () in
   let results =
-    Unified_search.search_multi ~candidates:25 ~rng:(Rng.split rng)
-      ~devices:[ Device.i7; Device.maxwell_mgpu ] ~probe model
+    Unified_search.search_multi ~candidates:25 ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split rng) ~devices:[ Device.i7; Device.maxwell_mgpu ] ~probe model
   in
   Alcotest.(check int) "one result per device" 2 (List.length results);
   List.iter
@@ -51,8 +51,8 @@ let t_unified_multi_matches_single_pool () =
 let t_winning_plans_are_legal () =
   let rng, model, probe = setup () in
   let r =
-    Unified_search.search ~candidates:30 ~rng:(Rng.split rng) ~device:Device.i7
-      ~probe model
+    Unified_search.search ~candidates:30 ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   Array.iteri
     (fun i p ->
@@ -62,7 +62,10 @@ let t_winning_plans_are_legal () =
 
 let t_blockswap_respects_budget () =
   let rng, model, probe = setup () in
-  let bs = Blockswap.search ~samples:40 ~budget_ratio:0.5 ~rng:(Rng.split rng) ~probe model in
+  let bs =
+    Blockswap.search ~samples:40 ~budget_ratio:0.5 ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split rng) ~probe model
+  in
   (* Either the budget was met or the fallback (original) was returned. *)
   let site_params impls =
     Array.to_list model.Models.sites
@@ -105,7 +108,7 @@ let result_fingerprint r =
 let run_strategy ?strategy ~workers ~schedule ~candidates () =
   let rng, model, probe = setup () in
   Unified_search.search ?strategy ~candidates ~workers ~schedule
-    ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+    ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
 
 let check_same_result msg a b =
   let sa, la, ea, ra, qa = result_fingerprint a in

@@ -72,8 +72,8 @@ let seeded_search name ~candidates =
     Exp_common.probe_batch (Rng.split rng) ~input_size:m.Models.input_size
   in
   ( m,
-    Unified_search.search ~candidates ~rng:(Rng.split rng) ~device:Device.i7
-      ~probe m )
+    Unified_search.search ~candidates ~ctx:(Eval_ctx.create ())
+      ~rng:(Rng.split rng) ~device:Device.i7 ~probe m )
 
 let t_legacy_search () =
   List.iter
