@@ -55,6 +55,89 @@ let t_deterministic () =
   let b = Fisher.potential model probe in
   Alcotest.(check (float 1e-12)) "same input, same score" a b
 
+(* Golden Fisher bits: the exact IEEE-754 bits of [Fisher.score]'s total
+   and per-site scores for the baseline and four seeded candidates of four
+   families, recorded before the convolution kernels were reordered.  Any
+   change of accumulation order anywhere in the Fisher pass moves some bit
+   and fails here, loudly, rather than shifting a search result later. *)
+let golden_scores name =
+  let spec = Option.get (Zoo.spec name) in
+  let model = Models.build spec (Rng.create 42) in
+  let probe = Exp_common.probe_batch (Rng.create 1) ~input_size:model.Models.input_size in
+  let candidate seed =
+    let r = Rng.create seed in
+    let impls =
+      Array.map
+        (fun site ->
+          let options = Array.of_list (Conv_impl.all_options site) in
+          options.(Rng.int r (Array.length options)))
+        model.Models.sites
+    in
+    Models.rebuild model (Rng.create (1000 + seed)) impls
+  in
+  model :: List.map candidate [ 1; 2; 3; 4 ]
+  |> List.map (fun m ->
+         let s = Fisher.score m probe in
+         (Int64.bits_of_float s.Fisher.total, Array.map Int64.bits_of_float s.per_site))
+
+let golden_bits =
+  [
+    ("resnet18",
+      [ (0x3fb0410cd69ae77cL,
+          [| 0x3f9269ec58de58faL; 0x3f8190ab748d3010L; 0x3f79bcbcbd263133L; 0x3f76930988a8835eL; 0x3f72ce64ca789e81L; 0x3f6d1ca442648f80L; 0x3f686a99cc040bddL; 0x3f5e7cb3508a5c37L; 0x3f63ab90cf10131aL; 0x3f602fb0deee8ab1L; 0x3f579b20974a05b4L; 0x3f555999883dd69eL; 0x3f564c11d15b9f27L; 0x3f5c47e76af06e09L; 0x3f4bf6a67937f170L; 0x3f51e0aed184d1c6L |]);
+        (0x3fb583357448be50L,
+          [| 0x3f94321a10d41c47L; 0x3f8d2496cedefb54L; 0x3f7daf57c65274acL; 0x3f7a1870d3c71da6L; 0x3f7fc517f1da57caL; 0x3f7c9e52f88af490L; 0x3f71eec9d8452c7dL; 0x3f6ae08743ed9bcdL; 0x3f6aa7f55303f661L; 0x3f695f2bc7e7ee3eL; 0x3f611d8ba5e48f10L; 0x3f50b5536b30ba8bL; 0x3f548ac202772a79L; 0x3f583427cf7dd7e3L; 0x3f4eb7441083226bL; 0x3f4e89919804b68cL |]);
+        (0x3fb6b84de67c037cL,
+          [| 0x3f95b1a35a936d91L; 0x3f8e9d35ddb88b72L; 0x3f838f0d06a164e5L; 0x3f78bffefb40f000L; 0x3f867a8578cf417eL; 0x3f7713c6b0b69a4dL; 0x3f705feb8a3122daL; 0x3f66f132a61d9452L; 0x3f666061ce9b0782L; 0x3f66800f5e6d2173L; 0x3f61477ec43f0402L; 0x3f5a5fc772fa4be7L; 0x3f5870173e7b7c7fL; 0x3f53f84f21b83cc2L; 0x3f465f9e098a2288L; 0x3f50c9fa2d212949L |]);
+        (0x3fb20e92c4519c5fL,
+          [| 0x3f877342b416dbebL; 0x3f8927333a0f0955L; 0x3f85c548c66ef0e6L; 0x3f7bc1a5349b4232L; 0x3f79c0fb746d25deL; 0x3f731984f9689267L; 0x3f7601ccc45a9fe0L; 0x3f61f10b31c80b11L; 0x3f60082e97187315L; 0x3f60fc387ed99a60L; 0x3f58e81360c9d784L; 0x3f51326eaee2cb65L; 0x3f5302c77ab1ecbbL; 0x3f56f79796e488adL; 0x3f45f88640b8844eL; 0x3f5132e9037e717aL |]);
+        (0x3fa76224fb61faa9L,
+          [| 0x3f79c99177b1f914L; 0x3f7a9efe12a4a70aL; 0x3f851f0e220e92f6L; 0x3f66ad57e9833afcL; 0x3f6a2ed9547c0fa5L; 0x3f66dfb8ce89bf7eL; 0x3f64999372480eb2L; 0x3f5f113931e77f55L; 0x3f5e47a257778c1cL; 0x3f5c9eb79a90aae6L; 0x3f54858ba9fdf08eL; 0x3f4f720b0caffcacL; 0x3f4f1f6028d2af21L; 0x3f5233f5773e3535L; 0x3f49614c6594a4a9L; 0x3f48a90a442d0dc5L |]) ]);
+    ("mobilenet_small",
+      [ (0x3f948fdf98e38187L,
+          [| 0x3f76a24add5eaf1fL; 0x3f6349fd1e371251L; 0x3f73a72d4081840bL; 0x3f62349e18608c65L; 0x3f50836b19238f62L; 0x3f44c4b6d86bd2a8L; 0x3f524409f13eeefdL; 0x3f51ed98b7b726dbL; 0x3f43dfdd5a10c667L; 0x3f47a7159c603926L |]);
+        (0x3fb686d3810b1a9aL,
+          [| 0x3fa22cab5ab4bef5L; 0x3f8581194fe9301bL; 0x3f9684936ec00561L; 0x3f80934c02095dc0L; 0x3f6fc01782249d46L; 0x3f5d3fc8c0d46697L; 0x3f66166938212107L; 0x3f5cf3035a26f988L; 0x3f4aa87682434dd8L; 0x3f4ffe153fe2fefcL |]);
+        (0x3fa5e78bcd49a447L,
+          [| 0x3f8eecfc23e1172bL; 0x3f7928ca590c3e1eL; 0x3f80e33a71ff240aL; 0x3f7338e2f42bbe7bL; 0x3f60276b81cae224L; 0x3f4fbb28efb72ab7L; 0x3f5d612084b8bf67L; 0x3f60ff4b5a066c6fL; 0x3f52b949b3d15841L; 0x3f454746ba94e57eL |]);
+        (0x3fad852afd6196e0L,
+          [| 0x3f95702b0711f137L; 0x3f83f5c72a033043L; 0x3f878a7d8b784f34L; 0x3f7a8367ce62d910L; 0x3f6a4a243f21202aL; 0x3f5087f539835cc4L; 0x3f5ef15b3c8c362fL; 0x3f57c0fd027f4093L; 0x3f46799a6ebb4446L; 0x3f490f0e4efb655aL |]);
+        (0x3f95d744bf5aa2d6L,
+          [| 0x3f7403f467b8a53aL; 0x3f6ef6d5b7f63524L; 0x3f73dee674f60089L; 0x3f6247e4e6521d5eL; 0x3f4e4b9d65b90a0cL; 0x3f479a3b2d08d969L; 0x3f5b5dc4ebc0d2cbL; 0x3f546c9bd90bfa32L; 0x3f409675b4ac7a76L; 0x3f40c5c6bbb5eacbL |]) ]);
+    ("resnext29",
+      [ (0x3fb70c79285e710eL,
+          [| 0x3fa8e7437562a169L; 0x3f8e36c3d69ff2f8L; 0x3f88278f9fef2ab5L; 0x3f7b236646a7b72eL; 0x3f6dc1301b4a6981L; 0x3f57aec8b673b038L; 0x3f529a64f802fdb5L; 0x3f518c82766af4ceL; 0x3f4ebb2c8173ac90L |]);
+        (0x3fb691de8dcf07ecL,
+          [| 0x3fa5d73e4eafb88cL; 0x3f95f64279d01992L; 0x3f823c52422209d5L; 0x3f7cb85b95fe9540L; 0x3f6c938335b9c3d1L; 0x3f585910bfe46260L; 0x3f56f25def5cb719L; 0x3f4a5acbf986cf83L; 0x3f4f8fad008d477aL |]);
+        (0x3fbe5c2e70474cd3L,
+          [| 0x3faf389ea1a99b7aL; 0x3f9d3f801e5564ddL; 0x3f88c1803956b950L; 0x3f8103476501f0a0L; 0x3f6b98ee252f1017L; 0x3f5fa2e573b77aa0L; 0x3f57e15376bbe68eL; 0x3f51630d1a2d53a4L; 0x3f4b80cd6b0aa5cbL |]);
+        (0x3fb1ead537a02b4eL,
+          [| 0x3fa0aafb22d4f09dL; 0x3f8f482a1402e44eL; 0x3f81543a901f2b5fL; 0x3f78f746158a10c9L; 0x3f682cb896fe7239L; 0x3f564566b11f2a45L; 0x3f543be4b0076032L; 0x3f506a7facd92725L; 0x3f51506fda376951L |]);
+        (0x3fbc400a6ac3290fL,
+          [| 0x3fac7dc769846d7eL; 0x3f9a923b2856e510L; 0x3f88254ffa089bfaL; 0x3f8135b34004f81eL; 0x3f6b3dbd0a844672L; 0x3f5f65409d50080aL; 0x3f5810e6841e2957L; 0x3f4e1fea0c6ec656L; 0x3f4e9895db670172L |]) ]);
+    ("densenet161",
+      [ (0x3fc5915c9bd03d10L,
+          [| 0x3f973e5ef63cd858L; 0x3f9b45374d06913dL; 0x3f8b791d8e2ea204L; 0x3f88bb854ad4ce92L; 0x3f88d9eb6879c7b2L; 0x3f81ddb17896be6eL; 0x3f89b2b84a11ab04L; 0x3f85ce86466077c7L; 0x3f810262ead6543aL; 0x3f7beaf9901e6c77L; 0x3f6ebd5b6006181bL; 0x3f68b93c11d15fdbL; 0x3f68cdaa82ef9a98L; 0x3f67c0baafec3ec0L; 0x3f61a05a2a152683L; 0x3f59e4b8df7f785dL; 0x3f613ae139eda221L; 0x3f5bef1540ba5f32L; 0x3f6266c6dd0cf48fL; 0x3f591fb9ceacc89aL; 0x3f555ea0db585507L; 0x3f4e09947561f17dL; 0x3f501e021431ee2dL; 0x3f48234e4e1b5333L; 0x3f43c2af6d8af767L; 0x3f3b09ddf63debe7L; 0x3f37cb3b14ccc897L; 0x3f2e7b9f719736efL; 0x3f3448d8f4a30b08L; 0x3f337d8e8dbcdb8aL; 0x3f2ed8ecf26ca8b3L; 0x3f3102a6e1b54b55L; 0x3f2ee4c8c866ce0cL; 0x3f2fa7bf0d5b87beL; 0x3f2e44d8d29a3c6bL; 0x3f24f7de43578c3aL; 0x3f2823315db797d8L; 0x3f265d1625f87673L; 0x3f29d690645a7c42L; 0x3f236ae92603cb17L; 0x3f265db7090e04f1L; 0x3f24c2b5627aa251L; 0x3f34c0820aa944fdL; 0x3f364c6616f0f58bL; 0x3f27fd9e1672918aL; 0x3f24cd142d213cdeL; 0x3f20bff6acf4c158L; 0x3f20080341623184L; 0x3f11115f7d9beb2aL; 0x3f19a653825ec240L; 0x3f15799adae677d5L; 0x3f1309f273fedd2aL; 0x3f119e29fa58ef27L; 0x3f0f363b3dc1c7d3L; 0x3f0661ecf1bff6a8L; 0x3f130ab0756dc61dL; 0x3f090a832cf4e250L; 0x3f143987babd1cafL |]);
+        (0x4002b6734eb8149dL,
+          [| 0x3fdad3aa77c346e9L; 0x3fd74d53ff6415a3L; 0x3fd09733b1a6c247L; 0x3fc66a4b29fe57bdL; 0x3fcd27d49c7bfd16L; 0x3fc02a10dcea3d14L; 0x3fc6b7ef003d567dL; 0x3fc1b2086ed924eeL; 0x3fb2be1c1515b324L; 0x3fb1410669bd1f33L; 0x3fa626fdc7fcda92L; 0x3fa03f9a0f621e35L; 0x3fa5b82d64b3bcd1L; 0x3f973ba1d122b4c0L; 0x3f99aedb7875a0caL; 0x3f976d69469253a2L; 0x3f9bf89072222d39L; 0x3f90596c82bf90e8L; 0x3f923639307ab6d1L; 0x3f8b32a93b57d37fL; 0x3f85c36f55f6b71aL; 0x3f73e45ad05c17beL; 0x3f70ef94587b00ddL; 0x3f70a017ec8e410dL; 0x3f6b03f1987c74f7L; 0x3f6487697c73ffb2L; 0x3f623cad1430b9d0L; 0x3f547369c9bc4a69L; 0x3f5d1e54a8f1dbacL; 0x3f5e07475019ecf4L; 0x3f55130f5109cc7fL; 0x3f4e13bc71c9b4dcL; 0x3f5677d0dd4fa2a9L; 0x3f4f74ad8fd842e1L; 0x3f4738884f118d41L; 0x3f3f21c9fdc8b6abL; 0x3f4d63083da07923L; 0x3f46eefd9c0072faL; 0x3f490e42e3bc239aL; 0x3f41177a34d33d1fL; 0x3f40b4c7db217aedL; 0x3f44c3fde126ed6dL; 0x3f42673db9b840f4L; 0x3f32b9bccb72b06cL; 0x3f3a06d694d8a582L; 0x3f33f82e3bef9255L; 0x3f20e04438163022L; 0x3f158207738b1c3eL; 0x3f0d945d65469e8fL; 0x3f10e766d1400e27L; 0x3f1623ad463cab08L; 0x3f1400efc8c15d2cL; 0x3f10c49c342c289cL; 0x3f0b3fe12b1131c2L; 0x3f0f2d9915ba8594L; 0x3f1170e05d4906b9L; 0x3efe0eb031b5da60L; 0x3efe340ef4d9ef78L |]);
+        (0x3fe0513e14c1119eL,
+          [| 0x3fbd0323c4e55493L; 0x3fb2ab1f128fa8a2L; 0x3fab41e1de38c34aL; 0x3fab0fd8415f7ec8L; 0x3fa00f923a2e0429L; 0x3f9c2f1f4d59a834L; 0x3f9d97b24db3babbL; 0x3f94a62d8d7010ceL; 0x3f91b2c862f0f273L; 0x3f8ab0b1fe1e67f0L; 0x3f8702980d5a49b3L; 0x3f7e61eb467f5addL; 0x3f7dac515ada69a9L; 0x3f725feafdddf7e3L; 0x3f780d25fad19891L; 0x3f72165ef68e84baL; 0x3f773d3b857ba656L; 0x3f74d8b54fe5c5a4L; 0x3f726c0153bb1aa2L; 0x3f6eab2c3ba033feL; 0x3f67a1611db2d38aL; 0x3f5cde22a7b18f51L; 0x3f606bcc35a64e77L; 0x3f6079da14b119f5L; 0x3f4fc0fa6b42757fL; 0x3f495701fc1951edL; 0x3f4f4b7ab36c420fL; 0x3f451513caea24c7L; 0x3f47aaa980256dc2L; 0x3f4344863efe1136L; 0x3f47ab03e017a9ccL; 0x3f4028148e2d00c0L; 0x3f3bf7a96f23e945L; 0x3f3ac6a521472a53L; 0x3f3624ec4b6698dbL; 0x3f376df780944e63L; 0x3f2ac874015abb9bL; 0x3f2db4cf265575f3L; 0x3f31aaeb8cc06ec3L; 0x3f2bfea555e6b8f9L; 0x3f25a8f2233df46bL; 0x3f232cdf9d6add4fL; 0x3f3b307a7109c86eL; 0x3f2ead464807b00aL; 0x3f344ea935ad8c52L; 0x3f3054855f841300L; 0x3f28f8d416187108L; 0x3f29bf3dea894847L; 0x3f2175929e0c481cL; 0x3f14d625f37c64ccL; 0x3f131d9f2683d2e2L; 0x3f130b076140f1caL; 0x3f14857a66ee3dc5L; 0x3f14751b5578cef4L; 0x3f0a9bddebc68666L; 0x3f13050fe56190dcL; 0x3f0ff3399c516aacL; 0x3f07d95770338163L |]);
+        (0x3ff5ed29de33913aL,
+          [| 0x3fd2e2b925a89760L; 0x3fd0d76735373994L; 0x3fc8c66cdc80d34bL; 0x3fbd8afa884bac05L; 0x3fb0c506dd55701cL; 0x3fb3d68ed31c303cL; 0x3fb3c952f0fae38fL; 0x3fad20294d02ff8cL; 0x3fa59fe35b5317bcL; 0x3fa2f32932570838L; 0x3f95df9de54fafa8L; 0x3f8ed46c6434f85bL; 0x3f8f6020f4e405a9L; 0x3f878ec2d4ab5056L; 0x3f81549bd48c6fb4L; 0x3f7bbceeb809beffL; 0x3f882e68707298d3L; 0x3f7f98f910095e44L; 0x3f90d32d0e49eae7L; 0x3f79a0e611dd715dL; 0x3f6cd8f2f0176b30L; 0x3f6389744d678e90L; 0x3f61bc031d3f9108L; 0x3f59adc4e1661c92L; 0x3f51af51ede9a23eL; 0x3f6a7aa226d726aeL; 0x3f55be13b8534959L; 0x3f49e5769d0629b8L; 0x3f543721c5934888L; 0x3f478047f4e6f10cL; 0x3f4082822d2716acL; 0x3f43a8917bc6f792L; 0x3f43058216d74595L; 0x3f3f6757305b9b80L; 0x3f42c0cb6d38ed51L; 0x3f46896384480f22L; 0x3f2f74af34c7f45cL; 0x3f2abc172e91c794L; 0x3f3c409f0de1cea8L; 0x3f36297efc20071bL; 0x3f41a4c4cfc19c73L; 0x3f47023cfe386ca6L; 0x3f31fb509462e99dL; 0x3f27ffe4bf88784fL; 0x3f2f3017f098f6ddL; 0x3f34571faf254a57L; 0x3f21757eea2554ccL; 0x3f22b4a4280a04bcL; 0x3f25a5813b0fe742L; 0x3f20626fd1725bf0L; 0x3f1a0ce0aa035686L; 0x3f17150cacecee3dL; 0x3f12ae315e89e1daL; 0x3f23d8d5ab8e29a7L; 0x3f0675af613f8adeL; 0x3f1b2c88bcc0bd4aL; 0x3f029bdefc33233bL; 0x3f07f63e9567ef71L |]);
+        (0x400fafae84a35d01L,
+          [| 0x3fe861f06d668715L; 0x3fe5170771b13da2L; 0x3fe43a92ace60696L; 0x3fd830f23a1bc12bL; 0x3fd6b760206d2b6dL; 0x3fc972a0a75f7030L; 0x3fcb084d12fdd8f3L; 0x3fc8b260cd9a6a2eL; 0x3fbbfb38c53d8929L; 0x3fac9c3dc71b9372L; 0x3fa7f47e2d9428a2L; 0x3fa6e3013a03faaaL; 0x3fa444ebe66bfce0L; 0x3f9de843ccb67337L; 0x3f9cabc53f276c74L; 0x3f8dbb88fb581e6eL; 0x3f97765bae57ee8aL; 0x3f9880ef15b2f749L; 0x3f97893a40334e3eL; 0x3f91c7cce9176c4dL; 0x3f92fdaebcdefd3dL; 0x3f8602ec947ac457L; 0x3f854f07d1a571ddL; 0x3f775f1b20a70b72L; 0x3f80bcec3aed4f84L; 0x3f781df2ae4eac9fL; 0x3f830e48b230590fL; 0x3f70c4c5d399bfc2L; 0x3f6df879484b73afL; 0x3f6f51f2768b8994L; 0x3f72e893f9416b73L; 0x3f685b085091d495L; 0x3f65495e88fb8aa5L; 0x3f6016b8a909fea6L; 0x3f735118106851abL; 0x3f6dfdcf0da33aefL; 0x3f5682347e350f8aL; 0x3f442f0a1010a98eL; 0x3f5baddfb0426012L; 0x3f5166050216a8f2L; 0x3f4e4a944a54d386L; 0x3f45101456aadffbL; 0x3f5f615914f53866L; 0x3f53f920a08e20a6L; 0x3f4d76b25172d1e9L; 0x3f4d6593715de4b6L; 0x3f4954bb3df625c0L; 0x3f501b9045d9f592L; 0x3f4795209cb6aee3L; 0x3f3b1f1cf9df3a2aL; 0x3f32673283987e2bL; 0x3f2d28ebf3681c9cL; 0x3f3668657e7c722bL; 0x3f2baf07d09bd4f6L; 0x3f2514668dbf972fL; 0x3f0ca6cb2e6930ecL; 0x3f288463f2739091L; 0x3f1c430ce291db3eL |]) ]) ]
+
+let t_golden_bits () =
+  List.iter
+    (fun (name, expected) ->
+      List.iteri
+        (fun i ((total, sites), (want_total, want_sites)) ->
+          let what = Printf.sprintf "%s candidate %d" name i in
+          Alcotest.(check int64) (what ^ " total bits") want_total total;
+          Alcotest.(check (array int64)) (what ^ " per-site bits") want_sites sites)
+        (List.combine (golden_scores name) expected))
+    golden_bits
+
 let t_clipped_total () =
   let mk per_site =
     { Fisher.per_site; total = Array.fold_left ( +. ) 0.0 per_site }
@@ -132,7 +215,8 @@ let () =
       ( "network",
         [ quick "per-site scores" t_model_scores_positive;
           quick "deterministic" t_deterministic;
-          quick "aggressive grouping scores lower" t_zeroed_network_scores_lower ] );
+          quick "aggressive grouping scores lower" t_zeroed_network_scores_lower;
+          quick "golden score bits" t_golden_bits ] );
       ( "legality",
         [ quick "clipped total" t_clipped_total;
           quick "simple threshold" t_legal_simple ] );
