@@ -1,32 +1,49 @@
 (* Bechamel micro-benchmarks of the performance-critical kernels: the
-   convolution forward/backward, one Fisher Potential pass, the analytic
-   cost model, the autotuner sweep and the loop-nest interpreter. *)
+   convolution forward, backward and backward-input, one Fisher Potential
+   pass, the analytic cost model, the autotuner sweep and the loop-nest
+   interpreter. *)
 
 open Bechamel
 open Toolkit
 
+let same_pad = { Ops.stride = 1; pad = 1; groups = 1; dilation = 1 }
+
+(* A k3 same-padded convolution on an [n; c; hw; hw] input: its input,
+   weight and an output gradient. *)
+let conv_operands ~seed ~n ~c ~hw =
+  let rng = Rng.create seed in
+  let input = Tensor.rand_normal rng [| n; c; hw; hw |] ~mean:0.0 ~std:1.0 in
+  let weight = Tensor.rand_normal rng [| c; c; 3; 3 |] ~mean:0.0 ~std:0.1 in
+  let gout = Tensor.rand_normal rng [| n; c; hw; hw |] ~mean:0.0 ~std:1.0 in
+  (input, weight, gout)
+
 let conv_test =
-  let rng = Rng.create 1 in
-  let input = Tensor.rand_normal rng [| 4; 16; 16; 16 |] ~mean:0.0 ~std:1.0 in
-  let weight = Tensor.rand_normal rng [| 16; 16; 3; 3 |] ~mean:0.0 ~std:0.1 in
+  let input, weight, _ = conv_operands ~seed:1 ~n:4 ~c:16 ~hw:16 in
   Test.make ~name:"conv2d fwd 4x16x16x16 k3"
-    (Staged.stage (fun () ->
-         ignore (Ops.conv2d ~input ~weight ~bias:None { Ops.stride = 1; pad = 1; groups = 1; dilation = 1 })))
+    (Staged.stage (fun () -> ignore (Ops.conv2d ~input ~weight ~bias:None same_pad)))
+
+(* The late-stage shape: a 2x2 plane, where a loop along output rows is
+   all overhead. *)
+let conv_late_test =
+  let input, weight, _ = conv_operands ~seed:5 ~n:16 ~c:64 ~hw:2 in
+  Test.make ~name:"conv2d fwd 16x64x2x2 k3"
+    (Staged.stage (fun () -> ignore (Ops.conv2d ~input ~weight ~bias:None same_pad)))
 
 let conv_bwd_test =
-  let rng = Rng.create 2 in
-  let input = Tensor.rand_normal rng [| 4; 16; 16; 16 |] ~mean:0.0 ~std:1.0 in
-  let weight = Tensor.rand_normal rng [| 16; 16; 3; 3 |] ~mean:0.0 ~std:0.1 in
-  let gout = Tensor.rand_normal rng [| 4; 16; 16; 16 |] ~mean:0.0 ~std:1.0 in
+  let input, weight, gout = conv_operands ~seed:2 ~n:4 ~c:16 ~hw:16 in
   Test.make ~name:"conv2d bwd 4x16x16x16 k3"
-    (Staged.stage (fun () ->
-         ignore (Ops.conv2d_backward ~input ~weight ~gout { Ops.stride = 1; pad = 1; groups = 1; dilation = 1 })))
+    (Staged.stage (fun () -> ignore (Ops.conv2d_backward ~input ~weight ~gout same_pad)))
+
+let conv_bwd_input_test =
+  let input, weight, gout = conv_operands ~seed:2 ~n:4 ~c:16 ~hw:16 in
+  Test.make ~name:"conv2d bwd-input 4x16x16x16 k3"
+    (Staged.stage (fun () -> ignore (Ops.conv2d_backward_input ~input ~weight ~gout same_pad)))
 
 let fisher_test =
   let rng = Rng.create 3 in
   let model = Models.build (Models.resnet34 ()) rng in
   let probe = Exp_common.probe_batch rng ~input_size:16 in
-  Test.make ~name:"fisher pass (resnet34, batch 4)"
+  Test.make ~name:"fisher pass (resnet34, batch 16)"
     (Staged.stage (fun () -> ignore (Fisher.potential model probe)))
 
 let cost_test =
@@ -54,7 +71,8 @@ let interp_test =
 
 let tests =
   Test.make_grouped ~name:"kernels"
-    [ conv_test; conv_bwd_test; fisher_test; cost_test; tune_test; interp_test ]
+    [ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; fisher_test; cost_test;
+      tune_test; interp_test ]
 
 let run ppf =
   Exp_common.section ppf "Micro-benchmarks (Bechamel)";

@@ -27,8 +27,12 @@ let layer_score ~activation ~grad =
   !total
 
 let score_graph graph ~fisher_nodes batch =
-  Graph.zero_grads graph;
-  let run, _loss = Train.forward_backward_graph graph batch in
+  let run = Graph.forward graph batch.Train.images in
+  let _loss, loss_grad =
+    Ops.softmax_cross_entropy ~logits:(Graph.output run) ~labels:batch.labels
+  in
+  let earliest = Array.fold_left min (Graph.node_count graph - 1) fisher_nodes in
+  Graph.backward_activations graph run ~loss_grad ~earliest;
   let per_site =
     Array.map
       (fun node_id ->
@@ -38,7 +42,6 @@ let score_graph graph ~fisher_nodes batch =
         | exception Invalid_argument _ -> 0.0)
       fisher_nodes
   in
-  Graph.zero_grads graph;
   { per_site; total = Array.fold_left ( +. ) 0.0 per_site }
 
 let score model batch =

@@ -26,9 +26,10 @@ val score_graph : Graph.t -> fisher_nodes:int array -> Train.batch -> scores
 (** Graph-level variant for networks outside the model zoo. *)
 
 val score : Models.t -> Train.batch -> scores
-(** Runs one forward/backward pass at the model's current (initialization)
-    weights and aggregates the per-site scores.  Parameter gradients
-    accumulated by the pass are cleared before returning. *)
+(** Runs one forward pass and one activation-only backward pass
+    ({!Graph.backward_activations}, down to the earliest scored node) at
+    the model's current (initialization) weights and aggregates the
+    per-site scores.  It neither reads nor writes parameter gradients. *)
 
 val potential : Models.t -> Train.batch -> float
 (** [ (score m b).total ]. *)

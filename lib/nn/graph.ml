@@ -109,10 +109,16 @@ let accumulate grads i g =
   | None -> grads.(i) <- Some (Tensor.copy g)
   | Some acc -> Tensor.add_ acc g
 
-let backward g run ~loss_grad =
+(* The one backward sweep: nodes from the output down to [stop], each
+   passing its activation gradient to its inputs.  With [params] it also
+   accumulates every parameter gradient.  Without, it leaves every [p_grad]
+   untouched and skips the convolution weight-gradient kernel, the only
+   costly one; the batch-norm and linear kernels still compute their small
+   parameter gradients along the way. *)
+let sweep g run ~loss_grad ~params ~stop =
   let grads = run.grads in
   grads.(g.output_id) <- Some (Tensor.copy loss_grad);
-  for i = Array.length g.nodes - 1 downto 0 do
+  for i = Array.length g.nodes - 1 downto stop do
     match grads.(i) with
     | None -> () (* node does not influence the loss *)
     | Some gout ->
@@ -120,16 +126,20 @@ let backward g run ~loss_grad =
         (match node.op with
         | Input -> ()
         | Conv c ->
-            let input = run.acts.(one_input node) in
-            let gin, gw, gb =
-              Ops.conv2d_backward ~input ~weight:c.Layer.cv_w.p_value ~gout
-                { Ops.stride = c.cv_stride; pad = c.cv_pad; groups = c.cv_groups;
-                  dilation = c.cv_dilation }
+            let input = run.acts.(one_input node) and weight = c.Layer.cv_w.p_value in
+            let p =
+              { Ops.stride = c.cv_stride; pad = c.cv_pad; groups = c.cv_groups;
+                dilation = c.cv_dilation }
             in
-            Tensor.add_ c.cv_w.p_grad gw;
-            (match c.cv_b with
-            | None -> ()
-            | Some b -> Tensor.add_ b.p_grad gb);
+            let gin =
+              if params then begin
+                let gin, gw, gb = Ops.conv2d_backward ~input ~weight ~gout p in
+                Tensor.add_ c.cv_w.p_grad gw;
+                Option.iter (fun b -> Tensor.add_ b.Layer.p_grad gb) c.cv_b;
+                gin
+              end
+              else Ops.conv2d_backward_input ~input ~weight ~gout p
+            in
             accumulate grads (one_input node) gin
         | Batch_norm b ->
             let cache =
@@ -138,8 +148,10 @@ let backward g run ~loss_grad =
               | C_none | C_pool _ -> assert false
             in
             let gin, ggamma, gbeta = Ops.batch_norm_backward ~gout ~cache in
-            Tensor.add_ b.Layer.bn_gamma.p_grad ggamma;
-            Tensor.add_ b.bn_beta.p_grad gbeta;
+            if params then begin
+              Tensor.add_ b.Layer.bn_gamma.p_grad ggamma;
+              Tensor.add_ b.bn_beta.p_grad gbeta
+            end;
             accumulate grads (one_input node) gin
         | Relu ->
             let input = run.acts.(one_input node) in
@@ -166,8 +178,10 @@ let backward g run ~loss_grad =
             let gin, gw, gb =
               Ops.linear_backward ~input ~weight:l.Layer.ln_w.p_value ~gout
             in
-            Tensor.add_ l.ln_w.p_grad gw;
-            Tensor.add_ l.ln_b.p_grad gb;
+            if params then begin
+              Tensor.add_ l.ln_w.p_grad gw;
+              Tensor.add_ l.ln_b.p_grad gb
+            end;
             accumulate grads (one_input node) gin
         | Add -> List.iter (fun j -> accumulate grads j gout) node.inputs
         | Concat ->
@@ -197,6 +211,13 @@ let backward g run ~loss_grad =
             | _ -> assert false
           end)
   done
+
+let backward g run ~loss_grad = sweep g run ~loss_grad ~params:true ~stop:0
+
+(* Node [earliest] needs only the gradients its successors send it, so the
+   sweep stops just above it. *)
+let backward_activations g run ~loss_grad ~earliest =
+  sweep g run ~loss_grad ~params:false ~stop:(earliest + 1)
 
 let activation_grad run i =
   match run.grads.(i) with

@@ -56,10 +56,18 @@ val backward : t -> run -> loss_grad:Tensor.t -> unit
     accumulating parameter gradients into their [p_grad] buffers and storing
     per-node activation gradients in the run. *)
 
+val backward_activations : t -> run -> loss_grad:Tensor.t -> earliest:int -> unit
+(** The same sweep as {!backward}, for activation gradients only: it
+    leaves every [p_grad] untouched, and a convolution calls
+    {!Ops.conv2d_backward_input}, skipping its weight gradient.  It
+    stops once node [earliest] has its gradient, so every node with
+    [id >= earliest] gets bit for bit the activation gradient {!backward}
+    gives it; earlier nodes may hold partial sums or none. *)
+
 val activation_grad : run -> int -> Tensor.t
 (** Gradient of the loss w.r.t. a node's activation.  Only valid after
-    {!backward}; raises [Invalid_argument] if the node received no
-    gradient. *)
+    {!backward} (or, for the nodes it covers, {!backward_activations});
+    raises [Invalid_argument] if the node received no gradient. *)
 
 val params : t -> Layer.param list
 (** All trainable parameters, in node order. *)

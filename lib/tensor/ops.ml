@@ -5,7 +5,210 @@ let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
 
 (* The convolution kernels are the hot path of the whole project (training,
    Fisher passes and NAS-bench evaluation all funnel through them), so they
-   use unsafe flat-array access with incrementally maintained offsets. *)
+   use unsafe flat-array access with incrementally maintained offsets.
+
+   Ordered accumulation (the contract is in ops.mli).  Every output of a
+   kernel below is +0.0 plus its terms in one fixed order.  The fast paths
+   add the same terms in the same order, plus a term [x *. 0.0] for each
+   padded tap or zero weight that the direct loops skip.  For a finite [x]
+   that term is +-0.0, and adding +-0.0 to a sum that starts at +0.0
+   changes no bit, because such a sum is never -0.0.  For an infinite or
+   NaN [x] it is NaN, so the fast paths run only after [all_finite] has
+   checked every operand that can meet one of those zeros. *)
+
+let all_finite (a : float array) =
+  (* [x -. x] is 0.0 for a finite [x] and NaN for an infinity or a NaN. *)
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    let x = Array.unsafe_get a i in
+    acc := !acc +. (x -. x)
+  done;
+  !acc = 0.0
+
+(* The output indices [o] in [0, out) whose tap [o * stride + off] lies in
+   [0, extent) run from [tap_first] to [tap_last] (empty when first > last).
+   Two functions rather than one returning a pair, so that hoisting the
+   bounds out of a loop allocates nothing. *)
+let tap_first ~off ~stride = if off >= 0 then 0 else (stride - 1 - off) / stride
+
+let tap_last ~off ~stride ~extent ~out =
+  let room = extent - 1 - off in
+  if room < 0 then -1 else if room / stride < out - 1 then room / stride else out - 1
+
+(* [dot_rows a ~a_off b ~len ~rows ~cols out ~out_off ~out_stride] sets
+   [out.(out_off + r * out_stride + q)], for [r < rows] and [q < cols], to
+   +0.0 plus [b.(q * len + j) *. a.(a_off + r * len + j)] for [j] ascending
+   from 0 to [len - 1].  The sums stay in registers, in blocks of four
+   rows by two columns: each load of [b] serves four rows, each load of
+   [a] two columns. *)
+let dot_rows a ~a_off b ~len ~rows ~cols out ~out_off ~out_stride =
+  let r = ref 0 in
+  while !r + 4 <= rows do
+    let a0 = a_off + (!r * len) in
+    let a1 = a0 + len in
+    let a2 = a1 + len in
+    let a3 = a2 + len in
+    let o0 = out_off + (!r * out_stride) in
+    let q = ref 0 in
+    while !q + 2 <= cols do
+      let bq = !q * len in
+      let bq1 = bq + len in
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      let t0 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 and t3 = ref 0.0 in
+      for j = 0 to len - 1 do
+        let x = Array.unsafe_get b (bq + j) and y = Array.unsafe_get b (bq1 + j) in
+        let w0 = Array.unsafe_get a (a0 + j) in
+        s0 := !s0 +. (x *. w0);
+        t0 := !t0 +. (y *. w0);
+        let w1 = Array.unsafe_get a (a1 + j) in
+        s1 := !s1 +. (x *. w1);
+        t1 := !t1 +. (y *. w1);
+        let w2 = Array.unsafe_get a (a2 + j) in
+        s2 := !s2 +. (x *. w2);
+        t2 := !t2 +. (y *. w2);
+        let w3 = Array.unsafe_get a (a3 + j) in
+        s3 := !s3 +. (x *. w3);
+        t3 := !t3 +. (y *. w3)
+      done;
+      let o = o0 + !q in
+      Array.unsafe_set out o !s0;
+      Array.unsafe_set out (o + 1) !t0;
+      Array.unsafe_set out (o + out_stride) !s1;
+      Array.unsafe_set out (o + out_stride + 1) !t1;
+      Array.unsafe_set out (o + (2 * out_stride)) !s2;
+      Array.unsafe_set out (o + (2 * out_stride) + 1) !t2;
+      Array.unsafe_set out (o + (3 * out_stride)) !s3;
+      Array.unsafe_set out (o + (3 * out_stride) + 1) !t3;
+      q := !q + 2
+    done;
+    if !q < cols then begin
+      let bq = !q * len in
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      for j = 0 to len - 1 do
+        let x = Array.unsafe_get b (bq + j) in
+        s0 := !s0 +. (x *. Array.unsafe_get a (a0 + j));
+        s1 := !s1 +. (x *. Array.unsafe_get a (a1 + j));
+        s2 := !s2 +. (x *. Array.unsafe_get a (a2 + j));
+        s3 := !s3 +. (x *. Array.unsafe_get a (a3 + j))
+      done;
+      let o = o0 + !q in
+      Array.unsafe_set out o !s0;
+      Array.unsafe_set out (o + out_stride) !s1;
+      Array.unsafe_set out (o + (2 * out_stride)) !s2;
+      Array.unsafe_set out (o + (3 * out_stride)) !s3
+    end;
+    r := !r + 4
+  done;
+  for r = !r to rows - 1 do
+    let a0 = a_off + (r * len) in
+    let o0 = out_off + (r * out_stride) in
+    for q = 0 to cols - 1 do
+      let bq = q * len in
+      let s = ref 0.0 in
+      for j = 0 to len - 1 do
+        s := !s +. (Array.unsafe_get b (bq + j) *. Array.unsafe_get a (a0 + j))
+      done;
+      Array.unsafe_set out (o0 + q) !s
+    done
+  done
+
+(* Direct forward loop: scatters each nonzero weight over the output plane,
+   with the padding bounds of every tap hoisted out of the inner loops. *)
+let conv2d_direct ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
+  let { stride; pad; groups; dilation } = params in
+  let cog = co / groups in
+  for ni = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      for cog_i = 0 to cog - 1 do
+        let co_i = (g * cog) + cog_i in
+        let wbase_co = co_i * cig * kh * kw in
+        let obase_co = ((ni * co) + co_i) * ho * wo in
+        for cig_i = 0 to cig - 1 do
+          let ci_i = (g * cig) + cig_i in
+          let ibase_ci = ((ni * ci) + ci_i) * h * w in
+          let wbase_ci = wbase_co + (cig_i * kh * kw) in
+          for khi = 0 to kh - 1 do
+            let hoff = (khi * dilation) - pad in
+            let h_lo = tap_first ~off:hoff ~stride in
+            let h_hi = tap_last ~off:hoff ~stride ~extent:h ~out:ho in
+            let wbase_kh = wbase_ci + (khi * kw) in
+            for kwi = 0 to kw - 1 do
+              let wv = Array.unsafe_get wd (wbase_kh + kwi) in
+              if wv <> 0.0 then begin
+                let woff = (kwi * dilation) - pad in
+                let w_lo = tap_first ~off:woff ~stride in
+                let w_hi = tap_last ~off:woff ~stride ~extent:w ~out:wo in
+                for hoi = h_lo to h_hi do
+                  let irow = ibase_ci + ((((hoi * stride) + hoff) * w) + woff) in
+                  let orow = obase_co + (hoi * wo) in
+                  let ii = ref (irow + (w_lo * stride)) in
+                  for oi = orow + w_lo to orow + w_hi do
+                    Array.unsafe_set od oi
+                      (Array.unsafe_get od oi +. (Array.unsafe_get id !ii *. wv));
+                    ii := !ii + stride
+                  done
+                done
+              end
+            done
+          done
+        done
+      done
+    done
+  done
+
+(* im2col forward: for each (image, group) gather [col.(q * kk + k)], the
+   input tap [k = (cig, kh, kw)] of output position [q], with 0.0 for a
+   padded tap, then take one ordered dot product per output.  Outputs whose
+   window lies inside the input copy their taps through the per-call
+   offset table [koff]; only border outputs check bounds. *)
+let conv2d_im2col ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
+  let { stride; pad; groups; dilation } = params in
+  let cog = co / groups in
+  let kk = cig * kh * kw and plane = ho * wo in
+  let koff =
+    Array.init kk (fun k ->
+        ((k / (kh * kw)) * h * w) + ((k / kw mod kh) * dilation * w) + (k mod kw * dilation))
+  in
+  let h_in_lo = tap_first ~off:(-pad) ~stride in
+  let h_in_hi = tap_last ~off:(((kh - 1) * dilation) - pad) ~stride ~extent:h ~out:ho in
+  let w_in_lo = tap_first ~off:(-pad) ~stride in
+  let w_in_hi = tap_last ~off:(((kw - 1) * dilation) - pad) ~stride ~extent:w ~out:wo in
+  let col = Array.create_float (plane * kk) in
+  for ni = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      let ibase_g = ((ni * ci) + (g * cig)) * h * w in
+      for hoi = 0 to ho - 1 do
+        for woi = 0 to wo - 1 do
+          let qbase = ((hoi * wo) + woi) * kk in
+          if hoi >= h_in_lo && hoi <= h_in_hi && woi >= w_in_lo && woi <= w_in_hi then begin
+            let src = ibase_g + ((((hoi * stride) - pad) * w) + (woi * stride) - pad) in
+            for k = 0 to kk - 1 do
+              Array.unsafe_set col (qbase + k) (Array.unsafe_get id (src + Array.unsafe_get koff k))
+            done
+          end
+          else
+            for cig_i = 0 to cig - 1 do
+              let ibase_ci = ibase_g + (cig_i * h * w) in
+              for khi = 0 to kh - 1 do
+                let hi = (hoi * stride) + (khi * dilation) - pad in
+                let cbase = qbase + (((cig_i * kh) + khi) * kw) in
+                if hi < 0 || hi >= h then Array.fill col cbase kw 0.0
+                else begin
+                  let irow = ibase_ci + (hi * w) in
+                  for kwi = 0 to kw - 1 do
+                    let wi = (woi * stride) + (kwi * dilation) - pad in
+                    Array.unsafe_set col (cbase + kwi)
+                      (if wi >= 0 && wi < w then Array.unsafe_get id (irow + wi) else 0.0)
+                  done
+                end
+              done
+            done
+        done
+      done;
+      dot_rows wd ~a_off:(g * cog * kk) col ~len:kk ~rows:cog ~cols:plane od
+        ~out_off:(((ni * co) + (g * cog)) * plane) ~out_stride:plane
+    done
+  done
 
 let conv2d ~input ~weight ~bias params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
@@ -20,42 +223,9 @@ let conv2d ~input ~weight ~bias params =
   assert (ho > 0 && wo > 0);
   let output = Tensor.zeros [| n; co; ho; wo |] in
   let id = Tensor.data input and wd = Tensor.data weight and od = Tensor.data output in
-  let cog = co / groups in
-  for ni = 0 to n - 1 do
-    for g = 0 to groups - 1 do
-      for cog_i = 0 to cog - 1 do
-        let co_i = (g * cog) + cog_i in
-        let wbase_co = co_i * cig * kh * kw in
-        let obase_co = ((ni * co) + co_i) * ho * wo in
-        for cig_i = 0 to cig - 1 do
-          let ci_i = (g * cig) + cig_i in
-          let ibase_ci = ((ni * ci) + ci_i) * h * w in
-          let wbase_ci = wbase_co + (cig_i * kh * kw) in
-          for khi = 0 to kh - 1 do
-            let wbase_kh = wbase_ci + (khi * kw) in
-            for kwi = 0 to kw - 1 do
-              let wv = Array.unsafe_get wd (wbase_kh + kwi) in
-              if wv <> 0.0 then
-                for hoi = 0 to ho - 1 do
-                  let hi = (hoi * stride) + (khi * dilation) - pad in
-                  if hi >= 0 && hi < h then begin
-                    let irow = ibase_ci + (hi * w) in
-                    let orow = obase_co + (hoi * wo) in
-                    for woi = 0 to wo - 1 do
-                      let wi = (woi * stride) + (kwi * dilation) - pad in
-                      if wi >= 0 && wi < w then
-                        Array.unsafe_set od (orow + woi)
-                          (Array.unsafe_get od (orow + woi)
-                          +. (Array.unsafe_get id (irow + wi) *. wv))
-                    done
-                  end
-                done
-            done
-          done
-        done
-      done
-    done
-  done;
+  (if cig > 1 && all_finite id && all_finite wd then conv2d_im2col
+   else conv2d_direct)
+    ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (match bias with
   | None -> ()
   | Some b ->
@@ -73,68 +243,175 @@ let conv2d ~input ~weight ~bias params =
       done);
   output
 
-let conv2d_backward ~input ~weight ~gout params =
-  let ishape = Tensor.shape input and wshape = Tensor.shape weight in
-  let n = ishape.(0) and ci = ishape.(1) and h = ishape.(2) and w = ishape.(3) in
-  let co = wshape.(0) and cig = wshape.(1) and kh = wshape.(2) and kw = wshape.(3) in
+(* Direct backward loop: scatters [gout * w] over the input gradient for
+   every tap, zero weights included.  With a non-empty [gwd] it also sums
+   each tap's weight gradient over the valid output positions in the same
+   pass. *)
+let conv2d_backward_direct ~id ~god ~wd ~gid ~gwd ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
   let { stride; pad; groups; dilation } = params in
-  let oshape = Tensor.shape gout in
-  let ho = oshape.(2) and wo = oshape.(3) in
-  let ginput = Tensor.zeros ishape in
-  let gweight = Tensor.zeros wshape in
-  let gbias = Tensor.zeros [| co |] in
-  let id = Tensor.data input
-  and wd = Tensor.data weight
-  and god = Tensor.data gout
-  and gid = Tensor.data ginput
-  and gwd = Tensor.data gweight
-  and gbd = Tensor.data gbias in
   let cog = co / groups in
+  let weight_grad = Array.length gwd > 0 in
   for ni = 0 to n - 1 do
     for g = 0 to groups - 1 do
       for cog_i = 0 to cog - 1 do
         let co_i = (g * cog) + cog_i in
         let wbase_co = co_i * cig * kh * kw in
         let obase_co = ((ni * co) + co_i) * ho * wo in
-        (* Bias gradient: sum of gout over the spatial plane. *)
-        let bacc = ref 0.0 in
-        for i = 0 to (ho * wo) - 1 do
-          bacc := !bacc +. Array.unsafe_get god (obase_co + i)
-        done;
-        gbd.(co_i) <- gbd.(co_i) +. !bacc;
         for cig_i = 0 to cig - 1 do
-          let ci_i = (g * cig) + cig_i in
-          let ibase_ci = ((ni * ci) + ci_i) * h * w in
+          let ibase_ci = ((ni * ci) + (g * cig) + cig_i) * h * w in
           let wbase_ci = wbase_co + (cig_i * kh * kw) in
           for khi = 0 to kh - 1 do
-            let wbase_kh = wbase_ci + (khi * kw) in
+            let hoff = (khi * dilation) - pad in
+            let h_lo = tap_first ~off:hoff ~stride in
+            let h_hi = tap_last ~off:hoff ~stride ~extent:h ~out:ho in
             for kwi = 0 to kw - 1 do
-              let widx = wbase_kh + kwi in
+              let widx = wbase_ci + (khi * kw) + kwi in
               let wv = Array.unsafe_get wd widx in
-              let wacc = ref 0.0 in
-              for hoi = 0 to ho - 1 do
-                let hi = (hoi * stride) + (khi * dilation) - pad in
-                if hi >= 0 && hi < h then begin
-                  let irow = ibase_ci + (hi * w) in
+              let woff = (kwi * dilation) - pad in
+              let w_lo = tap_first ~off:woff ~stride in
+              let w_hi = tap_last ~off:woff ~stride ~extent:w ~out:wo in
+              if weight_grad then begin
+                let wacc = ref 0.0 in
+                for hoi = h_lo to h_hi do
+                  let irow = ibase_ci + ((((hoi * stride) + hoff) * w) + woff) in
                   let orow = obase_co + (hoi * wo) in
-                  for woi = 0 to wo - 1 do
-                    let wi = (woi * stride) + (kwi * dilation) - pad in
-                    if wi >= 0 && wi < w then begin
-                      let gov = Array.unsafe_get god (orow + woi) in
-                      wacc := !wacc +. (gov *. Array.unsafe_get id (irow + wi));
-                      Array.unsafe_set gid (irow + wi)
-                        (Array.unsafe_get gid (irow + wi) +. (gov *. wv))
-                    end
+                  let ii = ref (irow + (w_lo * stride)) in
+                  for oi = orow + w_lo to orow + w_hi do
+                    let gov = Array.unsafe_get god oi in
+                    wacc := !wacc +. (gov *. Array.unsafe_get id !ii);
+                    Array.unsafe_set gid !ii (Array.unsafe_get gid !ii +. (gov *. wv));
+                    ii := !ii + stride
                   done
-                end
-              done;
-              Array.unsafe_set gwd widx (Array.unsafe_get gwd widx +. !wacc)
+                done;
+                Array.unsafe_set gwd widx (Array.unsafe_get gwd widx +. !wacc)
+              end
+              else
+                for hoi = h_lo to h_hi do
+                  let irow = ibase_ci + ((((hoi * stride) + hoff) * w) + woff) in
+                  let orow = obase_co + (hoi * wo) in
+                  let ii = ref (irow + (w_lo * stride)) in
+                  for oi = orow + w_lo to orow + w_hi do
+                    Array.unsafe_set gid !ii
+                      (Array.unsafe_get gid !ii +. (Array.unsafe_get god oi *. wv));
+                    ii := !ii + stride
+                  done
+                done
             done
           done
         done
       done
     done
+  done
+
+(* Gather form of the input gradient, for stride 1: for each (image, group)
+   gather [gcol.(p * jj + j)], the output gradient that reaches input
+   position [p] through [j = (co, kh, kw)] (0.0 where no output does), then
+   take one ordered dot product per input against the transposed weight.
+   At stride 1, input row [hi] meets output row [hi + pad - kh * dilation]
+   through tap [kh] (columns alike).  Inputs all of whose taps land inside
+   the output copy them through the per-call offset table [joff]; only
+   border inputs check bounds. *)
+let conv2d_backward_input_gather ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
+  let { stride; pad; groups; dilation } = params in
+  assert (stride = 1);
+  let cog = co / groups in
+  let jj = cog * kh * kw and plane = h * w in
+  let wt = Array.create_float (groups * cig * jj) in
+  for g = 0 to groups - 1 do
+    for cig_i = 0 to cig - 1 do
+      for cog_i = 0 to cog - 1 do
+        let src = ((((g * cog) + cog_i) * cig) + cig_i) * kh * kw in
+        Array.blit wd src wt ((((g * cig) + cig_i) * jj) + (cog_i * kh * kw)) (kh * kw)
+      done
+    done
   done;
+  let joff =
+    Array.init jj (fun j ->
+        ((j / (kh * kw)) * ho * wo) - ((j / kw mod kh) * dilation * wo) - (j mod kw * dilation))
+  in
+  let h_in_lo = ((kh - 1) * dilation) - pad and h_in_hi = ho - 1 - pad in
+  let w_in_lo = ((kw - 1) * dilation) - pad and w_in_hi = wo - 1 - pad in
+  let gcol = Array.create_float (plane * jj) in
+  for ni = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      let obase_g = ((ni * co) + (g * cog)) * ho * wo in
+      for hi = 0 to h - 1 do
+        for wi = 0 to w - 1 do
+          let pbase = ((hi * w) + wi) * jj in
+          if hi >= h_in_lo && hi <= h_in_hi && wi >= w_in_lo && wi <= w_in_hi then begin
+            let src = obase_g + ((hi + pad) * wo) + wi + pad in
+            for j = 0 to jj - 1 do
+              Array.unsafe_set gcol (pbase + j) (Array.unsafe_get god (src + Array.unsafe_get joff j))
+            done
+          end
+          else
+            for cog_i = 0 to cog - 1 do
+              let obase = obase_g + (cog_i * ho * wo) in
+              for khi = 0 to kh - 1 do
+                let hoi = hi + pad - (khi * dilation) in
+                let cbase = pbase + (((cog_i * kh) + khi) * kw) in
+                if hoi < 0 || hoi >= ho then Array.fill gcol cbase kw 0.0
+                else begin
+                  let orow = obase + (hoi * wo) in
+                  for kwi = 0 to kw - 1 do
+                    let woi = wi + pad - (kwi * dilation) in
+                    Array.unsafe_set gcol (cbase + kwi)
+                      (if woi >= 0 && woi < wo then Array.unsafe_get god (orow + woi) else 0.0)
+                  done
+                end
+              done
+            done
+        done
+      done;
+      dot_rows wt ~a_off:(g * cig * jj) gcol ~len:jj ~rows:cig ~cols:plane gid
+        ~out_off:(((ni * ci) + (g * cig)) * plane) ~out_stride:plane
+    done
+  done
+
+let conv2d_backward_input ~input ~weight ~gout params =
+  let ishape = Tensor.shape input and wshape = Tensor.shape weight in
+  let n = ishape.(0) and ci = ishape.(1) and h = ishape.(2) and w = ishape.(3) in
+  let co = wshape.(0) and cig = wshape.(1) and kh = wshape.(2) and kw = wshape.(3) in
+  let oshape = Tensor.shape gout in
+  let ho = oshape.(2) and wo = oshape.(3) in
+  let ginput = Tensor.zeros ishape in
+  let god = Tensor.data gout and wd = Tensor.data weight and gid = Tensor.data ginput in
+  (* A padded tap multiplies 0.0 by a weight, so only the weight must be
+     finite for the gather form to add exact zeros.  With a stride above 1
+     most gathered taps are such zeros, and the direct loop is faster. *)
+  if cig > 1 && params.stride = 1 && all_finite wd then
+    conv2d_backward_input_gather ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+  else
+    conv2d_backward_direct ~id:[||] ~god ~wd ~gid ~gwd:[||] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho
+      ~wo params;
+  ginput
+
+let conv2d_backward ~input ~weight ~gout params =
+  let ishape = Tensor.shape input and wshape = Tensor.shape weight in
+  let n = ishape.(0) and ci = ishape.(1) and h = ishape.(2) and w = ishape.(3) in
+  let co = wshape.(0) and cig = wshape.(1) and kh = wshape.(2) and kw = wshape.(3) in
+  let oshape = Tensor.shape gout in
+  let ho = oshape.(2) and wo = oshape.(3) in
+  let gweight = Tensor.zeros wshape in
+  let gbias = Tensor.zeros [| co |] in
+  let id = Tensor.data input
+  and god = Tensor.data gout
+  and gwd = Tensor.data gweight
+  and gbd = Tensor.data gbias in
+  (* Bias gradient: sum of gout over each spatial plane. *)
+  for ni = 0 to n - 1 do
+    for co_i = 0 to co - 1 do
+      let obase_co = ((ni * co) + co_i) * ho * wo in
+      let bacc = ref 0.0 in
+      for i = 0 to (ho * wo) - 1 do
+        bacc := !bacc +. Array.unsafe_get god (obase_co + i)
+      done;
+      gbd.(co_i) <- gbd.(co_i) +. !bacc
+    done
+  done;
+  let ginput = Tensor.zeros ishape in
+  conv2d_backward_direct ~id ~god ~wd:(Tensor.data weight) ~gid:(Tensor.data ginput) ~gwd ~n ~ci
+    ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (ginput, gweight, gbias)
 
 let relu t = Tensor.map (fun x -> if x > 0.0 then x else 0.0) t

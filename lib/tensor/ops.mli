@@ -15,11 +15,46 @@ type conv_params = {
 val conv_out_dim : ?dilation:int -> int -> k:int -> stride:int -> pad:int -> int
 (** Spatial output extent of a convolution ([dilation] defaults to 1). *)
 
+(** {2 Convolution and ordered accumulation}
+
+    The convolution kernels promise exact, reproducible sums.  Every output
+    of {!conv2d} is [+0.0] plus its products [x * w] added one at a time in
+    ascending (input channel, kh, kw) order, then the bias.  Every input
+    gradient of {!conv2d_backward_input} is [+0.0] plus its products
+    [gout * w] in ascending (output channel, kh, kw) order.  A weight
+    gradient is summed over the output plane in row-major order per image,
+    and the per-image sums are added in batch order.
+
+    Two implementations keep that contract for {!conv2d} and
+    {!conv2d_backward_input}.
+    - The fast path gathers each output's operands into a contiguous row
+      (im2col for the forward pass, a gather of [gout] for the input
+      gradient) and computes a block of four output channels by two
+      positions at a time in registers.  Padded taps and zero weights then
+      add exact zeros.  A sum that starts at [+0.0] cannot become [-0.0],
+      so for finite operands an added zero changes no bit.
+    - The direct loop skips padded taps (and, forward, zero weights).  It
+      runs for depthwise-style convolutions (one input channel per group),
+      for the input gradient of a strided convolution (where most gathered
+      taps would be zeros), and whenever an operand that meets those zeros
+      is not finite: the input or weight of {!conv2d}, the weight of
+      {!conv2d_backward_input}.  There [0 * inf] would add a NaN the direct
+      loop never computes, so the direct loop keeps NaN placement exact.
+
+    {!conv2d_backward} always runs the direct loop, computing the input and
+    weight gradients in one pass. *)
+
 val conv2d :
   input:Tensor.t -> weight:Tensor.t -> bias:Tensor.t option -> conv_params -> Tensor.t
 (** [conv2d ~input ~weight ~bias p] computes a (possibly grouped, possibly
     dilated) 2-D convolution.  Input [N;Ci;H;W], weight [Co;Ci/g;Kh;Kw],
     output [N;Co;Ho;Wo].  [Ci] and [Co] must be divisible by [p.groups]. *)
+
+val conv2d_backward_input :
+  input:Tensor.t -> weight:Tensor.t -> gout:Tensor.t -> conv_params -> Tensor.t
+(** Gradient of {!conv2d} w.r.t. its input alone ([input] supplies only the
+    shape).  Bit for bit the first component of {!conv2d_backward}; the
+    Fisher pass calls it to skip the weight gradient. *)
 
 val conv2d_backward :
   input:Tensor.t ->
@@ -28,6 +63,8 @@ val conv2d_backward :
   conv_params ->
   Tensor.t * Tensor.t * Tensor.t
 (** Gradients (w.r.t. input, weight, bias) of {!conv2d}. *)
+
+(** {2 Other kernels} *)
 
 val relu : Tensor.t -> Tensor.t
 (** Elementwise max(x, 0). *)

@@ -51,13 +51,32 @@ let t_rand_deterministic () =
   let b = Tensor.rand_normal (rng ()) [| 8 |] ~mean:0.0 ~std:1.0 in
   Alcotest.(check bool) "same seed, same draw" true (Tensor.approx_equal a b)
 
-(* Reference convolution written as directly as possible from eq. (1). *)
-let naive_conv ~input ~weight ~stride ~pad ~groups =
+(* Bitwise equality, NaN payloads included. *)
+let same_bits a b =
+  Tensor.same_shape a b
+  &&
+  let ad = Tensor.data a and bd = Tensor.data b in
+  let ok = ref true in
+  Array.iteri
+    (fun i x -> if Int64.bits_of_float x <> Int64.bits_of_float bd.(i) then ok := false)
+    ad;
+  !ok
+
+(* Output index read by input index [i] through tap [t], or -1. *)
+let tap_of ~i ~t ~stride ~pad ~dilation ~out =
+  let d = i + pad - (t * dilation) in
+  if d >= 0 && d mod stride = 0 && d / stride < out then d / stride else -1
+
+(* Reference convolution written as directly as possible from eq. (1),
+   adding taps from +0.0 in (input channel, kh, kw) order.  Like the
+   kernels' direct loop it skips zero weights, so it also fixes where a
+   non-finite input may leave a NaN. *)
+let naive_conv ?(dilation = 1) ~input ~weight ~stride ~pad ~groups () =
   let is = Tensor.shape input and ws = Tensor.shape weight in
   let n = is.(0) and h = is.(2) and w = is.(3) in
   let co = ws.(0) and cig = ws.(1) and kh = ws.(2) and kw = ws.(3) in
-  let oh = Ops.conv_out_dim h ~k:kh ~stride ~pad in
-  let ow = Ops.conv_out_dim w ~k:kw ~stride ~pad in
+  let oh = Ops.conv_out_dim h ~k:kh ~stride ~pad ~dilation in
+  let ow = Ops.conv_out_dim w ~k:kw ~stride ~pad ~dilation in
   let cog = co / groups in
   Tensor.init [| n; co; oh; ow |] (fun idx ->
       let ni = idx.(0) and coi = idx.(1) and ohi = idx.(2) and owi = idx.(3) in
@@ -67,28 +86,81 @@ let naive_conv ~input ~weight ~stride ~pad ~groups =
         let cii = (g * cig) + cg in
         for khi = 0 to kh - 1 do
           for kwi = 0 to kw - 1 do
-            let hi = (ohi * stride) + khi - pad in
-            let wi = (owi * stride) + kwi - pad in
-            if hi >= 0 && hi < h && wi >= 0 && wi < w then
-              acc :=
-                !acc
-                +. (Tensor.get input [| ni; cii; hi; wi |]
-                   *. Tensor.get weight [| coi; cg; khi; kwi |])
+            let hi = (ohi * stride) + (khi * dilation) - pad in
+            let wi = (owi * stride) + (kwi * dilation) - pad in
+            let wv = Tensor.get weight [| coi; cg; khi; kwi |] in
+            if hi >= 0 && hi < h && wi >= 0 && wi < w && wv <> 0.0 then
+              acc := !acc +. (Tensor.get input [| ni; cii; hi; wi |] *. wv)
           done
         done
       done;
       !acc)
+
+(* Reference input gradient: every input adds [gout * w] from +0.0 over
+   the taps that read it, in (output channel, kh, kw) order. *)
+let naive_conv_backward_input ?(dilation = 1) ~input ~weight ~gout ~stride ~pad ~groups () =
+  let ws = Tensor.shape weight and os = Tensor.shape gout in
+  let co = ws.(0) and cig = ws.(1) and kh = ws.(2) and kw = ws.(3) in
+  let oh = os.(2) and ow = os.(3) in
+  let cog = co / groups in
+  Tensor.init (Tensor.shape input) (fun idx ->
+      let ni = idx.(0) and cii = idx.(1) and hi = idx.(2) and wi = idx.(3) in
+      let g = cii / cig in
+      let acc = ref 0.0 in
+      for cg = 0 to cog - 1 do
+        let coi = (g * cog) + cg in
+        for khi = 0 to kh - 1 do
+          for kwi = 0 to kw - 1 do
+            let ohi = tap_of ~i:hi ~t:khi ~stride ~pad ~dilation ~out:oh in
+            let owi = tap_of ~i:wi ~t:kwi ~stride ~pad ~dilation ~out:ow in
+            if ohi >= 0 && owi >= 0 then
+              acc :=
+                !acc
+                +. (Tensor.get gout [| ni; coi; ohi; owi |]
+                   *. Tensor.get weight [| coi; cii - (g * cig); khi; kwi |])
+          done
+        done
+      done;
+      !acc)
+
+(* Reference weight gradient: per image, [gout * input] summed from +0.0
+   over the output plane in row-major order; the per-image sums are added
+   in batch order. *)
+let naive_conv_backward_weight ?(dilation = 1) ~input ~weight ~gout ~stride ~pad ~groups () =
+  let is = Tensor.shape input and os = Tensor.shape gout in
+  let n = is.(0) and h = is.(2) and w = is.(3) in
+  let co = os.(1) and oh = os.(2) and ow = os.(3) in
+  let cig = (Tensor.shape weight).(1) in
+  let cog = co / groups in
+  Tensor.init (Tensor.shape weight) (fun idx ->
+      let coi = idx.(0) and cg = idx.(1) and khi = idx.(2) and kwi = idx.(3) in
+      let cii = (coi / cog * cig) + cg in
+      let total = ref 0.0 in
+      for ni = 0 to n - 1 do
+        let acc = ref 0.0 in
+        for ohi = 0 to oh - 1 do
+          for owi = 0 to ow - 1 do
+            let hi = (ohi * stride) + (khi * dilation) - pad in
+            let wi = (owi * stride) + (kwi * dilation) - pad in
+            if hi >= 0 && hi < h && wi >= 0 && wi < w then
+              acc :=
+                !acc
+                +. (Tensor.get gout [| ni; coi; ohi; owi |] *. Tensor.get input [| ni; cii; hi; wi |])
+          done
+        done;
+        total := !total +. !acc
+      done;
+      !total)
 
 let conv_case ~n ~ci ~co ~hw ~k ~stride ~pad ~groups () =
   let r = rng () in
   let input = Tensor.rand_normal r [| n; ci; hw; hw |] ~mean:0.0 ~std:1.0 in
   let weight = Tensor.rand_normal r [| co; ci / groups; k; k |] ~mean:0.0 ~std:1.0 in
   let fast = Ops.conv2d ~input ~weight ~bias:None { Ops.stride; pad; groups; dilation = 1 } in
-  let slow = naive_conv ~input ~weight ~stride ~pad ~groups in
+  let slow = naive_conv ~input ~weight ~stride ~pad ~groups () in
   Alcotest.(check bool)
     (Printf.sprintf "conv n%d ci%d co%d k%d s%d p%d g%d" n ci co k stride pad groups)
-    true
-    (Tensor.approx_equal ~tol:1e-4 fast slow)
+    true (same_bits fast slow)
 
 let t_conv_bias () =
   let r = rng () in
@@ -141,6 +213,49 @@ let t_conv_backward () =
     done
   done;
   check_close "conv dbias" !expected_b0 (Tensor.get1 gb 0)
+
+let t_conv_backward_input () =
+  let r = rng () in
+  let input = Tensor.rand_normal r [| 2; 4; 7; 7 |] ~mean:0.0 ~std:1.0 in
+  let weight = Tensor.rand_normal r [| 6; 2; 3; 3 |] ~mean:0.0 ~std:0.5 in
+  let params = { Ops.stride = 2; pad = 2; groups = 2; dilation = 2 } in
+  let out = Ops.conv2d ~input ~weight ~bias:None params in
+  let coeffs = Tensor.rand_normal r (Tensor.shape out) ~mean:0.0 ~std:1.0 in
+  let loss () = Tensor.sum (Tensor.mul (Ops.conv2d ~input ~weight ~bias:None params) coeffs) in
+  let gin = Ops.conv2d_backward_input ~input ~weight ~gout:coeffs params in
+  finite_diff ~loss ~param:input ~grad:gin ~samples:20 ~tol:1e-2 "conv dinput (g2 s2 d2)"
+
+(* A non-finite operand takes the direct loops: an [inf] input read only
+   through zero weights must leave output channel 0 finite (the im2col
+   path would add [inf * 0 = NaN]), while channel 1 reads it through
+   nonzero weights.  An [inf] weight likewise keeps the gather form's
+   padded zeros out of the input gradient. *)
+let t_conv_non_finite () =
+  let r = rng () in
+  let input = Tensor.rand_normal r [| 1; 2; 4; 4 |] ~mean:0.0 ~std:1.0 in
+  Tensor.set input [| 0; 1; 1; 2 |] infinity;
+  let weight = Tensor.rand_normal r [| 2; 2; 3; 3 |] ~mean:0.0 ~std:1.0 in
+  for khi = 0 to 2 do
+    for kwi = 0 to 2 do
+      Tensor.set weight [| 0; 1; khi; kwi |] 0.0
+    done
+  done;
+  let p = { Ops.stride = 1; pad = 1; groups = 1; dilation = 1 } in
+  let out = Ops.conv2d ~input ~weight ~bias:None p in
+  Alcotest.(check bool) "forward matches the direct loop" true
+    (same_bits out (naive_conv ~input ~weight ~stride:1 ~pad:1 ~groups:1 ()));
+  Alcotest.(check bool) "channel 0 stays finite" true
+    (Array.for_all Float.is_finite (Array.sub (Tensor.data out) 0 16));
+  Alcotest.(check bool) "channel 1 sees the inf" false
+    (Array.for_all Float.is_finite (Array.sub (Tensor.data out) 16 16));
+  let weight = Tensor.rand_normal r [| 2; 2; 3; 3 |] ~mean:0.0 ~std:1.0 in
+  Tensor.set weight [| 1; 0; 0; 0 |] infinity;
+  let gout = Tensor.rand_normal r [| 1; 2; 4; 4 |] ~mean:0.0 ~std:1.0 in
+  let gin = Ops.conv2d_backward_input ~input ~weight ~gout p in
+  let gin', _, _ = Ops.conv2d_backward ~input ~weight ~gout p in
+  let expected = naive_conv_backward_input ~input ~weight ~gout ~stride:1 ~pad:1 ~groups:1 () in
+  Alcotest.(check bool) "input gradient matches the direct loop" true (same_bits gin expected);
+  Alcotest.(check bool) "both backward kernels agree" true (same_bits gin' expected)
 
 let t_linear_backward () =
   let r = rng () in
@@ -279,22 +394,70 @@ let t_pad_channels () =
   check_close "copied" (Tensor.get a [| 0; 1; 1; 1 |]) (Tensor.get p [| 0; 1; 1; 1 |]);
   check_close "zero" 0.0 (Tensor.get p [| 0; 4; 0; 0 |])
 
+(* Random convolution geometry.  [cog] of 1-9 reaches the kernels' 4-wide
+   output-channel block and every remainder; [zeros] zeroes every
+   [zeros]-th weight (0: none). *)
+type conv_geom = {
+  n : int;
+  cig : int;
+  cog : int;
+  groups : int;
+  hw : int;
+  k : int;
+  stride : int;
+  dilation : int;
+  same_pad : bool;
+  zeros : int;
+  seed : int;
+}
+
+let conv_geom_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 2 and* cig = int_range 1 4 and* cog = int_range 1 9 in
+    let* groups = int_range 1 3 and* hw = int_range 3 7 and* k = oneofl [ 1; 3 ] in
+    let* stride = int_range 1 2 and* dilation = int_range 1 2 and* same_pad = bool in
+    let* zeros = int_range 0 3 and* seed = int_bound 9999 in
+    return { n; cig; cog; groups; hw; k; stride; dilation; same_pad; zeros; seed }
+  in
+  QCheck.make gen ~print:(fun g ->
+      Printf.sprintf "n%d cig%d cog%d g%d hw%d k%d s%d d%d same%b zeros%d seed%d" g.n g.cig
+        g.cog g.groups g.hw g.k g.stride g.dilation g.same_pad g.zeros g.seed)
+
+let conv_operands g =
+  let r = Rng.create g.seed in
+  let ci = g.cig * g.groups and co = g.cog * g.groups in
+  let input = Tensor.rand_normal r [| g.n; ci; g.hw; g.hw |] ~mean:0.0 ~std:1.0 in
+  let weight = Tensor.rand_normal r [| co; g.cig; g.k; g.k |] ~mean:0.0 ~std:1.0 in
+  if g.zeros > 0 then
+    Array.iteri (fun i _ -> if i mod g.zeros = 0 then Tensor.set1 weight i 0.0) (Tensor.data weight);
+  (* "Same" padding, or none when the dilated kernel still fits. *)
+  let reach = g.dilation * (g.k - 1) in
+  let pad = if g.same_pad || reach >= g.hw then reach / 2 + (reach mod 2) else 0 in
+  (input, weight, { Ops.stride = g.stride; pad; groups = g.groups; dilation = g.dilation })
+
 let qcheck_tests =
   let open QCheck in
-  [ Test.make ~name:"conv matches naive on random shapes" ~count:25
-      (quad (int_range 1 2) (int_range 1 4) (int_range 1 4) (int_range 3 7))
-      (fun (n, cig, cog, hw) ->
-        let groups = 1 + ((cig + cog) mod 2) in
-        let ci = cig * groups and co = cog * groups in
-        let k = 1 + (2 * (hw mod 2)) in
-        let stride = 1 + (hw mod 2) in
-        let pad = k / 2 in
-        let r = Rng.create (n + (100 * ci) + (17 * hw)) in
-        let input = Tensor.rand_normal r [| n; ci; hw; hw |] ~mean:0.0 ~std:1.0 in
-        let weight = Tensor.rand_normal r [| co; cig; k; k |] ~mean:0.0 ~std:1.0 in
-        let fast = Ops.conv2d ~input ~weight ~bias:None { Ops.stride; pad; groups; dilation = 1 } in
-        let slow = naive_conv ~input ~weight ~stride ~pad ~groups in
-        Tensor.approx_equal ~tol:1e-4 fast slow);
+  [ Test.make ~name:"conv matches naive on random shapes" ~count:60 conv_geom_arb
+      (fun geom ->
+        let input, weight, p = conv_operands geom in
+        let fast = Ops.conv2d ~input ~weight ~bias:None p in
+        same_bits fast
+          (naive_conv ~dilation:p.Ops.dilation ~input ~weight ~stride:p.stride ~pad:p.pad
+             ~groups:p.groups ()));
+    Test.make ~name:"conv backward kernels match naive bit for bit" ~count:60 conv_geom_arb
+      (fun geom ->
+        let input, weight, p = conv_operands geom in
+        let out = Ops.conv2d ~input ~weight ~bias:None p in
+        let gout = Tensor.rand_normal (Rng.create geom.seed) (Tensor.shape out) ~mean:0.0 ~std:1.0 in
+        let gin = Ops.conv2d_backward_input ~input ~weight ~gout p in
+        let gin', gw, _ = Ops.conv2d_backward ~input ~weight ~gout p in
+        let { Ops.stride; pad; groups; dilation } = p in
+        same_bits gin gin'
+        && same_bits gin
+             (naive_conv_backward_input ~dilation ~input ~weight ~gout ~stride ~pad ~groups ())
+        && same_bits gw
+             (naive_conv_backward_weight ~dilation ~input ~weight ~gout ~stride ~pad ~groups ()));
     Test.make ~name:"softmax-ce loss is non-negative" ~count:50
       (pair (int_range 1 5) (int_range 2 6))
       (fun (n, k) ->
@@ -332,7 +495,9 @@ let () =
           quick "depthwise" (conv_case ~n:1 ~ci:6 ~co:6 ~hw:5 ~k:3 ~stride:1 ~pad:1 ~groups:6);
           quick "no padding" (conv_case ~n:1 ~ci:2 ~co:3 ~hw:6 ~k:3 ~stride:1 ~pad:0 ~groups:1);
           quick "bias" t_conv_bias;
-          quick "backward fd" t_conv_backward ] );
+          quick "backward fd" t_conv_backward;
+          quick "backward input fd" t_conv_backward_input;
+          quick "non-finite operands" t_conv_non_finite ] );
       ( "kernels",
         [ quick "linear backward fd" t_linear_backward;
           quick "bn normalizes" t_bn_forward_stats;
@@ -345,4 +510,7 @@ let () =
           quick "softmax-ce" t_softmax_ce;
           quick "softmax-ce fd" t_softmax_grad_fd;
           quick "pad channels" t_pad_channels ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]
