@@ -1,6 +1,7 @@
 type t = {
   ec_cost_cache : float Bounded_cache.t;
   ec_fisher_cache : Fisher.scores Bounded_cache.t;
+  ec_layers : Builder.layer_cache;
   ec_fault : Fault.t;
   ec_obs : Obs.t;
   (* A shared ref, not a mutable field: a [with_obs] view is a record
@@ -12,6 +13,7 @@ let create ?(cache_capacity = 8192) ?(fisher_capacity = 4096) ?(fault = Fault.no
     ?(obs = Obs.disabled) () =
   { ec_cost_cache = Bounded_cache.create ~capacity:cache_capacity ();
     ec_fisher_cache = Bounded_cache.create ~capacity:fisher_capacity ();
+    ec_layers = Builder.layer_cache ();
     ec_fault = fault;
     ec_obs = obs;
     ec_tune_configs = ref 0 }
@@ -22,6 +24,7 @@ let fork t =
   { ec_cost_cache = Bounded_cache.create ~capacity:(Bounded_cache.capacity t.ec_cost_cache) ();
     ec_fisher_cache =
       Bounded_cache.create ~capacity:(Bounded_cache.capacity t.ec_fisher_cache) ();
+    ec_layers = Builder.layer_cache ();
     ec_fault = Fault.copy t.ec_fault;
     ec_obs = Obs.fork t.ec_obs;
     ec_tune_configs = ref 0 }
@@ -56,7 +59,7 @@ type cache_snapshot = {
   cs_fisher : (string * Fisher.scores) list;
 }
 
-let cache_schema = "nas-pte-shared-caches-v1"
+let cache_schema = "nas-pte-shared-caches-v2"
 
 let save_caches ~path t =
   Checkpoint.save ~path
@@ -81,6 +84,7 @@ let obs t = t.ec_obs
 let fault t = t.ec_fault
 let cost_cache t = t.ec_cost_cache
 let fisher_cache t = t.ec_fisher_cache
+let layer_cache t = t.ec_layers
 let cost_stats t = Bounded_cache.stats t.ec_cost_cache
 let fisher_stats t = Bounded_cache.stats t.ec_fisher_cache
 

@@ -2,7 +2,8 @@
 
     Everything candidate evaluation used to keep in module-level mutable
     state lives here instead: the bounded workload-cost memo, the
-    Fisher-score memo, autotuner accounting, the fault-injection plan and
+    Fisher-score memo, the Fisher oracle's shared layers, autotuner
+    accounting, the fault-injection plan and
     the observability recorder.  There is no process-wide default: every
     evaluation entry point ([Pipeline], [Unified_search], [Blockswap],
     [Fbnet], [Interpolate]) takes a required [~ctx], so whoever starts the
@@ -36,7 +37,8 @@ val with_obs : t -> Obs.t -> t
     keeping the worker's memo caches warm across items. *)
 
 val fork : t -> t
-(** A per-domain worker context: same capacities, fresh empty caches and
+(** A per-domain worker context: same capacities, fresh empty caches
+    (the layer cache included, so no layer is shared across domains) and
     counters, an independent copy of the fault plan
     (fault draws are pure in (seed, key, target), so a fork trips exactly
     the faults the parent would), and a forked observability recorder
@@ -70,8 +72,11 @@ val save_caches : path:string -> t -> (unit, Nas_error.t) result
 val load_caches : path:string -> t -> (int, Nas_error.t) result
 (** Merge a snapshot written by {!save_caches} into this context's memos
     and return the number of entries restored.  A missing, truncated,
-    corrupt or foreign file is a structured {!Nas_error.Checkpoint_error}
-    — the caller logs it and cold-starts; it never crashes. *)
+    corrupt or foreign file is a structured {!Nas_error.Checkpoint_error}.
+    Foreign includes a snapshot of another schema: the schema is
+    [nas-pte-shared-caches-v2], and a v1 snapshot (whose Fisher keys did
+    not name the network or the probe) is refused.  The caller logs the
+    error and cold-starts; it never crashes. *)
 
 (* --- accessors --------------------------------------------------------- *)
 
@@ -86,7 +91,20 @@ val cost_cache : t -> float Bounded_cache.t
 (** The workload-cost memo: key = device|workload-dims|schedule-hints. *)
 
 val fisher_cache : t -> Fisher.scores Bounded_cache.t
-(** The Fisher-score memo: key = rebuild-seed|plan-signature. *)
+(** The Fisher-score memo.  A score is a pure function of the network, the
+    probe batch, the rebuild seed and the per-site {!Conv_impl.t} vector
+    (loop steps never change what a network computes), and the key names
+    exactly those four:
+    [<digest of Models.config>|<digest of probe images and labels>|<rebuild
+    seed>|<impl vector>], built by [Unified_search.fisher_scores].  The
+    reference network of a search is the all-[Full] vector, so it is an
+    ordinary entry too. *)
+
+val layer_cache : t -> Builder.layer_cache
+(** Initialized layers shared by the Fisher oracle's candidate rebuilds
+    (see {!Builder}): one rebuild seed's layers at a time, private to this
+    context ({!fork} and {!create} start empty; {!with_obs} shares it,
+    {!warm_from} and the snapshot ignore it). *)
 
 val cost_stats : t -> Bounded_cache.stats
 (** Hit/miss/eviction snapshot of the workload-cost memo. *)

@@ -1,19 +1,58 @@
+(* Layers shared across the builds of one build seed.  A layer's weights
+   are a pure function of the build seed, its label and its shape, so a
+   layer built once can stand in for every later build that asks for the
+   same (label, shape) under the same seed.  The cache keeps one seed's
+   layers at a time: a build under another seed empties it first. *)
+type layer_cache = {
+  mutable lc_seed : int;
+  lc_conv : (string, Layer.conv) Hashtbl.t;
+  lc_bn : (string, Layer.bn) Hashtbl.t;
+  lc_linear : (string, Layer.linear) Hashtbl.t;
+}
+
+let layer_cache () =
+  { lc_seed = 0;
+    lc_conv = Hashtbl.create 64;
+    lc_bn = Hashtbl.create 64;
+    lc_linear = Hashtbl.create 8 }
+
 type t = {
   mutable nodes_rev : Graph.node list;
   mutable next_id : int;
   mutable fisher_rev : int list;
   base_seed : int;
+  layers : layer_cache option;
 }
 
-let create rng =
-  { nodes_rev = [];
-    next_id = 0;
-    fisher_rev = [];
-    base_seed = Int64.to_int (Rng.bits64 rng) }
+let create ?layers rng =
+  let base_seed = Int64.to_int (Rng.bits64 rng) in
+  Option.iter
+    (fun c ->
+      if c.lc_seed <> base_seed then begin
+        Hashtbl.reset c.lc_conv;
+        Hashtbl.reset c.lc_bn;
+        Hashtbl.reset c.lc_linear;
+        c.lc_seed <- base_seed
+      end)
+    layers;
+  { nodes_rev = []; next_id = 0; fisher_rev = []; base_seed; layers }
 
 (* Label-addressed weight generator: identical labels (and build seed) give
    identical weights, so structural candidates share every common layer. *)
 let layer_rng t label = Rng.create (t.base_seed lxor Hashtbl.hash label)
+
+(* [make ()] through the layer cache's [table], when the builder has one. *)
+let shared t table key make =
+  match t.layers with
+  | None -> make ()
+  | Some c -> (
+      let tbl = table c in
+      match Hashtbl.find_opt tbl key with
+      | Some layer -> layer
+      | None ->
+          let layer = make () in
+          Hashtbl.add tbl key layer;
+          layer)
 
 let add t ?(label = "") op inputs =
   let id = t.next_id in
@@ -29,16 +68,32 @@ let conv_bn_relu t ~label ~in_channels ~out_channels ~kernel ~stride ?pad
     ?(groups = 1) ?(dilation = 1) ?(relu = true) src =
   let pad = match pad with Some p -> p | None -> dilation * (kernel / 2) in
   let conv =
-    Layer.conv (layer_rng t label) ~name:label ~in_channels ~out_channels ~kernel
-      ~stride ~dilation ~pad ~groups
+    shared t
+      (fun c -> c.lc_conv)
+      (Printf.sprintf "%s|%d|%d|%d|%d|%d|%d|%d" label in_channels out_channels kernel
+         stride dilation pad groups)
+      (fun () ->
+        Layer.conv (layer_rng t label) ~name:label ~in_channels ~out_channels ~kernel
+          ~stride ~dilation ~pad ~groups)
   in
   let c = add t ~label (Graph.Conv conv) [ src ] in
-  let bn_layer = Layer.bn ~name:(label ^ ".bn") ~channels:out_channels in
-  let b = add t ~label:(label ^ ".bn") (Graph.Batch_norm bn_layer) [ c ] in
+  let bn_name = label ^ ".bn" in
+  let bn_layer =
+    shared t
+      (fun c -> c.lc_bn)
+      (Printf.sprintf "%s|%d" bn_name out_channels)
+      (fun () -> Layer.bn ~name:bn_name ~channels:out_channels)
+  in
+  let b = add t ~label:bn_name (Graph.Batch_norm bn_layer) [ c ] in
   if relu then add t ~label:(label ^ ".relu") Graph.Relu [ b ] else b
 
 let linear_layer t ~label ~in_features ~out_features src =
-  let fc = Layer.linear (layer_rng t label) ~name:label ~in_features ~out_features in
+  let fc =
+    shared t
+      (fun c -> c.lc_linear)
+      (Printf.sprintf "%s|%d|%d" label in_features out_features)
+      (fun () -> Layer.linear (layer_rng t label) ~name:label ~in_features ~out_features)
+  in
   add t ~label (Graph.Linear fc) [ src ]
 
 let mark_fisher t id = t.fisher_rev <- id :: t.fisher_rev

@@ -10,12 +10,36 @@
     layer they have in common, which makes Fisher Potential comparisons
     between candidate structures measure the {e structural} difference
     rather than initialization noise (the same device is used by
-    weight-sharing NAS supernets). *)
+    weight-sharing NAS supernets).
+
+    Because a layer is a pure function of (build seed, label, shape), it
+    can also be {e shared}: a builder given a {!layer_cache} looks each
+    convolution, batch norm and linear layer up by its label and every
+    shape, stride, padding, group and dilation parameter, and reuses the
+    layer an earlier build of the same seed initialized.  The resulting
+    graph is indistinguishable from a fresh build (same
+    {!Models.graph_digest}, bit-identical forward pass), but its layers
+    are physically shared with every other graph built through the same
+    cache, so it is only safe for passes that write no parameter — the
+    Fisher oracle, whose forward and activation-only backward read
+    weights and never touch [p_value] or [p_grad].  Training and the
+    experiments build without a cache. *)
+
+type layer_cache
+(** Initialized layers of one build seed, keyed by label and shape.  It
+    holds one seed's layers at a time (a build under another seed empties
+    it first), which bounds its memory by the distinct layers of one
+    network's candidates.  Not domain-safe: give each domain its own
+    cache. *)
+
+val layer_cache : unit -> layer_cache
+(** A fresh, empty cache. *)
 
 type t
 
-val create : Rng.t -> t
-(** Draws the build seed from the given generator. *)
+val create : ?layers:layer_cache -> Rng.t -> t
+(** Draws the build seed from the given generator.  With [layers], every
+    conv, batch-norm and linear layer is shared through that cache. *)
 
 val input : t -> int
 (** Adds the input node (must be first). *)

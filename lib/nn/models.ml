@@ -21,8 +21,8 @@ let cost_mults = Block.cost_mults
 
 (* --- Assembly --------------------------------------------------------- *)
 
-let build ?impls config rng =
-  let b = Builder.create rng in
+let build ?impls ?layers config rng =
+  let b = Builder.create ?layers rng in
   let ctx = Block.fresh_ctx ?impls b in
   let output = Block.emit ctx config in
   let graph = Builder.finish b ~output in
@@ -48,7 +48,7 @@ let build ?impls config rng =
     cost_mult_c;
     cost_mult_s }
 
-let rebuild t rng impls = build ~impls t.config rng
+let rebuild ?layers t rng impls = build ~impls ?layers t.config rng
 
 let site_count config =
   let probe = build config (Rng.create 1) in

@@ -39,13 +39,17 @@ val cost_mults : config -> int * int
 (** [(channel, spatial)] cost multipliers of a spec, computed from its
     explicit paper-scale dimensions (see {!Block.cost_mults}). *)
 
-val build : ?impls:Conv_impl.t array -> config -> Rng.t -> t
+val build :
+  ?impls:Conv_impl.t array -> ?layers:Builder.layer_cache -> config -> Rng.t -> t
 (** Builds the graph.  [impls], when given, must have one entry per site and
-    each entry must be valid for its site. *)
+    each entry must be valid for its site.  [layers] shares initialized
+    layers with earlier builds through that cache (see {!Builder}); only
+    parameter-read-only passes may use such a model. *)
 
-val rebuild : t -> Rng.t -> Conv_impl.t array -> t
+val rebuild : ?layers:Builder.layer_cache -> t -> Rng.t -> Conv_impl.t array -> t
 (** Same configuration with a different implementation assignment (fresh
-    initialization, as the paper searches at initialization). *)
+    initialization, as the paper searches at initialization; [layers] as
+    in {!build}). *)
 
 val site_count : config -> int
 (** Number of transformable sites a build of this config exposes. *)

@@ -40,13 +40,6 @@ let site_params model impls =
              impls.(site.Conv_impl.site_index))
        0
 
-(* Fisher scores are memoized in the evaluation context keyed on
-   (rebuild seed, impl assignment): random sampling revisits configurations,
-   and a memo hit skips both the rebuild and the probe pass. *)
-let impls_signature seed impls =
-  Printf.sprintf "bs|%d|%s" seed
-    (String.concat ";" (Array.to_list (Array.map Conv_impl.to_string impls)))
-
 let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ~ctx ~rng ~probe
     model =
   let obs = Eval_ctx.obs ctx in
@@ -57,14 +50,13 @@ let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ~ctx ~rng ~pr
   let budget =
     int_of_float (budget_ratio *. float_of_int (site_params model baseline_impls))
   in
-  (* Shared rebuild seed: candidates share the weights of common layers, so
-     Fisher comparisons measure structure (same device as Unified_search). *)
-  let seed = Rng.int rng 1_000_000_000 in
-  let score_of impls =
-    Bounded_cache.remember (Eval_ctx.fisher_cache ctx) (impls_signature seed impls)
-      (fun () -> Fisher.score (Models.rebuild model (Rng.create seed) impls) probe)
-  in
-  let baseline_scores = score_of baseline_impls in
+  (* The search's Fisher oracle: a shared rebuild seed (candidates share the
+     weights of common layers, so Fisher comparisons measure structure) and
+     the memo keyed on the impl vector; random sampling revisits
+     configurations, and a memo hit skips both the rebuild and the pass. *)
+  let oracle = Unified_search.fisher_oracle ~ctx rng model probe in
+  let score_of = Unified_search.fisher_scores ~ctx oracle in
+  let baseline_scores = oracle.Unified_search.fo_reference in
   let best = ref None in
   let sampled = ref 0 in
   for _ = 1 to samples do
@@ -102,7 +94,7 @@ let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ~ctx ~rng ~pr
      shared seed), so memo hits during the sweep never pay a rebuild. *)
   let bs_model =
     if impls == baseline_impls then model
-    else Models.rebuild model (Rng.create seed) impls
+    else Models.rebuild model (Rng.create oracle.fo_seed) impls
   in
   { bs_impls = impls;
     bs_model;

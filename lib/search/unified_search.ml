@@ -37,29 +37,57 @@ let plans_signature plans =
    deterministic and diffable across runs and worker counts. *)
 let sort_quarantine q = List.sort (fun (a, _) (b, _) -> compare a b) q
 
-(* One shared rebuild seed per search: candidates share the weights of every
-   layer they have in common with the reference network (label-addressed
-   initialization), so Fisher differences measure structure, not seed
-   noise.  The score memo lives in the evaluation context (bounded, FIFO);
-   the key embeds the rebuild seed so searches sharing a context never
-   collide. *)
+(* The Fisher oracle.  One shared rebuild seed per search: candidates share
+   the weights of every layer they have in common with the reference
+   network (label-addressed initialization), so Fisher differences measure
+   structure, not seed noise.  Loop steps never change what a network
+   computes, so a score is a pure function of the network, the probe
+   batch, the rebuild seed and the impl vector, and the memo key in the
+   evaluation context names exactly those.  The two digests are taken once
+   per oracle, not once per lookup; the spec digest (not [model.name])
+   tells apart a family built at another scale. *)
 type fisher_oracle = {
-  fo_reference : Fisher.scores;
+  fo_model : Models.t;
+  fo_probe : Train.batch;
   fo_seed : int;
+  fo_prefix : string;
+  fo_reference : Fisher.scores;
 }
 
-let make_oracle rng model probe =
-  let fo_seed = Rng.int rng 1_000_000_000 in
-  let full = Array.map (fun _ -> Conv_impl.Full) model.Models.sites in
-  let reference = Models.rebuild model (Rng.create fo_seed) full in
-  { fo_reference = Fisher.score reference probe; fo_seed }
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
-let oracle_scores ctx oracle model probe plans =
-  let key = Printf.sprintf "%d|%s" oracle.fo_seed (plans_signature plans) in
+let scores_of ~ctx ~prefix ~seed model probe impls =
+  let key =
+    prefix ^ String.concat ";" (Array.to_list (Array.map Conv_impl.to_string impls))
+  in
   Bounded_cache.remember (Eval_ctx.fisher_cache ctx) key (fun () ->
-      let impls = Array.map (fun p -> p.Site_plan.sp_impl) plans in
-      let candidate = Models.rebuild model (Rng.create oracle.fo_seed) impls in
+      let candidate =
+        Models.rebuild ~layers:(Eval_ctx.layer_cache ctx) model (Rng.create seed) impls
+      in
       Fisher.score candidate probe)
+
+(* The reference network is the all-[Full] vector: the same key and the
+   same computation as the all-baseline candidate, so it is one more memo
+   lookup, booked under Fisher in the trace. *)
+let fisher_oracle ~ctx rng model probe =
+  let fo_seed = Rng.int rng 1_000_000_000 in
+  let images = probe.Train.images in
+  let fo_prefix =
+    Printf.sprintf "%s|%s|%d|" (digest model.Models.config)
+      (digest (Tensor.shape images, Tensor.data images, probe.labels))
+      fo_seed
+  in
+  let fo_reference =
+    Obs.with_span (Eval_ctx.obs ctx) "fisher" (fun () ->
+        scores_of ~ctx ~prefix:fo_prefix ~seed:fo_seed model probe
+          (Array.map (fun _ -> Conv_impl.Full) model.Models.sites))
+  in
+  { fo_model = model; fo_probe = probe; fo_seed; fo_prefix; fo_reference }
+
+let fisher_scores ~ctx o impls =
+  scores_of ~ctx ~prefix:o.fo_prefix ~seed:o.fo_seed o.fo_model o.fo_probe impls
+
+let impls_of plans = Array.map (fun p -> p.Site_plan.sp_impl) plans
 
 (* Aggressiveness varies per candidate, so the pool spans mild touch-ups to
    whole-network rewrites. *)
@@ -115,8 +143,8 @@ let typed_pool rng model ~candidates =
    faults.  [Some cand] = survivor, [None] = Fisher-rejected (a healthy
    outcome); every failure mode raises a structured {!Nas_error.Fail} for
    the caller to quarantine. *)
-let eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~probe ~prepared
-    model plans =
+let eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~prepared model
+    plans =
   let obs = Eval_ctx.obs ctx in
   let fault = Eval_ctx.fault ctx in
   if Fault.trip fault ~key:index Fault.Plan_gen then
@@ -146,7 +174,7 @@ let eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~probe ~pre
           plans);
   let legal_total =
     Obs.with_span obs "fisher" (fun () ->
-        let scores = oracle_scores ctx oracle model probe plans in
+        let scores = fisher_scores ~ctx oracle (impls_of plans) in
         let total =
           Fault.corrupt_float fault ~key:index Fault.Fisher_oracle scores.Fisher.total
         in
@@ -190,13 +218,13 @@ type outcome =
    merge exactly (integer adds) and quarantine notes ride between the
    spans, so the merged trace and the [search.*] counters are identical
    for every worker count. *)
-let eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared model
-    index plans =
+let eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~prepared model index
+    plans =
   let obs = Eval_ctx.obs ctx in
   match
     Nas_error.guard (fun () ->
-        eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~probe
-          ~prepared model plans)
+        eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~prepared
+          model plans)
   with
   | Ok (Some cand) ->
       Obs.incr obs "search.cost_ranked";
@@ -318,8 +346,8 @@ let guided_next_round rng model ~seen ~survivors ~room =
    index order), so the result is deterministic for every worker count.
    Checkpointing is not supported — the round state is cheap to recompute
    and a guided run is budget-capped anyway. *)
-let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
-    ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model =
+let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~prepared ~stop ~workers
+    ~schedule ~on_sched_stats ~rng ~limit model =
   let explored = ref 0 in
   let rejected = ref 0 in
   let processed = ref 0 in
@@ -340,8 +368,8 @@ let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
     let eval wctx i =
       if stop () then O_skipped
       else
-        eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
-          model (base + i) arr.(i)
+        eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device ~prepared model
+          (base + i) arr.(i)
     in
     let outcomes =
       if workers <= 1 || Array.length arr <= 1 then
@@ -394,7 +422,7 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   in
   let oracle, pool =
     Obs.with_span obs "generate" (fun () ->
-        let oracle = make_oracle rng model probe in
+        let oracle = fisher_oracle ~ctx rng model probe in
         let pool =
           match strategy with
           | Strategy.Random -> generate_pool rng model ~candidates ~mutate_prob
@@ -408,8 +436,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
     let limit = match budget with Some b -> min candidates b | None -> candidates in
     let best, explored, rejected, quarantine_rev, processed, skipped =
       Obs.with_span obs "evaluate" (fun () ->
-          guided_run ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
-            ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model)
+          guided_run ~ctx ~slack ~static_filter ~oracle ~device ~prepared ~stop
+            ~workers ~schedule ~on_sched_stats ~rng ~limit model)
     in
     Obs.set obs "search.generated" explored;
     Obs.set obs "search.resumed" 0;
@@ -503,8 +531,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
           end
           else begin
             merge_outcome !i
-              (eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~probe ~prepared
-                 model !i pool.(!i));
+              (eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~prepared model
+                 !i pool.(!i));
             incr i;
             if checkpoint <> None && !i mod checkpoint_every = 0 && !i < n then
               save_checkpoint !i
@@ -525,7 +553,7 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
              ~first ~limit (fun wctx i ->
                if stop () then O_skipped
                else
-                 eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device ~probe
+                 eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device
                    ~prepared model i pool.(i))));
   (* Resume point: the first unprocessed index.  When the stop hook fired
      mid-pool, candidates past it that a parallel worker already finished
@@ -560,7 +588,7 @@ let quarantine_counts r = Nas_error.count_classes r.r_quarantined
 let search_multi ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12) ~ctx ~rng
     ~devices ~probe model =
   let start = Unix.gettimeofday () in
-  let oracle = make_oracle rng model probe in
+  let oracle = fisher_oracle ~ctx rng model probe in
   let baseline_fisher = oracle.fo_reference.Fisher.total in
   (* Phase 1 (device-independent): generate the pool and Fisher-filter it,
      quarantining candidates whose scores fail the guards. *)
@@ -572,7 +600,7 @@ let search_multi ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12) ~ctx
     (fun plans ->
       match
         Supervisor.run supervisor ~label:(plans_signature plans) (fun () ->
-            let scores = oracle_scores ctx oracle model probe plans in
+            let scores = fisher_scores ~ctx oracle (impls_of plans) in
             let total =
               Guard.check_float ~source:Nas_error.Fisher_score scores.Fisher.total
             in

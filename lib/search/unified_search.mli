@@ -43,8 +43,37 @@ val random_plans :
     [mutate_prob]. *)
 
 val plans_signature : Site_plan.t array -> string
-(** The per-site plan names joined with [";"] — the key used for Fisher
-    memoization, quarantine attribution and checkpointing. *)
+(** The per-site plan names joined with [";"] — the key used for
+    quarantine attribution, guided-round deduplication and served answers.
+    Fisher memoization does not use it: loop steps change the name but not
+    the score (see {!fisher_oracle}). *)
+
+(** {2 The Fisher oracle} *)
+
+type fisher_oracle = private {
+  fo_model : Models.t;  (** the network whose candidates are scored *)
+  fo_probe : Train.batch;  (** the fixed probe minibatch *)
+  fo_seed : int;  (** the rebuild seed every candidate shares *)
+  fo_prefix : string;
+      (** [<digest of Models.config>|<digest of probe images and
+          labels>|<rebuild seed>|], the memo-key prefix *)
+  fo_reference : Fisher.scores;  (** the all-[Full] network's scores *)
+}
+(** Everything a Fisher score depends on besides the per-site
+    implementation vector.  A candidate's score is a pure function of the
+    network, the probe batch, the rebuild seed and that vector (loop steps
+    never change what a network computes), so the memo key in
+    {!Eval_ctx.fisher_cache} is [fo_prefix] followed by the vector. *)
+
+val fisher_oracle : ctx:Eval_ctx.t -> Rng.t -> Models.t -> Train.batch -> fisher_oracle
+(** Draws the rebuild seed (the generator's first draw), digests the
+    network spec and the probe once, and scores the reference network as
+    a memo lookup of the all-[Full] vector inside a [fisher] span. *)
+
+val fisher_scores : ctx:Eval_ctx.t -> fisher_oracle -> Conv_impl.t array -> Fisher.scores
+(** The memoized score of one implementation vector.  A miss rebuilds the
+    candidate through [ctx]'s layer cache ({!Eval_ctx.layer_cache}) and
+    runs {!Fisher.score}; the result is bit-identical to a fresh rebuild. *)
 
 val search :
   ?candidates:int ->

@@ -312,4 +312,7 @@ let () =
         [ quick "filter matches dynamic sweep" t_candidate_filter_matches_dynamic_sweep;
           quick "static filter bit-identical" t_static_filter_bit_identical;
           quick "analyze finds illegal plan" t_analyze_model_illegal_plan ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

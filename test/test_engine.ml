@@ -115,6 +115,37 @@ let t_fisher_memo_bounded () =
   Alcotest.(check bool) "fisher memo evicted FIFO" true (fs.cs_evictions > 0);
   Alcotest.(check bool) "fisher memo was exercised" true (fs.cs_misses > 0)
 
+(* --- fisher memo key ------------------------------------------------------ *)
+
+(* The Fisher memo key names the network.  wideresnet16_4 and se_resnet14
+   expose the same number of sites, so under one seed their candidates'
+   plan signatures coincide: a key without the network served the first
+   search's scores to the second.  The second search on the shared context
+   must match a fresh context's run bit for bit. *)
+let t_fisher_key_names_network () =
+  let run ctx name =
+    let rng = Rng.create 3 in
+    let model = Models.build (Option.get (Zoo.spec name)) rng in
+    let probe =
+      Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size
+    in
+    Unified_search.search ~candidates:12 ~ctx ~rng:(Rng.split rng) ~device:Device.i7
+      ~probe model
+  in
+  let shared = Eval_ctx.create () in
+  ignore (run shared "se_resnet14");
+  let after = run shared "wideresnet16_4" in
+  let fresh = run (Eval_ctx.create ()) "wideresnet16_4" in
+  let best r = r.Unified_search.r_best in
+  Alcotest.(check string) "same winner"
+    (Unified_search.plans_signature (best fresh).Unified_search.cd_plans)
+    (Unified_search.plans_signature (best after).Unified_search.cd_plans);
+  Alcotest.(check int) "same Fisher rejections" fresh.Unified_search.r_rejected
+    after.Unified_search.r_rejected;
+  Alcotest.(check int64) "same winner Fisher bits"
+    (Int64.bits_of_float (best fresh).Unified_search.cd_fisher)
+    (Int64.bits_of_float (best after).Unified_search.cd_fisher)
+
 (* --- parallel evaluation ------------------------------------------------- *)
 
 let t_map_range_order () =
@@ -378,6 +409,7 @@ let () =
         [ quick "isolation" t_ctx_isolation;
           quick "fork" t_ctx_fork;
           quick "fisher memo bounded" t_fisher_memo_bounded;
+          quick "fisher key names the network" t_fisher_key_names_network;
           quick "cache warmth never changes a result" t_warmth_never_changes_result ] );
       ( "parallel",
         [ quick "map_range order" t_map_range_order;

@@ -66,23 +66,25 @@ let zoo_model name =
   (model, Exp_common.probe_batch (Rng.create 1) ~input_size:model.Models.input_size)
 
 (* A seeded candidate: a valid implementation drawn for every site. *)
-let candidate model seed =
+let candidate_impls model seed =
   let r = Rng.create seed in
-  let impls =
-    Array.map
-      (fun site ->
-        let options = Array.of_list (Conv_impl.all_options site) in
-        options.(Rng.int r (Array.length options)))
-      model.Models.sites
-  in
-  Models.rebuild model (Rng.create (1000 + seed)) impls
+  Array.map
+    (fun site ->
+      let options = Array.of_list (Conv_impl.all_options site) in
+      options.(Rng.int r (Array.length options)))
+    model.Models.sites
+
+let candidate model seed =
+  Models.rebuild model (Rng.create (1000 + seed)) (candidate_impls model seed)
+
+let score_bits m probe =
+  let s = Fisher.score m probe in
+  (Int64.bits_of_float s.Fisher.total, Array.map Int64.bits_of_float s.per_site)
 
 let golden_scores name =
   let model, probe = zoo_model name in
   model :: List.map (candidate model) [ 1; 2; 3; 4 ]
-  |> List.map (fun m ->
-         let s = Fisher.score m probe in
-         (Int64.bits_of_float s.Fisher.total, Array.map Int64.bits_of_float s.per_site))
+  |> List.map (fun m -> score_bits m probe)
 
 let golden_bits =
   [
@@ -185,6 +187,95 @@ let t_activation_only_backward () =
         [ model; candidate model 5 ])
     [ "resnet18"; "mobilenet_small"; "densenet161" ]
 
+(* --- shared layers --------------------------------------------------------- *)
+
+let full_impls model = Array.map (fun _ -> Conv_impl.Full) model.Models.sites
+
+(* [cached] holds bit for bit the parameter values of [fresh], and none of
+   its parameters carries a gradient. *)
+let check_params what cached fresh =
+  let bits p = Array.map Int64.bits_of_float (Tensor.data p.Layer.p_value) in
+  let pc = Graph.params cached.Models.graph and pf = Graph.params fresh.Models.graph in
+  Alcotest.(check int) (what ^ ": parameter count") (List.length pf) (List.length pc);
+  List.iter2
+    (fun (c : Layer.param) (f : Layer.param) ->
+      let what = what ^ ": " ^ c.p_name in
+      Alcotest.(check string) (what ^ " name") f.p_name c.p_name;
+      Alcotest.(check (array int)) (what ^ " shape") (Tensor.shape f.p_value)
+        (Tensor.shape c.p_value);
+      Alcotest.(check (array int64)) (what ^ " value bits") (bits f) (bits c);
+      Alcotest.(check bool) (what ^ " gradient zero") true
+        (Array.for_all (fun x -> x = 0.0) (Tensor.data c.p_grad)))
+    pc pf
+
+(* Rebuilding through a layer cache, as the Fisher oracle does, gives the
+   fresh rebuild's graph and Fisher bits; after every pass has run, each
+   shared parameter still holds its initial value and no gradient, so
+   neither the forward pass nor the activation-only backward writes one. *)
+let t_shared_layers_match_fresh () =
+  List.iter
+    (fun (name, _) ->
+      let model, probe = zoo_model name in
+      let layers = Builder.layer_cache () in
+      let built =
+        List.mapi
+          (fun i impls ->
+            let what = Printf.sprintf "%s candidate %d" name i in
+            let cached = Models.rebuild ~layers model (Rng.create 1000) impls in
+            let fresh = Models.rebuild model (Rng.create 1000) impls in
+            Alcotest.(check string) (what ^ " digest") (Models.graph_digest fresh)
+              (Models.graph_digest cached);
+            Alcotest.(check (pair int64 (array int64))) (what ^ " Fisher bits")
+              (score_bits fresh probe) (score_bits cached probe);
+            (what, cached, fresh))
+          (full_impls model :: List.map (candidate_impls model) [ 1; 2 ])
+      in
+      List.iter (fun (what, cached, fresh) -> check_params what cached fresh) built;
+      let stem (_, m, _) = List.hd (Graph.params m.Models.graph) in
+      Alcotest.(check bool) (name ^ ": layers are shared") true
+        (stem (List.nth built 0) == stem (List.nth built 1)))
+    golden_bits
+
+(* After a whole search, every layer the search's context cached is intact:
+   rebuilding through that cache under every implementation any site can
+   take (so every cached layer is reached) yields bit for bit the fresh
+   rebuild's values, with no gradient. *)
+let t_search_leaves_shared_layers_intact () =
+  List.iter
+    (fun (name, _) ->
+      let model, probe = zoo_model name in
+      let ctx = Eval_ctx.create () in
+      let rng = Rng.create 11 in
+      let r =
+        Unified_search.search ~candidates:8 ~ctx ~rng:(Rng.copy rng) ~device:Device.i7
+          ~probe model
+      in
+      Alcotest.(check bool) (name ^ ": search completed") true r.Unified_search.r_complete;
+      let seed = (Unified_search.fisher_oracle ~ctx rng model probe).fo_seed in
+      let options =
+        Array.to_list model.Models.sites
+        |> List.concat_map (fun site ->
+               Conv_impl.all_options site
+               @ List.map
+                   (fun q -> (Sequences.plan q).Site_plan.sp_impl)
+                   (Sequences.standard_menu site @ Sequences.typed_menu site))
+        |> List.sort_uniq compare
+      in
+      List.iter
+        (fun o ->
+          let impls =
+            Array.map
+              (fun site -> if Conv_impl.valid site o then o else Conv_impl.Full)
+              model.Models.sites
+          in
+          check_params
+            (name ^ " " ^ Conv_impl.to_string o)
+            (Models.rebuild ~layers:(Eval_ctx.layer_cache ctx) model (Rng.create seed)
+               impls)
+            (Models.rebuild model (Rng.create seed) impls))
+        options)
+    golden_bits
+
 let t_clipped_total () =
   let mk per_site =
     { Fisher.per_site; total = Array.fold_left ( +. ) 0.0 per_site }
@@ -228,9 +319,44 @@ let t_zeroed_network_scores_lower () =
   Alcotest.(check bool) "some level loses capacity" true
     (List.exists (fun r -> r < 0.95) ratios)
 
+let resnet18_probe = lazy (zoo_model "resnet18")
+
+let impls_of plans = Array.map (fun p -> p.Site_plan.sp_impl) plans
+
 let qcheck_tests =
   let open QCheck in
-  [ Test.make ~name:"clipped total never exceeds baseline total" ~count:100
+  [ (* Loop steps change how a network is computed, never what it
+       computes: the Fisher memo key rests on this. *)
+    Test.make ~name:"loop-only plan edits leave Fisher scores unchanged" ~count:6
+      (int_bound 100_000)
+      (fun seed ->
+        let model, probe = Lazy.force resnet18_probe in
+        let r = Rng.create seed in
+        let plans = Unified_search.random_plans r model ~mutate_prob:0.5 in
+        let loop_edit site (p : Site_plan.t) =
+          match
+            List.filter
+              (fun (q : Site_plan.t) -> q.sp_impl = p.sp_impl && q.sp_name <> p.sp_name)
+              (List.map Sequences.plan (Sequences.standard_menu site))
+          with
+          | [] ->
+              Site_plan.make
+                ~hints:{ Autotune.h_unroll_co = Some 4; h_spatial_split = Some 2 }
+                ~name:(p.sp_name ^ ">unroll(4)") p.sp_impl
+          | qs -> Rng.choice_list r qs
+        in
+        let edited = Array.mapi (fun i p -> loop_edit model.Models.sites.(i) p) plans in
+        let bits plans =
+          score_bits (Models.rebuild model (Rng.create seed) (impls_of plans)) probe
+        in
+        Unified_search.plans_signature plans <> Unified_search.plans_signature edited
+        && bits plans = bits edited);
+    Test.make ~name:"per-site Fisher scores are non-negative" ~count:4 (int_bound 100_000)
+      (fun seed ->
+        let model, probe = Lazy.force resnet18_probe in
+        let plans = Unified_search.random_plans (Rng.create seed) model ~mutate_prob:0.5 in
+        let s = Fisher.score (Models.rebuild model (Rng.create seed) (impls_of plans)) probe in
+        Array.for_all (fun v -> v >= 0.0) s.Fisher.per_site); Test.make ~name:"clipped total never exceeds baseline total" ~count:100
       (list_of_size (Gen.return 6) (pair (float_bound_exclusive 10.0) (float_bound_exclusive 10.0)))
       (fun pairs ->
         let pairs = List.map (fun (a, b) -> (a +. 0.01, b +. 0.01)) pairs in
@@ -264,7 +390,10 @@ let () =
           quick "deterministic" t_deterministic;
           quick "aggressive grouping scores lower" t_zeroed_network_scores_lower;
           quick "golden score bits" t_golden_bits;
-          quick "activation-only backward" t_activation_only_backward ] );
+          quick "activation-only backward" t_activation_only_backward;
+          quick "shared layers match a fresh rebuild" t_shared_layers_match_fresh;
+          quick "a search leaves shared layers intact"
+            t_search_leaves_shared_layers_intact ] );
       ( "legality",
         [ quick "clipped total" t_clipped_total;
           quick "simple threshold" t_legal_simple ] );

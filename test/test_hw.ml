@@ -181,4 +181,7 @@ let () =
           quick "lru" t_cache_lru;
           quick "program trace" t_cache_program_counts;
           quick "locality ordering" t_locality_schedule_fewer_misses ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

@@ -264,4 +264,7 @@ let () =
           quick "input bottleneck (sec 2.3)" t_input_bottleneck_via_interchange;
           quick "spatial bottleneck prefix" t_spatial_bottleneck_subset ] );
       ("printer", [ quick "smoke" t_printer_smoke ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

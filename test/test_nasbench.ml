@@ -113,4 +113,7 @@ let () =
         [ quick "record fields" t_evaluate_cell_record;
           quick "distinct samples" t_sample_space_distinct;
           quick "fisher tracks capacity" t_conv_rich_cells_score_higher_fisher ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

@@ -318,4 +318,7 @@ let () =
           quick "encode inverts decode" t_encode_inverse_of_decode;
           quick "encode rejects cut points" t_encode_rejects_out_of_range;
           quick "encode rejects cross-group" t_encode_rejects_cross_group ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

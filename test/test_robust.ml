@@ -381,4 +381,7 @@ let () =
           quick "checkpoint resume" t_search_checkpoint_resume ] );
       ( "cache",
         [ quick "bounded" t_cache_bounded; quick "stats" t_cache_stats_counts ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

@@ -273,4 +273,7 @@ let () =
         [ quick "budget" t_blockswap_respects_budget;
           quick "menu restricted" t_blockswap_menu_excludes_sequences ] );
       ( "pareto", [ quick "dominance" t_pareto_dominance; quick "front" t_pareto_front ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          qcheck_tests ) ]

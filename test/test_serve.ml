@@ -690,6 +690,46 @@ let t_server_cold_start_on_corrupt_snapshot () =
   Sys.remove path;
   Alcotest.(check bool) "recovered snapshot warms the restart" true (warm > 0)
 
+(* A snapshot of the first schema keyed Fisher scores by seed and plan
+   names only, which collides across networks.  Its layout is unchanged, so
+   only the schema tag tells it apart: it must be refused as foreign and
+   the server must cold-start. *)
+type v1_snapshot = {
+  v1_schema : string;
+  v1_cost : (string * float) list;
+  v1_fisher : (string * Fisher.scores) list;
+}
+
+let t_server_refuses_v1_snapshot () =
+  let path = tmp_path "nas_pte_test_serve_v1.bin" in
+  (match
+     Checkpoint.save ~path
+       { v1_schema = "nas-pte-shared-caches-v1";
+         v1_cost = [ ("w1", 1.5) ];
+         v1_fisher = [ ("7|baseline", { Fisher.per_site = [| 1.0 |]; total = 1.0 }) ] }
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Nas_error.to_string e));
+  (match Eval_ctx.load_caches ~path (Eval_ctx.create ()) with
+  | Error (Nas_error.Checkpoint_error msg) ->
+      Alcotest.(check bool) "refused as foreign" true
+        (String.ends_with ~suffix:"foreign cache snapshot" msg)
+  | Error e -> Alcotest.failf "wrong class %s" (Nas_error.class_name e)
+  | Ok n -> Alcotest.failf "loaded %d entries from a v1 snapshot" n);
+  let srv =
+    Server.create
+      ~config:{ Server.default_config with cf_workers = 1; cf_cache_file = Some path }
+      ()
+  in
+  let st = Server.stats srv in
+  ignore (Server.shutdown srv);
+  Sys.remove path;
+  Alcotest.(check int) "cold start" 0 st.Server.st_warm_entries;
+  match st.Server.st_cache_error with
+  | Some (Nas_error.Checkpoint_error _) -> ()
+  | Some e -> Alcotest.failf "wrong class %s" (Nas_error.class_name e)
+  | None -> Alcotest.fail "v1 snapshot went unreported"
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "serve"
@@ -729,4 +769,5 @@ let () =
           quick "queue wait expires deadline" t_server_queue_wait_expires_deadline;
           quick "bad requests" t_server_bad_requests;
           quick "cold start on corrupt snapshot"
-            t_server_cold_start_on_corrupt_snapshot ] ) ]
+            t_server_cold_start_on_corrupt_snapshot;
+          quick "refuses a v1 snapshot" t_server_refuses_v1_snapshot ] ) ]
