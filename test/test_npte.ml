@@ -87,6 +87,74 @@ let t_spatial_bneck_chain_is_semantic_changing () =
         (Poly.points s)
   | _ -> Alcotest.fail "one schedule expected"
 
+(* --- Golden menus ------------------------------------------------------ *)
+
+(* Every site menu of every registered family at every scale (build seed
+   42), pinned as one MD5 per family and scale over the names of
+   [Sequences.standard_menu], [Sequences.typed_menu] and
+   [Conv_impl.all_options] at each site, in site order.  Recorded before the
+   menus were derived from [Conv_impl.valid]; any drift is a change to the
+   search space and must be deliberate. *)
+let menu_digest (e : Zoo.entry) scale =
+  let m = Models.build (e.Zoo.ze_spec scale) (Rng.create 42) in
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (fun site ->
+      let line names = Buffer.add_string buf (String.concat "," names ^ "\n") in
+      line (List.map Sequences.name (Sequences.standard_menu site));
+      line (List.map Sequences.name (Sequences.typed_menu site));
+      line (List.map Conv_impl.to_string (Conv_impl.all_options site)))
+    m.Models.sites;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_menus =
+  [
+    ("resnet18", "search", "b9210976980d03e291dc640f066d7af7");
+    ("resnet18", "train", "f12e34f1d86e8d2711f5db9c5af6e3af");
+    ("resnet18", "imagenet", "b9210976980d03e291dc640f066d7af7");
+    ("resnet34", "search", "550458749f3c8d6c63cabb5c85e7b89d");
+    ("resnet34", "train", "bd7d5ca1ded97f6a5369c0dd0356c2cd");
+    ("resnet34", "imagenet", "550458749f3c8d6c63cabb5c85e7b89d");
+    ("resnext29", "search", "c2d67bbce8ca5785f126e1d0914fdef9");
+    ("resnext29", "train", "56a5601fcd381d0816994aedb712de52");
+    ("resnext29", "imagenet", "57ad6f684b9fe263e93b0ce909567a4a");
+    ("densenet161", "search", "bc458fcdfcd80591fc08bc17101eea30");
+    ("densenet161", "train", "e23de3d0181b39ec63a0aa8ff7f14162");
+    ("densenet161", "imagenet", "a7f0e4e20e0aa0e27094fd683235a1f0");
+    ("densenet169", "search", "b72229985337418e360f6e5223fecf5b");
+    ("densenet169", "train", "ac5a8a592f12c460520b018338cb3b43");
+    ("densenet169", "imagenet", "e6ac4e84ead6301d8ec260cc775edc3b");
+    ("densenet201", "search", "6c4fc573ba480bab749d300517cff09e");
+    ("densenet201", "train", "432820f09467a907e65c6df1049cf306");
+    ("densenet201", "imagenet", "c2f34ebf48bc3a449064cbd4fd387b06");
+    ("wideresnet16_4", "search", "e005a42066d0bdbf1d0a31d280e6abbe");
+    ("wideresnet16_4", "train", "234992aaae100411ddef21c845bdbf1f");
+    ("wideresnet16_4", "imagenet", "93c9c355b3b673d71db76bbd3d10c828");
+    ("mobilenet_small", "search", "4f121ba7b4440b769db36f62f2da43ce");
+    ("mobilenet_small", "train", "de21f658042361d923ec2e171134f9d7");
+    ("mobilenet_small", "imagenet", "d6c50fa82161b007a75b02dbadce0e9b");
+    ("resnext29_c4", "search", "be40f5f3cb199241da665adb6ae457af");
+    ("resnext29_c4", "train", "df079892552b31ec56907280487a83ef");
+    ("resnext29_c4", "imagenet", "1aea81331c63b6f22ba1201b26090959");
+    ("se_resnet14", "search", "f0eea33495ebfda6aa97399c4a75f745");
+    ("se_resnet14", "train", "2a9399f2dc463d8a90bbafd795e95de3");
+    ("se_resnet14", "imagenet", "1a0c36791c170e271582737c2ebf0c23");
+    ("resnet14_dil2", "search", "9d0b4cdd5a0de161048ac351dd09e413");
+    ("resnet14_dil2", "train", "cc1077c173331250356c4054656e5095");
+    ("resnet14_dil2", "imagenet", "a581d0e751198e1ff2ee9eeb36cc2790") ]
+
+let scales = [ (`Search, "search"); (`Train, "train"); (`Imagenet, "imagenet") ]
+
+let t_golden_menus () =
+  Alcotest.(check int) "every family and scale pinned"
+    (3 * List.length Zoo.all) (List.length golden_menus);
+  List.iter
+    (fun (name, sname, digest) ->
+      let e = Option.get (Zoo.find name) in
+      let scale = fst (List.find (fun (_, n) -> n = sname) scales) in
+      Alcotest.(check string) (name ^ "/" ^ sname ^ " menus") digest (menu_digest e scale))
+    golden_menus
+
 (* --- Pipeline ---------------------------------------------------------- *)
 
 let t_pipeline_baseline_positive () =
@@ -182,7 +250,8 @@ let () =
           quick "dominance" t_dominant_classification ] );
       ( "sequences",
         [ quick "schedule MACs = plan MACs" t_schedules_match_mac_accounting;
-          quick "spatial bottleneck chain" t_spatial_bneck_chain_is_semantic_changing ] );
+          quick "spatial bottleneck chain" t_spatial_bneck_chain_is_semantic_changing;
+          quick "golden menus" t_golden_menus ] );
       ( "pipeline",
         [ quick "baseline positive" t_pipeline_baseline_positive;
           quick "grouping faster+smaller" t_pipeline_grouping_faster_and_smaller;
