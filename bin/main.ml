@@ -122,15 +122,6 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let static_filter_arg =
-  let doc =
-    "Vet candidate plans with the static analyzer before any Fisher \
-     evaluation (default true).  The static and dynamic validity checks \
-     are equivalent, so the search result is bit-identical either way; \
-     the filter adds the analysis.static_reject counter to the report."
-  in
-  Arg.(value & opt bool true & info [ "static-filter" ] ~docv:"BOOL" ~doc)
-
 let analyze_arg =
   let doc =
     "Do not search: run the static analyzer (dependence direction vectors, \
@@ -280,8 +271,8 @@ let typecheck_model ppf model plan_spec =
 
 let search_cmd =
   let run network device candidates seed resilient fault_rate fault_seed checkpoint
-      checkpoint_every budget workers schedule cache_cap trace metrics static_filter
-      analyze plan typecheck strategy =
+      checkpoint_every budget workers schedule cache_cap trace metrics analyze plan
+      typecheck strategy =
     let strategy =
       match Strategy.of_string strategy with
       | Some t -> t
@@ -338,7 +329,7 @@ let search_cmd =
     if strategy <> Strategy.Random then
       Format.fprintf ppf "strategy:  %s@." (Strategy.to_string strategy);
     let r =
-      Unified_search.search ~candidates ~static_filter ?budget ?checkpoint
+      Unified_search.search ~candidates ?budget ?checkpoint
         ~checkpoint_every ~workers ~schedule ~strategy ~ctx ~rng:(Rng.split rng)
         ~device:dev ~probe model
     in
@@ -404,7 +395,7 @@ let search_cmd =
     Term.(const run $ network_arg $ device_arg $ candidates_arg $ seed_arg
           $ resilient_arg $ fault_rate_arg $ fault_seed_arg $ checkpoint_arg
           $ checkpoint_every_arg $ budget_arg $ workers_arg $ schedule_arg
-          $ cache_cap_arg $ trace_arg $ metrics_arg $ static_filter_arg $ analyze_arg
+          $ cache_cap_arg $ trace_arg $ metrics_arg $ analyze_arg
           $ plan_arg $ typecheck_arg $ strategy_arg)
 
 let nas_cmd =

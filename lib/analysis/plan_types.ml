@@ -414,8 +414,6 @@ let lint (t : Poly.t) steps =
 
 (* --- rule inversion ----------------------------------------------------- *)
 
-let divisors_gt1 e = List.filter (fun d -> e mod d = 0) (List.init (max 0 (e - 1)) (fun i -> i + 2))
-
 let well_typed env s = match infer env s with Ok _ -> true | Error _ -> false
 
 let rec permutations = function
@@ -445,7 +443,7 @@ let choices_by_kind env =
   let splits mk =
     keep
       (List.concat_map
-         (fun i -> List.map (fun f -> mk i f) (divisors_gt1 (List.nth extents i)))
+         (fun i -> List.map (fun f -> mk i f) (Divisors.gt1 (List.nth extents i)))
          dims)
   in
   let fuses = keep (List.map (fun i -> Plan_lint.Fuse i) dims) in
@@ -463,13 +461,13 @@ let choices_by_kind env =
   let groups =
     match (List.assoc_opt "co" env.te_domain, List.assoc_opt "ci" env.te_domain) with
     | Some eco, Some eci ->
-        keep (List.map (fun f -> Plan_lint.Group f) (divisors_gt1 (min eco eci)))
+        keep (List.map (fun f -> Plan_lint.Group f) (Divisors.gt1 (min eco eci)))
     | _ -> []
   in
   let bottlenecks =
     keep
       (List.concat_map
-         (fun (it, e) -> List.map (fun f -> Plan_lint.Bottleneck (it, f)) (divisors_gt1 e))
+         (fun (it, e) -> List.map (fun f -> Plan_lint.Bottleneck (it, f)) (Divisors.gt1 e))
          env.te_domain)
   in
   let depthwises = keep [ Plan_lint.Depthwise ] in

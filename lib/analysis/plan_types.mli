@@ -92,10 +92,6 @@ val check :
     [Unknown] direction verdict is conservatively rejected with code
     ["legality-unknown"]. *)
 
-val divisors_gt1 : int -> int list
-(** Divisors of [e] greater than 1, ascending — the inverted image of
-    every divisibility side condition. *)
-
 val choices : env -> Plan_lint.step list
 (** Every well-typed step at [env], by rule inversion: factors range over
     divisor sets, dimensions over the loop range, iterators over the

@@ -141,7 +141,7 @@ let bounds_check (prog : Loop_nest.program) =
 
 (* Internal consistency of a site record as emitted by the block algebra:
    every check here is independent of the implementation choice, so it
-   complements [check_impl] (which judges an implementation against an
+   complements [Conv_impl.valid] (which judges an implementation against an
    assumed-well-formed site). *)
 let check_site (site : Conv_impl.site) =
   let ci = site.Conv_impl.in_channels and co = site.Conv_impl.out_channels in
@@ -184,119 +184,3 @@ let check_site (site : Conv_impl.site) =
         "site %s: stride %d does not tile the %d-wide input plane"
         site.Conv_impl.site_label site.Conv_impl.stride site.Conv_impl.spatial_in ]
   else []
-
-(* Mirrors [Conv_impl.valid] conjunct by conjunct: this function returns []
-   exactly when [valid] returns true (asserted by a test), but names the
-   violated condition.  Division guards follow [valid]'s short-circuit
-   order so both functions fail identically on degenerate sites. *)
-let check_impl (site : Conv_impl.site) (impl : Conv_impl.t) =
-  let ci = site.Conv_impl.in_channels and co = site.Conv_impl.out_channels in
-  let g0 = site.Conv_impl.groups in
-  match impl with
-  | Conv_impl.Full -> []
-  | Conv_impl.Grouped g ->
-      if g <= g0 then
-        [ Diagnostic.error ~code:"degenerate-groups"
-            "group count %d does not refine the baseline grouping %d" g g0 ]
-      else
-        (if ci mod g <> 0 then
-           [ Diagnostic.error ~code:"indivisible-channel"
-               "group count %d does not divide the input channels %d" g ci ]
-         else [])
-        @
-        if co mod g <> 0 then
-          [ Diagnostic.error ~code:"indivisible-channel"
-              "group count %d does not divide the output channels %d" g co ]
-        else []
-  | Conv_impl.Bottleneck b ->
-      if b <= 1 then
-        [ Diagnostic.error ~code:"degenerate-factor"
-            "bottleneck factor %d is degenerate (must exceed 1)" b ]
-      else if co mod b <> 0 then
-        [ Diagnostic.error ~code:"indivisible-channel"
-            "bottleneck factor %d does not divide the output channels %d" b co ]
-      else
-        (if co / b mod g0 <> 0 then
-           [ Diagnostic.error ~code:"group-divisibility"
-               "bottleneck width %d is not divisible by the baseline grouping %d"
-               (co / b) g0 ]
-         else [])
-        @
-        if co / b < g0 then
-          [ Diagnostic.error ~code:"group-divisibility"
-              "bottleneck width %d is narrower than the baseline grouping %d" (co / b)
-              g0 ]
-        else []
-  | Conv_impl.Depthwise_separable ->
-      (if site.Conv_impl.kernel <= 1 then
-         [ Diagnostic.error ~code:"pointless-depthwise"
-             "depthwise separation of a %dx%d kernel saves nothing"
-             site.Conv_impl.kernel site.Conv_impl.kernel ]
-       else [])
-      @
-      if g0 <> 1 then
-        [ Diagnostic.error ~code:"degenerate-groups"
-            "depthwise separation requires an ungrouped baseline, got groups=%d" g0 ]
-      else []
-  | Conv_impl.Spatial_bottleneck b ->
-      if b <= 1 then
-        [ Diagnostic.error ~code:"degenerate-factor"
-            "spatial bottleneck factor %d is degenerate (must exceed 1)" b ]
-      else
-        let so = Conv_impl.spatial_out site in
-        (if so mod b <> 0 then
-           [ Diagnostic.error ~code:"indivisible-extent"
-               "spatial bottleneck factor %d does not divide the output plane %d" b so ]
-         else [])
-        @ (if so / b < 1 then
-             [ Diagnostic.error ~code:"indivisible-extent"
-                 "spatial bottleneck factor %d collapses the %d-wide output plane" b so ]
-           else [])
-        @
-        if site.Conv_impl.spatial_in mod (site.Conv_impl.stride * b) <> 0 then
-          [ Diagnostic.error ~code:"indivisible-extent"
-              "combined stride %d does not divide the input plane %d"
-              (site.Conv_impl.stride * b)
-              site.Conv_impl.spatial_in ]
-        else []
-  | Conv_impl.Split_grouped (g1, g2) ->
-      let structural =
-        (if co mod 2 <> 0 then
-           [ Diagnostic.error ~code:"indivisible-channel"
-               "cannot halve the odd output-channel count %d" co ]
-         else [])
-        @ (if g1 < g0 then
-             [ Diagnostic.error ~code:"degenerate-groups"
-                 "first group count %d is below the baseline grouping %d" g1 g0 ]
-           else [])
-        @ (if g2 < g0 then
-             [ Diagnostic.error ~code:"degenerate-groups"
-                 "second group count %d is below the baseline grouping %d" g2 g0 ]
-           else [])
-        @
-        if g1 = g2 then
-          [ Diagnostic.error ~code:"degenerate-groups"
-              "split-grouped halves use the same group count %d (use grouped instead)"
-              g1 ]
-        else []
-      in
-      if structural <> [] then structural
-      else
-        let half = co / 2 in
-        (if ci mod g1 <> 0 then
-           [ Diagnostic.error ~code:"indivisible-channel"
-               "group count %d does not divide the input channels %d" g1 ci ]
-         else [])
-        @ (if ci mod g2 <> 0 then
-             [ Diagnostic.error ~code:"indivisible-channel"
-                 "group count %d does not divide the input channels %d" g2 ci ]
-           else [])
-        @ (if half mod g1 <> 0 then
-             [ Diagnostic.error ~code:"indivisible-channel"
-                 "group count %d does not divide the half-width %d" g1 half ]
-           else [])
-        @
-        if half mod g2 <> 0 then
-          [ Diagnostic.error ~code:"indivisible-channel"
-              "group count %d does not divide the half-width %d" g2 half ]
-        else []

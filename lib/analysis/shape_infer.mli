@@ -2,10 +2,10 @@
 
     Propagates the dimensions of a {!Loop_nest.conv_nest} through the
     neural transformations a schedule applies (bottleneck, group,
-    depthwise) and through {!Conv_impl.t} replacements, flagging channel
-    and group divisibility violations before anything is lowered or run.
-    Also bounds-checks the quasi-affine accesses of a lowered program by
-    interval arithmetic on its index terms. *)
+    depthwise), flagging channel and group divisibility violations before
+    anything is lowered or run.  Also checks that a site record is
+    internally consistent, and bounds-checks the quasi-affine accesses of a
+    lowered program by interval arithmetic on its index terms. *)
 
 type t = {
   sh_co : int;
@@ -42,12 +42,6 @@ val check_site : Conv_impl.site -> Diagnostic.t list
     implementation choice: positive extents, baseline grouping dividing
     both channel counts, stride tiling the input plane.  The zoo gate runs
     this over every site of every registered family. *)
-
-val check_impl : Conv_impl.site -> Conv_impl.t -> Diagnostic.t list
-(** Diagnostic form of {!Conv_impl.valid}: empty exactly when the
-    implementation choice is valid for the site, otherwise one diagnostic
-    per violated side condition (divisibility, degenerate group counts,
-    bottleneck width vs. baseline grouping). *)
 
 val index_max : Loop_nest.lir_loop array -> Loop_nest.index -> int
 (** Tight upper bound of a quasi-affine index over the loop space. *)

@@ -11,20 +11,22 @@ let nest_of_site (site : Conv_impl.site) =
     nc_stride = site.Conv_impl.stride;
     nc_groups = site.Conv_impl.groups }
 
-(* The pre-Fisher candidate filter.  Scans sites in index order and
-   returns the first one whose plan the shape analysis rejects — the same
-   site the dynamic [Site_plan.valid] sweep would trip over, because
-   [Shape_infer.check_impl] is diagnostically equivalent to
-   [Conv_impl.valid].  [None] means the candidate passes the filter. *)
+(* The pre-Fisher candidate filter: the first site, in index order, whose
+   implementation [Conv_impl.valid] rejects.  [None] means the candidate
+   passes. *)
 let candidate (model : Models.t) (plans : Site_plan.t array) =
   let n = Array.length plans in
   let rec scan i =
     if i >= n then None
     else
-      let diags =
-        Shape_infer.check_impl model.Models.sites.(i) plans.(i).Site_plan.sp_impl
-      in
-      if List.exists Diagnostic.is_error diags then Some (i, diags) else scan (i + 1)
+      let site = model.Models.sites.(i) and impl = plans.(i).Site_plan.sp_impl in
+      if Conv_impl.valid site impl then scan (i + 1)
+      else
+        Some
+          ( i,
+            [ Diagnostic.error ~code:"illegal-transformation"
+                "%s violates the side conditions of site %s" (Conv_impl.to_string impl)
+                site.Conv_impl.site_label ] )
   in
   scan 0
 
@@ -142,9 +144,7 @@ let analyze_model ?plan (model : Models.t) =
          let nest = nest_of_site site in
          let label = site.Conv_impl.site_label in
          let idx = site.Conv_impl.site_index in
-         let impl_diags =
-           Shape_infer.check_impl site model.Models.impls.(idx)
-           @
+         let site_diags =
            match Loop_nest.baseline_schedule nest with
            | s ->
                Shape_infer.check_schedule
@@ -155,13 +155,13 @@ let analyze_model ?plan (model : Models.t) =
                    "baseline schedule rejected: %s" msg ]
          in
          let head =
-           if impl_diags = [] then []
+           if site_diags = [] then []
            else
              [ { sr_site = idx;
                  sr_label = label;
                  sr_subject = "site";
                  sr_verdict = Direction.Legal;
-                 sr_diags = impl_diags } ]
+                 sr_diags = site_diags } ]
          in
          head
          @

@@ -1,12 +1,12 @@
 (** Entry points tying the static analyzers to the search stack.
 
-    [candidate] is the pre-Fisher filter used by [Unified_search]: a purely
-    static validity scan over a candidate's per-site plans that finds the
-    same first-invalid site the dynamic [Site_plan.valid] sweep would.
-    [analyze_model] drives the CLI's [--analyze] mode: it runs direction-
-    vector legality, shape inference and access bounds checking over every
-    transformable site of a model, either for the standard sequence menu
-    or for one explicit plan. *)
+    [candidate] is the pre-Fisher filter used by [Unified_search]: a scan of
+    a candidate's per-site plans with {!Conv_impl.valid}, the one statement
+    of a neural rewrite's side conditions.  [analyze_model] drives the
+    CLI's [--analyze] mode: it runs direction-vector legality, shape
+    inference and access bounds checking over every transformable site of
+    a model, either for the standard sequence menu or for one explicit
+    plan. *)
 
 val conv_dependences : Poly_legality.dependence list
 (** The accumulation-order dependences of a convolution ([ci], [kh],
@@ -17,9 +17,10 @@ val nest_of_site : Conv_impl.site -> Loop_nest.conv_nest
 
 val candidate :
   Models.t -> Site_plan.t array -> (int * Diagnostic.t list) option
-(** First site (in index order) whose plan is statically invalid for the
-    model, with the diagnostics; [None] when the candidate is clean.
-    Agrees exactly with [Site_plan.valid] site by site. *)
+(** First site (in index order) whose plan's implementation fails
+    {!Conv_impl.valid} for the model, with one [illegal-transformation]
+    diagnostic naming the implementation and the site; [None] when the
+    candidate is clean. *)
 
 type site_report = {
   sr_site : int;  (** site index *)

@@ -45,10 +45,12 @@ val spatial_out : site -> int
 (** Square output feature-map extent ([spatial_in / stride]). *)
 
 val valid : site -> t -> bool
-(** Divisibility and spatial-extent constraints; mirrors the paper's
-    [C mod G = 0] / [C_o mod B = 0] side conditions.  The static analyzer's
-    [Shape_infer.check_impl] returns the diagnostic form of this predicate;
-    the two are kept equivalent by a test. *)
+(** The side conditions of a neural rewrite at the site: divisibility and
+    spatial-extent constraints such as the paper's [C mod G = 0] /
+    [C_o mod B = 0].  This is the only place they are stated: the search's
+    pre-Fisher check ([Static_check.candidate]), the compile pipeline, the
+    builder and the sequence menus ([Sequences.valid],
+    [Sequences.typed_menu]) all derive from it. *)
 
 val macs : site -> t -> int
 (** Multiply-accumulate count of the site under the implementation. *)

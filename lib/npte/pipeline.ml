@@ -48,7 +48,7 @@ let workload_cost ~ctx ?(hints = Autotune.no_hints) dev w =
       cost)
 
 let site_cost ~ctx dev site (plan : Site_plan.t) =
-  if not (Site_plan.valid site plan) then
+  if not (Conv_impl.valid site plan.Site_plan.sp_impl) then
     Nas_error.invalid_plan "site_cost: plan %s invalid for %s" plan.Site_plan.sp_name
       site.Conv_impl.site_label;
   List.fold_left

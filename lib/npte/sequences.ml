@@ -16,24 +16,27 @@ let name = function
   | Seq3 { g1; g2 } -> Printf.sprintf "seq3[split>group(%d)>int>group(%d)]" g1 g2
   | Spatial_bneck b -> Printf.sprintf "spatial-bottleneck(b=%d)" b
 
+(* The structural rewrite a sequence makes; its loop steps only seed
+   autotuner hints (see [plan]). *)
+let impl = function
+  | Plain_group g | Seq1 { g; _ } | Seq2 { g; _ } -> Conv_impl.Grouped g
+  | Plain_bottleneck b -> Conv_impl.Bottleneck b
+  | Plain_depthwise -> Conv_impl.Depthwise_separable
+  | Seq3 { g1; g2 } -> Conv_impl.Split_grouped (g1, g2)
+  | Spatial_bneck b -> Conv_impl.Spatial_bottleneck b
+
 let plan seq =
   let open Autotune in
-  match seq with
-  | Plain_group g -> Site_plan.make ~name:(name seq) (Conv_impl.Grouped g)
-  | Plain_bottleneck b -> Site_plan.make ~name:(name seq) (Conv_impl.Bottleneck b)
-  | Plain_depthwise -> Site_plan.make ~name:(name seq) Conv_impl.Depthwise_separable
-  | Seq1 { g; split } ->
-      Site_plan.make ~name:(name seq)
-        ~hints:{ no_hints with h_spatial_split = Some split }
-        (Conv_impl.Grouped g)
-  | Seq2 { g; unroll } ->
-      Site_plan.make ~name:(name seq)
-        ~hints:{ no_hints with h_unroll_co = Some unroll }
-        (Conv_impl.Grouped g)
-  | Seq3 { g1; g2 } -> Site_plan.make ~name:(name seq) (Conv_impl.Split_grouped (g1, g2))
-  | Spatial_bneck b -> Site_plan.make ~name:(name seq) (Conv_impl.Spatial_bottleneck b)
+  let hints =
+    match seq with
+    | Seq1 { split; _ } -> { no_hints with h_spatial_split = Some split }
+    | Seq2 { unroll; _ } -> { no_hints with h_unroll_co = Some unroll }
+    | Plain_group _ | Plain_bottleneck _ | Plain_depthwise | Seq3 _ | Spatial_bneck _ ->
+        no_hints
+  in
+  Site_plan.make ~name:(name seq) ~hints (impl seq)
 
-let valid site seq = Site_plan.valid site (plan seq)
+let valid site seq = Conv_impl.valid site (impl seq)
 
 let standard_menu site =
   List.filter (valid site)
@@ -45,72 +48,28 @@ let standard_menu site =
       Seq3 { g1 = 2; g2 = 4 }; Seq3 { g1 = 2; g2 = 8 }; Seq3 { g1 = 4; g2 = 8 };
       Spatial_bneck 2 ]
 
-(* Rule inversion: enumerate every parameterization each family admits on
-   this site straight from its divisor structure, instead of filtering a
-   fixed list through [valid].  Each generator mirrors one arm of
-   [Conv_impl.valid]; together they make [List.for_all (valid site)]
-   vacuous by construction (pinned by test and fuzzer). *)
-let divisors_gt1 n =
-  List.filter (fun d -> n mod d = 0) (List.init (max 0 (n - 1)) (fun i -> i + 2))
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
+(* Each family's factors range over the divisors of the extent its rewrite
+   divides (a necessary condition of [Conv_impl.valid]), and [valid] keeps
+   exactly the admissible ones, so the menu is complete and valid by
+   construction.  Only the Seq1 guard is stated here: it is the split
+   hint's own condition, not a validity condition. *)
 let typed_menu (site : Conv_impl.site) =
-  let ci = site.Conv_impl.in_channels and co = site.Conv_impl.out_channels in
-  let g0 = site.Conv_impl.groups in
   let so = Conv_impl.spatial_out site in
-  (* group factors: divide both channel counts, refine the baseline grouping *)
-  let group_factors =
-    List.filter (fun g -> g > g0) (divisors_gt1 (gcd ci co))
+  let over factors family = List.filter (valid site) (List.map family factors) in
+  let ci_factors = Divisors.gt1 site.Conv_impl.in_channels in
+  let ci_pairs =
+    let fs = 1 :: ci_factors in
+    List.concat_map
+      (fun g1 -> List.filter_map (fun g2 -> if g1 < g2 then Some (g1, g2) else None) fs)
+      fs
   in
-  let groups = List.map (fun g -> Plain_group g) group_factors in
-  (* bottleneck factors: the narrowed mid-channel count must stay divisible
-     by (and at least) the baseline grouping, i.e. b divides co/g0 *)
-  let bottlenecks =
-    if co mod g0 = 0 then
-      List.map (fun b -> Plain_bottleneck b) (divisors_gt1 (co / g0))
-    else []
-  in
-  let depthwise =
-    if site.Conv_impl.kernel > 1 && g0 = 1 then [ Plain_depthwise ] else []
-  in
-  (* spatial bottleneck: the plane shrink must divide the output plane and
-     compose with the stride *)
-  let spatials =
-    List.filter_map
-      (fun b ->
-        if site.Conv_impl.spatial_in mod (site.Conv_impl.stride * b) = 0 then
-          Some (Spatial_bneck b)
-        else None)
-      (divisors_gt1 so)
-  in
-  (* hinted variants of the dominant sequences, over the same typed group
-     factors *)
-  let seq1s =
-    if so mod 2 = 0 then List.map (fun g -> Seq1 { g; split = 2 }) group_factors
-    else []
-  in
-  let seq2s = List.map (fun g -> Seq2 { g; unroll = 16 }) group_factors in
-  (* split-grouped: per-half factors divide the input channels and the
-     half output channels, and respect the baseline grouping *)
-  let seq3s =
-    if co mod 2 = 0 then begin
-      let half = co / 2 in
-      let gs =
-        List.filter
-          (fun g -> g >= g0)
-          (1 :: divisors_gt1 (gcd ci half))
-      in
-      List.concat_map
-        (fun g1 ->
-          List.filter_map
-            (fun g2 -> if g1 < g2 then Some (Seq3 { g1; g2 }) else None)
-            gs)
-        gs
-    end
-    else []
-  in
-  groups @ bottlenecks @ depthwise @ spatials @ seq1s @ seq2s @ seq3s
+  over ci_factors (fun g -> Plain_group g)
+  @ over (Divisors.gt1 site.Conv_impl.out_channels) (fun b -> Plain_bottleneck b)
+  @ List.filter (valid site) [ Plain_depthwise ]
+  @ over (Divisors.gt1 so) (fun b -> Spatial_bneck b)
+  @ (if so mod 2 = 0 then over ci_factors (fun g -> Seq1 { g; split = 2 }) else [])
+  @ over ci_factors (fun g -> Seq2 { g; unroll = 16 })
+  @ over ci_pairs (fun (g1, g2) -> Seq3 { g1; g2 })
 
 let is_dominant = function
   | Seq1 _ | Seq2 _ | Seq3 _ -> true

@@ -28,27 +28,37 @@ type t =
 
 val name : t -> string
 
+val impl : t -> Conv_impl.t
+(** The structural rewrite the sequence makes at a site; its loop steps
+    change only the schedule, so they do not appear here. *)
+
 val plan : t -> Site_plan.t
-(** The {!Site_plan.t} realising the sequence: the structural rewrite
-    plus the schedule hints it seeds the autotuner with. *)
+(** The {!Site_plan.t} realising the sequence: {!impl} plus the schedule
+    hints it seeds the autotuner with. *)
 
 val valid : Conv_impl.site -> t -> bool
-(** Whether the sequence's structural rewrite is applicable to the site
-    (delegates to {!Site_plan.valid} on {!plan}). *)
+(** Whether the sequence's structural rewrite is applicable to the site:
+    {!Conv_impl.valid} of {!impl}.  The loop steps' own conditions are not
+    checked, so a [Seq1] on an odd output plane is valid and its split hint
+    is dropped by the autotuner. *)
 
 val standard_menu : Conv_impl.site -> t list
 (** Every named sequence, with its standard parameters (§7.3 uses g=2,
     unroll=16, g1=2/g2=4), filtered to those valid for the site. *)
 
 val typed_menu : Conv_impl.site -> t list
-(** The site's full typed choice space, by rule inversion: every factor a
-    family admits is enumerated directly from the site's divisor structure
-    (group factors over divisors of gcd(ci,co) refining the baseline
-    grouping, bottleneck factors over divisors of co/groups, spatial
-    shrinks over divisors of the output plane, split-grouped pairs over
-    per-half divisors), so every entry is valid by construction — no
-    rejection filtering.  Strictly contains the [valid] subset of
-    {!standard_menu}'s fixed parameterizations. *)
+(** The site's full typed choice space, derived from {!Conv_impl.valid}:
+    each family's factors range over the divisors of the extent its
+    rewrite divides (input channels for groupings, output channels for
+    bottlenecks, the output plane for spatial shrinks) and are kept when
+    {!valid}, so every entry is valid by construction.  [Seq1] entries
+    (split 2) are offered only on even output planes, where the split hint
+    applies.  Order: groups, bottlenecks, depthwise, spatial bottlenecks,
+    [Seq1], [Seq2], [Seq3], each by ascending factor.
+
+    It contains every {!valid} entry of {!standard_menu} except
+    [Seq1 { split = 2; _ }] on odd output planes, which {!valid} accepts
+    but this menu leaves out. *)
 
 val schedules : t -> Loop_nest.conv_nest -> Poly.t list
 (** The literal transformation chain applied to the nest's baseline

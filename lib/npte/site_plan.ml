@@ -10,5 +10,4 @@ let make ?(hints = Autotune.no_hints) ?name impl =
   let name = match name with Some n -> n | None -> Conv_impl.to_string impl in
   { sp_impl = impl; sp_hints = hints; sp_name = name }
 
-let valid site t = Conv_impl.valid site t.sp_impl
 let pp ppf t = Format.pp_print_string ppf t.sp_name

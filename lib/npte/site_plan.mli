@@ -16,9 +16,5 @@ val baseline : t
 
 val make : ?hints:Autotune.hints -> ?name:string -> Conv_impl.t -> t
 
-val valid : Conv_impl.site -> t -> bool
-(** Whether the plan's implementation satisfies {!Conv_impl.valid} at the
-    site — the dynamic counterpart of [Shape_infer.check_impl]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints the plan's name. *)

@@ -20,17 +20,14 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* --- typed candidate generation ---------------------------------------- *)
 
-(* The full rule-inverted menu runs all the way to degenerate factors
-   (bottleneck to a single mid channel, grouping to depthwise); those are
-   well-typed but capacity-destroying, so the clipped Fisher gate rejects
-   them almost surely.  Generation samples the mild slice — compute
-   reduction at most 8x — falling back to the whole menu when a site has
-   no gentle option. *)
+(* The full typed menu runs all the way to degenerate factors (bottleneck
+   to a single mid channel, grouping to depthwise); those are well-typed
+   but capacity-destroying, so the clipped Fisher gate rejects them almost
+   surely.  Generation samples the mild slice — compute reduction at most
+   8x — falling back to the whole menu when a site has no gentle option. *)
 let mild_menu site =
   let menu = Sequences.typed_menu site in
-  let mild seq =
-    Conv_impl.reduction_factor site (Sequences.plan seq).Site_plan.sp_impl <= 8.0
-  in
+  let mild seq = Conv_impl.reduction_factor site (Sequences.impl seq) <= 8.0 in
   match List.filter mild menu with [] -> menu | ms -> ms
 
 let typed_site_plan rng site =

@@ -143,35 +143,21 @@ let typed_pool rng model ~candidates =
    faults.  [Some cand] = survivor, [None] = Fisher-rejected (a healthy
    outcome); every failure mode raises a structured {!Nas_error.Fail} for
    the caller to quarantine. *)
-let eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~prepared model
-    plans =
+let eval_candidate ~ctx ~index ~slack ~oracle ~device ~prepared model plans =
   let obs = Eval_ctx.obs ctx in
   let fault = Eval_ctx.fault ctx in
   if Fault.trip fault ~key:index Fault.Plan_gen then
     Nas_error.fail (Nas_error.Injected_fault "plan generation");
   Obs.with_span obs "legality" (fun () ->
-      if static_filter then begin
-        (* Static pre-Fisher filter: [Static_check.candidate] finds the same
-           first-invalid site as the dynamic sweep below (the two predicates
-           are equivalence-tested), so switching the filter on or off never
-           changes the search result — only where illegality is detected.
-           Both counters are per-index integer adds, hence deterministic
-           across worker counts. *)
-        Obs.incr obs "analysis.static_checked";
-        match Static_check.candidate model plans with
-        | Some (i, _diags) ->
-            Obs.incr obs "analysis.static_reject";
-            Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
-              plans.(i).Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label
-        | None -> ()
-      end
-      else
-        Array.iteri
-          (fun i p ->
-            if not (Site_plan.valid model.Models.sites.(i) p) then
-              Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
-                p.Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label)
-          plans);
+      (* Both counters are per-index integer adds, hence deterministic across
+         worker counts. *)
+      Obs.incr obs "analysis.static_checked";
+      match Static_check.candidate model plans with
+      | Some (i, _diags) ->
+          Obs.incr obs "analysis.static_reject";
+          Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
+            plans.(i).Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label
+      | None -> ());
   let legal_total =
     Obs.with_span obs "fisher" (fun () ->
         let scores = fisher_scores ~ctx oracle (impls_of plans) in
@@ -218,13 +204,11 @@ type outcome =
    merge exactly (integer adds) and quarantine notes ride between the
    spans, so the merged trace and the [search.*] counters are identical
    for every worker count. *)
-let eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~prepared model index
-    plans =
+let eval_outcome ~ctx ~slack ~oracle ~device ~prepared model index plans =
   let obs = Eval_ctx.obs ctx in
   match
     Nas_error.guard (fun () ->
-        eval_candidate ~ctx ~index ~slack ~static_filter ~oracle ~device ~prepared
-          model plans)
+        eval_candidate ~ctx ~index ~slack ~oracle ~device ~prepared model plans)
   with
   | Ok (Some cand) ->
       Obs.incr obs "search.cost_ranked";
@@ -346,8 +330,8 @@ let guided_next_round rng model ~seen ~survivors ~room =
    index order), so the result is deterministic for every worker count.
    Checkpointing is not supported — the round state is cheap to recompute
    and a guided run is budget-capped anyway. *)
-let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~prepared ~stop ~workers
-    ~schedule ~on_sched_stats ~rng ~limit model =
+let guided_run ~ctx ~slack ~oracle ~device ~prepared ~stop ~workers ~schedule
+    ~on_sched_stats ~rng ~limit model =
   let explored = ref 0 in
   let rejected = ref 0 in
   let processed = ref 0 in
@@ -368,8 +352,8 @@ let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~prepared ~stop ~worke
     let eval wctx i =
       if stop () then O_skipped
       else
-        eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device ~prepared model
-          (base + i) arr.(i)
+        eval_outcome ~ctx:wctx ~slack ~oracle ~device ~prepared model (base + i)
+          arr.(i)
     in
     let outcomes =
       if workers <= 1 || Array.length arr <= 1 then
@@ -405,9 +389,9 @@ let guided_run ~ctx ~slack ~static_filter ~oracle ~device ~prepared ~stop ~worke
   (!best, !explored, !rejected, !quarantine_rev, !processed, !skipped)
 
 let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
-    ?(static_filter = true) ?(stop = fun () -> false) ?budget ?checkpoint
-    ?(checkpoint_every = 25) ?(workers = 1) ?(schedule = Parallel_eval.Dynamic)
-    ?on_sched_stats ?(strategy = Strategy.Random) ~ctx ~rng ~device ~probe model =
+    ?(stop = fun () -> false) ?budget ?checkpoint ?(checkpoint_every = 25)
+    ?(workers = 1) ?(schedule = Parallel_eval.Dynamic) ?on_sched_stats
+    ?(strategy = Strategy.Random) ~ctx ~rng ~device ~probe model =
   let start = Unix.gettimeofday () in
   let obs = Eval_ctx.obs ctx in
   Obs.with_span obs "search" @@ fun () ->
@@ -436,8 +420,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
     let limit = match budget with Some b -> min candidates b | None -> candidates in
     let best, explored, rejected, quarantine_rev, processed, skipped =
       Obs.with_span obs "evaluate" (fun () ->
-          guided_run ~ctx ~slack ~static_filter ~oracle ~device ~prepared ~stop
-            ~workers ~schedule ~on_sched_stats ~rng ~limit model)
+          guided_run ~ctx ~slack ~oracle ~device ~prepared ~stop ~workers ~schedule
+            ~on_sched_stats ~rng ~limit model)
     in
     Obs.set obs "search.generated" explored;
     Obs.set obs "search.resumed" 0;
@@ -531,8 +515,7 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
           end
           else begin
             merge_outcome !i
-              (eval_outcome ~ctx ~slack ~static_filter ~oracle ~device ~prepared model
-                 !i pool.(!i));
+              (eval_outcome ~ctx ~slack ~oracle ~device ~prepared model !i pool.(!i));
             incr i;
             if checkpoint <> None && !i mod checkpoint_every = 0 && !i < n then
               save_checkpoint !i
@@ -553,8 +536,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
              ~first ~limit (fun wctx i ->
                if stop () then O_skipped
                else
-                 eval_outcome ~ctx:wctx ~slack ~static_filter ~oracle ~device
-                   ~prepared model i pool.(i))));
+                 eval_outcome ~ctx:wctx ~slack ~oracle ~device ~prepared model i
+                   pool.(i))));
   (* Resume point: the first unprocessed index.  When the stop hook fired
      mid-pool, candidates past it that a parallel worker already finished
      are simply re-evaluated on resume (they are deterministic). *)

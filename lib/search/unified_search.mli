@@ -79,7 +79,6 @@ val search :
   ?candidates:int ->
   ?mutate_prob:float ->
   ?slack:float ->
-  ?static_filter:bool ->
   ?stop:(unit -> bool) ->
   ?budget:int ->
   ?checkpoint:string ->
@@ -98,13 +97,12 @@ val search :
     fixed minibatch used for every Fisher evaluation; [slack] is the Fisher
     legality slack.
 
-    [static_filter] (default true) vets each candidate's per-site plans
-    with the static analyzer ([Static_check.candidate]) instead of the
-    dynamic [Site_plan.valid] sweep.  The two predicates are equivalent
-    (asserted by a test), so the search result is bit-identical either
-    way for any [workers] count; the filter adds the deterministic
-    [analysis.static_checked] / [analysis.static_reject] counters that
-    {!Report} surfaces as the static-vs-Fisher rejection split.
+    Each candidate's per-site plans are first vetted with
+    {!Static_check.candidate}, which scans them with {!Conv_impl.valid};
+    an invalid candidate is quarantined before any Fisher evaluation.  The
+    check adds the deterministic [analysis.static_checked] /
+    [analysis.static_reject] counters that {!Report} surfaces as the
+    static-vs-Fisher rejection split.
 
     [stop] (default: never) is a cooperative cancellation hook polled
     between candidate evaluations — the daemon installs a deadline

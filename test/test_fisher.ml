@@ -256,8 +256,7 @@ let t_search_leaves_shared_layers_intact () =
         Array.to_list model.Models.sites
         |> List.concat_map (fun site ->
                Conv_impl.all_options site
-               @ List.map
-                   (fun q -> (Sequences.plan q).Site_plan.sp_impl)
+               @ List.map Sequences.impl
                    (Sequences.standard_menu site @ Sequences.typed_menu site))
         |> List.sort_uniq compare
       in

@@ -11,7 +11,7 @@ let a_site () =
 let t_plan_baseline () =
   let site = a_site () in
   Alcotest.(check bool) "baseline valid anywhere" true
-    (Site_plan.valid site Site_plan.baseline);
+    (Conv_impl.valid site Site_plan.baseline.Site_plan.sp_impl);
   Alcotest.(check string) "name" "baseline" Site_plan.baseline.Site_plan.sp_name
 
 let t_menu_nonempty () =
@@ -29,7 +29,8 @@ let t_sequences_have_plans () =
   List.iter
     (fun seq ->
       let plan = Sequences.plan seq in
-      Alcotest.(check bool) (Sequences.name seq) true (Site_plan.valid site plan))
+      Alcotest.(check bool) (Sequences.name seq) true
+        (Conv_impl.valid site plan.Site_plan.sp_impl))
     (Sequences.standard_menu site)
 
 let t_seq2_sets_unroll_hint () =

@@ -253,7 +253,7 @@ let t_search_survives_30pct_faults () =
   Array.iteri
     (fun i p ->
       Alcotest.(check bool) "winner plans valid" true
-        (Site_plan.valid model.Models.sites.(i) p))
+        (Conv_impl.valid model.Models.sites.(i) p.Site_plan.sp_impl))
     r.r_best.Unified_search.cd_plans;
   Alcotest.(check bool) "winner not quarantined" false
     (quarantine_has r (Unified_search.plans_signature r.r_best.Unified_search.cd_plans));

@@ -57,7 +57,7 @@ let t_winning_plans_are_legal () =
   Array.iteri
     (fun i p ->
       Alcotest.(check bool) "valid plan" true
-        (Site_plan.valid model.Models.sites.(i) p))
+        (Conv_impl.valid model.Models.sites.(i) p.Site_plan.sp_impl))
     r.Unified_search.r_best.Unified_search.cd_plans
 
 let t_blockswap_respects_budget () =
@@ -170,31 +170,52 @@ let t_strategy_guided_parallel_identical () =
       check_same_result "guided parallel" serial r)
     [ Parallel_eval.Static; Parallel_eval.Dynamic ]
 
+(* The one valid [standard_menu] entry [typed_menu] leaves out: a split-2
+   [Seq1] on an odd output plane, where the autotuner drops the split hint
+   and [--analyze] reports the sequence inapplicable. *)
+let odd_plane_seq1 site = function
+  | Sequences.Seq1 { split = 2; _ } -> Conv_impl.spatial_out site mod 2 = 1
+  | _ -> false
+
 let t_typed_menu_valid_by_construction () =
-  (* Rule inversion must be sound (every menu entry valid for its site)
-     and subsume the valid slice of the rejection-sampled menu. *)
-  let _, model, _ = setup () in
-  Array.iter
-    (fun site ->
-      let menu = Sequences.typed_menu site in
+  (* Over every site of every family at every scale, the derived menu is
+     valid entry by entry and covers the valid slice of the standard menu
+     except [odd_plane_seq1]. *)
+  let excepted = ref 0 and excepted_sites = ref 0 in
+  List.iter
+    (fun (e : Zoo.entry) ->
       List.iter
-        (fun seq ->
-          Alcotest.(check bool)
-            (Printf.sprintf "site %d: %s valid" site.Conv_impl.site_index
-               (Sequences.name seq))
-            true (Sequences.valid site seq))
-        menu;
-      let names = List.map Sequences.name menu in
-      List.iter
-        (fun seq ->
-          if Sequences.valid site seq then
-            Alcotest.(check bool)
-              (Printf.sprintf "site %d: standard %s covered"
-                 site.Conv_impl.site_index (Sequences.name seq))
-              true
-              (List.mem (Sequences.name seq) names))
-        (Sequences.standard_menu site))
-    model.Models.sites
+        (fun scale ->
+          let model = Models.build (e.Zoo.ze_spec scale) (Rng.create 42) in
+          Array.iter
+            (fun site ->
+              let where seq =
+                Printf.sprintf "%s site %d: %s" e.Zoo.ze_name site.Conv_impl.site_index
+                  (Sequences.name seq)
+              in
+              let menu = Sequences.typed_menu site in
+              List.iter
+                (fun seq ->
+                  Alcotest.(check bool) (where seq ^ " valid") true
+                    (Sequences.valid site seq))
+                menu;
+              let missing =
+                List.filter
+                  (fun seq -> Sequences.valid site seq && not (List.mem seq menu))
+                  (Sequences.standard_menu site)
+              in
+              List.iter
+                (fun seq ->
+                  Alcotest.(check bool) (where seq ^ " is the odd-plane exception") true
+                    (odd_plane_seq1 site seq))
+                missing;
+              if missing <> [] then incr excepted_sites;
+              excepted := !excepted + List.length missing)
+            model.Models.sites)
+        [ `Search; `Train; `Imagenet ])
+    Zoo.all;
+  Alcotest.(check (pair int int)) "odd-plane exceptions (entries, sites)" (76, 50)
+    (!excepted, !excepted_sites)
 
 let t_typed_plans_valid_by_construction () =
   let _, model, _ = setup () in
@@ -204,7 +225,7 @@ let t_typed_plans_valid_by_construction () =
     Array.iteri
       (fun i p ->
         Alcotest.(check bool) "typed plan valid" true
-          (Site_plan.valid model.Models.sites.(i) p))
+          (Conv_impl.valid model.Models.sites.(i) p.Site_plan.sp_impl))
       plans
   done
 
@@ -251,9 +272,9 @@ let qcheck_tests =
         let rng = Rng.create seed in
         let model = Models.build (Models.resnet18 ()) (Rng.create 7) in
         let plans = Unified_search.random_plans rng model ~mutate_prob:0.8 in
-        Array.for_all
-          (fun ok -> ok)
-          (Array.mapi (fun i p -> Site_plan.valid model.Models.sites.(i) p) plans)) ]
+        Array.for_all2
+          (fun site p -> Conv_impl.valid site p.Site_plan.sp_impl)
+          model.Models.sites plans) ]
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -88,6 +88,133 @@ let t_response_roundtrip () =
       | Error e -> Alcotest.fail e)
     cases
 
+(* --- wire-protocol properties ------------------------------------------- *)
+
+(* Generators over the codecs' lossless domain: strings are arbitrary
+   bytes, integers stay below 2^53 (numbers travel as JSON floats) and
+   protocol floats carry at most the six significant digits [%.6g] writes.
+   [Obs_event] writes [%.17g], so its floats are any finite bit pattern. *)
+let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_range 0 24))
+let gen_int = QCheck.Gen.int_range (-1_000_000_000) 1_000_000_000
+let gen_hundredths lo hi =
+  QCheck.Gen.(map (fun k -> float_of_int k /. 100.0) (int_range lo hi))
+
+let gen_request =
+  let open QCheck.Gen in
+  let* id = gen_bytes in
+  let* network = oneofl Zoo.names in
+  let* device = gen_bytes in
+  let* candidates = int_range 1 100_000 in
+  let* seed = gen_int in
+  let* mutate_prob = opt (gen_hundredths 0 100) in
+  let* budget = opt (int_range 1 100_000) in
+  let* deadline_ms = opt (gen_hundredths 1 99_999) in
+  let* fault_rate = gen_hundredths 0 100 in
+  let* fault_seed = opt gen_int in
+  let* workers = int_range 1 64 in
+  let+ strategy = opt (oneofl [ Strategy.Random; Strategy.Typed; Strategy.Guided ]) in
+  Protocol.request ~network ~device ~candidates ~seed ?mutate_prob ?budget ?deadline_ms
+    ~fault_rate ?fault_seed ~workers ?strategy id
+
+let gen_response =
+  let open QCheck.Gen in
+  let num = gen_hundredths (-99_999) 99_999 in
+  let count = int_range 0 1_000_000 in
+  let result =
+    let* rs_id = gen_bytes in
+    let* rs_best_plan = gen_bytes in
+    let* rs_best_latency_us = num in
+    let* rs_baseline_latency_us = num in
+    let* rs_speedup = num in
+    let* rs_explored = count in
+    let* rs_rejected = count in
+    let* rs_quarantined = count in
+    let* rs_evaluated = count in
+    let* rs_complete = bool in
+    let* rs_degraded = bool in
+    let* rs_retries = count in
+    let* rs_cache_hits = count in
+    let+ rs_wall_ms = num in
+    Protocol.Result
+      { rs_id; rs_best_plan; rs_best_latency_us; rs_baseline_latency_us; rs_speedup;
+        rs_explored; rs_rejected; rs_quarantined; rs_evaluated; rs_complete;
+        rs_degraded; rs_retries; rs_cache_hits; rs_wall_ms }
+  in
+  let stat_key = map (fun k -> if k = "status" then "status_" else k) gen_bytes in
+  oneof
+    [ result;
+      map2
+        (fun ov_id ov_retry_after_ms -> Protocol.Overloaded { ov_id; ov_retry_after_ms })
+        gen_bytes num;
+      map3
+        (fun un_id un_reason un_retry_after_ms ->
+          Protocol.Unavailable { un_id; un_reason; un_retry_after_ms })
+        gen_bytes gen_bytes num;
+      map3
+        (fun er_id er_class er_message ->
+          Protocol.Error_resp { er_id; er_class; er_message })
+        gen_bytes gen_bytes gen_bytes;
+      return Protocol.Pong;
+      map (fun kvs -> Protocol.Stats_resp kvs) (small_list (pair stat_key num)) ]
+
+let gen_event =
+  let open QCheck.Gen in
+  let finite =
+    map
+      (fun b ->
+        let f = Int64.float_of_bits b in
+        if Float.is_finite f then f else 0.5)
+      ui64
+  in
+  let* e_kind = oneofl [ Obs_event.Span_begin; Obs_event.Span_end; Obs_event.Note ] in
+  let* e_name = gen_bytes in
+  let* e_depth = int_range 0 1000 in
+  let* e_t = finite in
+  let* e_dur_s = opt finite in
+  let+ e_detail = opt gen_bytes in
+  { Obs_event.e_kind; e_name; e_depth; e_t; e_dur_s; e_detail }
+
+(* A valid line cut short at a random offset or with one byte replaced. *)
+let damaged line =
+  let open QCheck.Gen in
+  let* s = line in
+  let n = String.length s in
+  let* p = int_range 0 n in
+  let* c = char in
+  oneofl
+    [ String.sub s 0 p; String.mapi (fun i x -> if i = p then c else x) s ]
+
+let wire_input =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      oneof
+        [ gen_bytes;
+          damaged (map Protocol.request_to_json gen_request);
+          damaged (map Protocol.response_to_json gen_response);
+          damaged (map Obs_event.to_json gen_event) ])
+
+let protocol_properties =
+  let open QCheck in
+  let total name f =
+    Test.make ~name:(name ^ " returns a value on any line") ~count:2000 wire_input
+      (fun line -> f line; true)
+  in
+  [ total "Protocol.parse" (fun l ->
+        ignore (Protocol.parse l : (Protocol.msg, string) result));
+    total "Protocol.response_of_json" (fun l ->
+        ignore (Protocol.response_of_json l : (Protocol.response, string) result));
+    total "Obs_event.of_json" (fun l ->
+        ignore (Obs_event.of_json l : Obs_event.t option));
+    Test.make ~name:"request lines round-trip" ~count:1000
+      (make ~print:Protocol.request_to_json gen_request)
+      (fun r -> Protocol.parse (Protocol.request_to_json r) = Ok (Protocol.Search r));
+    Test.make ~name:"response lines round-trip" ~count:1000
+      (make ~print:Protocol.response_to_json gen_response)
+      (fun r -> Protocol.response_of_json (Protocol.response_to_json r) = Ok r);
+    Test.make ~name:"trace event lines round-trip" ~count:1000
+      (make ~print:Obs_event.to_json gen_event)
+      (fun e -> Obs_event.of_json (Obs_event.to_json e) = Some e) ]
+
 (* --- taxonomy extensions ------------------------------------------------ *)
 
 let t_unix_error_classified () =
@@ -739,6 +866,10 @@ let () =
           quick "parse rejects" t_parse_rejects;
           quick "control ops" t_parse_ops;
           quick "response roundtrip" t_response_roundtrip ] );
+      ( "protocol properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
+          protocol_properties );
       ( "taxonomy",
         [ quick "unix errors classified" t_unix_error_classified;
           quick "transient partition" t_transient_partition ] );

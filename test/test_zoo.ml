@@ -1,14 +1,8 @@
 (* Registry differential tests: the block algebra must reproduce the six
    paper presets bit-identically (structure snapshots at every scale and
-   seeded search results), every registered family must build and agree
-   with the static analyzer on every site, and the CLI/protocol network
-   validation must be driven by the registry. *)
-
-let impl_menu =
-  [ Conv_impl.Full; Grouped 2; Grouped 3; Grouped 4; Grouped 8; Grouped 16;
-    Bottleneck 2; Bottleneck 3; Bottleneck 4; Depthwise_separable;
-    Spatial_bottleneck 2; Spatial_bottleneck 3; Split_grouped (2, 4);
-    Split_grouped (2, 8); Split_grouped (3, 5); Split_grouped (2, 2) ]
+   seeded search results), every registered family must build with
+   internally consistent sites, and the CLI/protocol network validation
+   must be driven by the registry. *)
 
 (* Golden structure of the six paper presets, recorded before the block
    algebra existed: (name, scale, sites, macs, nodes, params, mult_c,
@@ -103,15 +97,7 @@ let t_registry_coverage () =
               Alcotest.(check int)
                 (e.ze_name ^ " site " ^ s.Conv_impl.site_label ^ " consistent")
                 0
-                (List.length (Shape_infer.check_site s));
-              List.iter
-                (fun impl ->
-                  Alcotest.(check bool)
-                    (e.ze_name ^ " analyzer agrees on "
-                    ^ Conv_impl.to_string impl)
-                    (Conv_impl.valid s impl)
-                    (Shape_infer.check_impl s impl = []))
-                impl_menu)
+                (List.length (Shape_infer.check_site s)))
             m.Models.sites;
           let logits =
             Models.forward_logits m

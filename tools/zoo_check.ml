@@ -1,7 +1,7 @@
 (* Registry gate behind the @zoo alias: builds every preset registered in
-   Zoo at every scale, validates its spec and sites, cross-checks the static
-   analyzer against Conv_impl.valid on every site, and fails on drift from
-   the recorded structural snapshots.
+   Zoo at every scale, validates its spec, runs the static analyzer's site
+   consistency check on every site, and fails on drift from the recorded
+   structural snapshots.
 
      zoo_check            check everything, exit 1 on any failure
      zoo_check --print    also print snapshot lines (for updating Zoo)
@@ -15,14 +15,6 @@ let fail fmt =
       incr failures;
       Printf.eprintf "zoo_check: %s\n" m)
     fmt
-
-(* Implementation menu probed for analyzer equivalence: the searchable
-   options plus deliberately invalid factors. *)
-let impl_menu =
-  [ Conv_impl.Full; Grouped 2; Grouped 3; Grouped 4; Grouped 8; Grouped 16;
-    Bottleneck 2; Bottleneck 3; Bottleneck 4; Depthwise_separable;
-    Spatial_bottleneck 2; Spatial_bottleneck 3; Split_grouped (2, 4);
-    Split_grouped (2, 8); Split_grouped (3, 5); Split_grouped (2, 2) ]
 
 let check_entry (e : Zoo.entry) =
   List.iter
@@ -38,16 +30,7 @@ let check_entry (e : Zoo.entry) =
             (fun d ->
               fail "%s: site %s: %s" e.Zoo.ze_name s.Conv_impl.site_label
                 (Diagnostic.to_string d))
-            (Shape_infer.check_site s);
-          List.iter
-            (fun impl ->
-              let valid = Conv_impl.valid s impl in
-              let diags = Shape_infer.check_impl s impl in
-              if valid <> (diags = []) then
-                fail "%s: site %s: analyzer disagrees with valid on %s"
-                  e.Zoo.ze_name s.Conv_impl.site_label
-                  (Conv_impl.to_string impl))
-            impl_menu)
+            (Shape_infer.check_site s))
         m.Models.sites;
       ignore
         (Models.forward_logits m
