@@ -196,7 +196,7 @@ let wire_input =
 let protocol_properties =
   let open QCheck in
   let total name f =
-    Test.make ~name:(name ^ " returns a value on any line") ~count:2000 wire_input
+    Test.make ~name:(name ^ " is total") ~count:2000 wire_input
       (fun line -> f line; true)
   in
   [ total "Protocol.parse" (fun l ->
@@ -866,7 +866,10 @@ let () =
           quick "parse rejects" t_parse_rejects;
           quick "control ops" t_parse_ops;
           quick "response roundtrip" t_response_roundtrip ] );
-      ( "protocol properties",
+      (* Alcotest pads every group to the longest group name and cuts test
+         names at 80 columns, so a longer group name would truncate the
+         names below. *)
+      ( "codec props",
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
           protocol_properties );
