@@ -2,6 +2,7 @@ type t = {
   ec_cost_cache : float Bounded_cache.t;
   ec_fisher_cache : Fisher.scores Bounded_cache.t;
   ec_layers : Builder.layer_cache;
+  ec_arena : Arena.t;
   ec_fault : Fault.t;
   ec_obs : Obs.t;
   (* A shared ref, not a mutable field: a [with_obs] view is a record
@@ -14,6 +15,7 @@ let create ?(cache_capacity = 8192) ?(fisher_capacity = 4096) ?(fault = Fault.no
   { ec_cost_cache = Bounded_cache.create ~capacity:cache_capacity ();
     ec_fisher_cache = Bounded_cache.create ~capacity:fisher_capacity ();
     ec_layers = Builder.layer_cache ();
+    ec_arena = Arena.create ();
     ec_fault = fault;
     ec_obs = obs;
     ec_tune_configs = ref 0 }
@@ -25,6 +27,7 @@ let fork t =
     ec_fisher_cache =
       Bounded_cache.create ~capacity:(Bounded_cache.capacity t.ec_fisher_cache) ();
     ec_layers = Builder.layer_cache ();
+    ec_arena = Arena.create ();
     ec_fault = Fault.copy t.ec_fault;
     ec_obs = Obs.fork t.ec_obs;
     ec_tune_configs = ref 0 }
@@ -33,6 +36,7 @@ let absorb parent worker =
   Bounded_cache.absorb parent.ec_cost_cache (Bounded_cache.stats worker.ec_cost_cache);
   Bounded_cache.absorb parent.ec_fisher_cache
     (Bounded_cache.stats worker.ec_fisher_cache);
+  Arena.absorb parent.ec_arena (Arena.stats worker.ec_arena);
   parent.ec_tune_configs := !(parent.ec_tune_configs) + !(worker.ec_tune_configs);
   Fault.add_injected parent.ec_fault (Fault.injected worker.ec_fault);
   Obs.absorb parent.ec_obs worker.ec_obs
@@ -85,6 +89,7 @@ let fault t = t.ec_fault
 let cost_cache t = t.ec_cost_cache
 let fisher_cache t = t.ec_fisher_cache
 let layer_cache t = t.ec_layers
+let arena t = t.ec_arena
 let cost_stats t = Bounded_cache.stats t.ec_cost_cache
 let fisher_stats t = Bounded_cache.stats t.ec_fisher_cache
 

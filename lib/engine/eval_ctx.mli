@@ -2,8 +2,8 @@
 
     Everything candidate evaluation used to keep in module-level mutable
     state lives here instead: the bounded workload-cost memo, the
-    Fisher-score memo, the Fisher oracle's shared layers, autotuner
-    accounting, the fault-injection plan and
+    Fisher-score memo, the Fisher oracle's shared layers and tensor
+    arena, autotuner accounting, the fault-injection plan and
     the observability recorder.  There is no process-wide default: every
     evaluation entry point ([Pipeline], [Unified_search], [Blockswap],
     [Fbnet], [Interpolate]) takes a required [~ctx], so whoever starts the
@@ -28,28 +28,33 @@ val create :
     4096); both evict FIFO.  [fault] (default {!Fault.none}) is the
     fault-injection plan every search through this context draws from.
     [obs] (default {!Obs.disabled}) is the observability recorder every
-    evaluation through this context reports to. *)
+    evaluation through this context reports to.  The layer cache and the
+    tensor arena start empty. *)
 
 val with_obs : t -> Obs.t -> t
-(** The same context (sharing caches, the fault plan and the autotuner
-    counter) reporting to a different observability recorder.  This is
-    how the parallel evaluator gives each item its own trace buffer while
-    keeping the worker's memo caches warm across items. *)
+(** The same context (sharing caches, the layer cache, the tensor arena,
+    the fault plan and the autotuner counter) reporting to a different
+    observability recorder.  Because the arena is shared, a view must not
+    score a candidate while another view of the same context does.  This
+    is how the parallel evaluator gives each item its own trace buffer
+    while keeping the worker's memo caches warm across items. *)
 
 val fork : t -> t
 (** A per-domain worker context: same capacities, fresh empty caches
-    (the layer cache included, so no layer is shared across domains) and
-    counters, an independent copy of the fault plan
-    (fault draws are pure in (seed, key, target), so a fork trips exactly
-    the faults the parent would), and a forked observability recorder
-    whose spans open at the parent's current depth.  Use {!absorb} after
-    joining to fold the worker's telemetry back into the parent. *)
+    (the layer cache and the tensor arena included, so no layer or buffer
+    is shared across domains) and counters, an independent copy of the
+    fault plan (fault draws are pure in (seed, key, target), so a fork
+    trips exactly the faults the parent would), and a forked
+    observability recorder whose spans open at the parent's current
+    depth.  Use {!absorb} after joining to fold the worker's telemetry
+    back into the parent. *)
 
 val absorb : t -> t -> unit
 (** [absorb parent worker] adds the worker's cache hit/miss/eviction
-    counters, autotuner accounting and injected-fault count into the
-    parent's, and merges the worker's observability recorder (metrics
-    added, trace events appended after the parent's). *)
+    counters, its arena's take counters, autotuner accounting and
+    injected-fault count into the parent's, and merges the worker's
+    observability recorder (metrics added, trace events appended after
+    the parent's). *)
 
 val warm_from : t -> src:t -> int
 (** Copy [src]'s cached cost and Fisher entries into this context's memos
@@ -105,6 +110,14 @@ val layer_cache : t -> Builder.layer_cache
     (see {!Builder}): one rebuild seed's layers at a time, private to this
     context ({!fork} and {!create} start empty; {!with_obs} shares it,
     {!warm_from} and the snapshot ignore it). *)
+
+val arena : t -> Arena.t
+(** The tensor arena every Fisher pass through this context runs in (see
+    {!Arena}, {!Fisher.score}), so that a pass over shapes an earlier pass
+    saw allocates almost nothing.  Ownership follows the layer cache:
+    {!create} and {!fork} start it empty, {!with_obs} shares it, and
+    {!warm_from} and the snapshot ignore it.  It holds at most the buffers
+    of the last pass. *)
 
 val cost_stats : t -> Bounded_cache.stats
 (** Hit/miss/eviction snapshot of the workload-cost memo. *)

@@ -26,13 +26,15 @@ let layer_score ~activation ~grad =
   done;
   !total
 
-let score_graph graph ~fisher_nodes batch =
-  let run = Graph.forward graph batch.Train.images in
+(* One pass: every tensor it takes from [arena] is dead once the per-site
+   scores, fresh floats, are summed. *)
+let pass ?arena graph ~fisher_nodes batch =
+  let run = Graph.forward ?arena graph batch.Train.images in
   let _loss, loss_grad =
     Ops.softmax_cross_entropy ~logits:(Graph.output run) ~labels:batch.labels
   in
   let earliest = Array.fold_left min (Graph.node_count graph - 1) fisher_nodes in
-  Graph.backward_activations graph run ~loss_grad ~earliest;
+  Graph.backward_activations ?arena graph run ~loss_grad ~earliest;
   let per_site =
     Array.map
       (fun node_id ->
@@ -44,8 +46,13 @@ let score_graph graph ~fisher_nodes batch =
   in
   { per_site; total = Array.fold_left ( +. ) 0.0 per_site }
 
-let score model batch =
-  score_graph model.Models.graph ~fisher_nodes:model.Models.fisher_node_ids batch
+let score_graph ?arena graph ~fisher_nodes batch =
+  match arena with
+  | None -> pass graph ~fisher_nodes batch
+  | Some a -> Arena.scoped a (fun () -> pass ~arena:a graph ~fisher_nodes batch)
+
+let score ?arena model batch =
+  score_graph ?arena model.Models.graph ~fisher_nodes:model.Models.fisher_node_ids batch
 
 let potential model batch = (score model batch).total
 

@@ -22,14 +22,22 @@ val channel_score : activation:Tensor.t -> grad:Tensor.t -> channel:int -> float
 val layer_score : activation:Tensor.t -> grad:Tensor.t -> float
 (** Sum of {!channel_score} over the channels (eq. 5). *)
 
-val score_graph : Graph.t -> fisher_nodes:int array -> Train.batch -> scores
+val score_graph :
+  ?arena:Arena.t -> Graph.t -> fisher_nodes:int array -> Train.batch -> scores
 (** Graph-level variant for networks outside the model zoo. *)
 
-val score : Models.t -> Train.batch -> scores
+val score : ?arena:Arena.t -> Models.t -> Train.batch -> scores
 (** Runs one forward pass and one activation-only backward pass
     ({!Graph.backward_activations}, down to the earliest scored node) at
     the model's current (initialization) weights and aggregates the
-    per-site scores.  It neither reads nor writes parameter gradients. *)
+    per-site scores.  It neither reads nor writes parameter gradients.
+
+    With [arena] the whole pass runs in one {!Arena.scoped}: every
+    activation, gradient and im2col buffer comes from the arena and goes
+    back to it when the pass ends, so a pass over shapes the arena has
+    seen allocates almost nothing.  The scores are bit for bit those
+    without an arena.  Raises [Invalid_argument] if the arena is already
+    in use. *)
 
 val potential : Models.t -> Train.batch -> float
 (** [ (score m b).total ]. *)

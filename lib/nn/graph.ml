@@ -44,7 +44,13 @@ let one_input n =
   | [ i ] -> i
   | _ -> invalid_arg (Printf.sprintf "node %s: expected one input" n.label)
 
-let forward g input =
+(* A copy of [t], from [arena] when there is one. *)
+let copy arena t =
+  let c = Arena.zeros arena (Tensor.shape t) in
+  Tensor.blit ~src:t ~dst:c;
+  c
+
+let forward ?arena g input =
   let n = Array.length g.nodes in
   let acts = Array.make n (Tensor.scalar 0.0) in
   let caches = Array.make n C_none in
@@ -55,45 +61,45 @@ let forward g input =
         match node.op with
         | Input -> input
         | Conv c ->
-            Ops.conv2d ~input:acts.(one_input node) ~weight:c.Layer.cv_w.p_value
+            Ops.conv2d ?arena ~input:acts.(one_input node) ~weight:c.Layer.cv_w.p_value
               ~bias:(Option.map (fun b -> b.Layer.p_value) c.cv_b)
               { Ops.stride = c.cv_stride; pad = c.cv_pad; groups = c.cv_groups;
                 dilation = c.cv_dilation }
         | Batch_norm b ->
             let out, cache =
-              Ops.batch_norm ~input:acts.(one_input node) ~gamma:b.Layer.bn_gamma.p_value
-                ~beta:b.bn_beta.p_value ~eps:b.bn_eps
+              Ops.batch_norm ?arena ~input:acts.(one_input node)
+                ~gamma:b.Layer.bn_gamma.p_value ~beta:b.bn_beta.p_value ~eps:b.bn_eps ()
             in
             caches.(i) <- C_bn cache;
             out
-        | Relu -> Ops.relu acts.(one_input node)
+        | Relu -> Ops.relu ?arena acts.(one_input node)
         | Max_pool { size; stride; pad } ->
-            let out, idx = Ops.max_pool2d acts.(one_input node) ~size ~stride ~pad in
+            let out, idx = Ops.max_pool2d ?arena acts.(one_input node) ~size ~stride ~pad in
             caches.(i) <- C_pool idx;
             out
         | Avg_pool { size; stride; pad } ->
-            Ops.avg_pool2d acts.(one_input node) ~size ~stride ~pad
-        | Global_avg_pool -> Ops.global_avg_pool acts.(one_input node)
+            Ops.avg_pool2d ?arena acts.(one_input node) ~size ~stride ~pad
+        | Global_avg_pool -> Ops.global_avg_pool ?arena acts.(one_input node)
         | Linear l ->
-            Ops.linear ~input:acts.(one_input node) ~weight:l.Layer.ln_w.p_value
-              ~bias:l.ln_b.p_value
+            Ops.linear ?arena ~input:acts.(one_input node) ~weight:l.Layer.ln_w.p_value
+              ~bias:l.ln_b.p_value ()
         | Add -> begin
             match node.inputs with
             | [] -> invalid_arg "Add: no inputs"
             | first :: rest ->
-                let acc = Tensor.copy acts.(first) in
+                let acc = copy arena acts.(first) in
                 List.iter (fun j -> Tensor.add_ acc acts.(j)) rest;
                 acc
           end
-        | Concat -> Ops.concat_channels (List.map (fun j -> acts.(j)) node.inputs)
+        | Concat -> Ops.concat_channels ?arena (List.map (fun j -> acts.(j)) node.inputs)
         | Identity -> acts.(one_input node)
-        | Zero -> Tensor.zeros (Tensor.shape acts.(one_input node))
-        | Upsample f -> Ops.upsample_nearest acts.(one_input node) f
-        | Sigmoid -> Ops.sigmoid acts.(one_input node)
+        | Zero -> Arena.zeros arena (Tensor.shape acts.(one_input node))
+        | Upsample f -> Ops.upsample_nearest ?arena acts.(one_input node) f
+        | Sigmoid -> Ops.sigmoid ?arena acts.(one_input node)
         | Scale_channels -> begin
             match node.inputs with
             | [ main; gate ] ->
-                Ops.scale_channels ~input:acts.(main) ~gate:acts.(gate)
+                Ops.scale_channels ?arena ~input:acts.(main) ~gate:acts.(gate) ()
             | _ -> invalid_arg (node.label ^ ": scale_channels expects [main; gate]")
           end
       in
@@ -104,9 +110,9 @@ let forward g input =
 let output run = run.acts.(run.graph.output_id)
 let activation run i = run.acts.(i)
 
-let accumulate grads i g =
+let accumulate arena grads i g =
   match grads.(i) with
-  | None -> grads.(i) <- Some (Tensor.copy g)
+  | None -> grads.(i) <- Some (copy arena g)
   | Some acc -> Tensor.add_ acc g
 
 (* The one backward sweep: nodes from the output down to [stop], each
@@ -115,9 +121,10 @@ let accumulate grads i g =
    untouched and skips the convolution weight-gradient kernel, the only
    costly one; the batch-norm and linear kernels still compute their small
    parameter gradients along the way. *)
-let sweep g run ~loss_grad ~params ~stop =
+let sweep ?arena g run ~loss_grad ~params ~stop =
   let grads = run.grads in
-  grads.(g.output_id) <- Some (Tensor.copy loss_grad);
+  let accumulate = accumulate arena grads in
+  grads.(g.output_id) <- Some (copy arena loss_grad);
   for i = Array.length g.nodes - 1 downto stop do
     match grads.(i) with
     | None -> () (* node does not influence the loss *)
@@ -138,24 +145,24 @@ let sweep g run ~loss_grad ~params ~stop =
                 Option.iter (fun b -> Tensor.add_ b.Layer.p_grad gb) c.cv_b;
                 gin
               end
-              else Ops.conv2d_backward_input ~input ~weight ~gout p
+              else Ops.conv2d_backward_input ?arena ~input ~weight ~gout p
             in
-            accumulate grads (one_input node) gin
+            accumulate (one_input node) gin
         | Batch_norm b ->
             let cache =
               match run.caches.(i) with
               | C_bn c -> c
               | C_none | C_pool _ -> assert false
             in
-            let gin, ggamma, gbeta = Ops.batch_norm_backward ~gout ~cache in
+            let gin, ggamma, gbeta = Ops.batch_norm_backward ?arena ~gout ~cache () in
             if params then begin
               Tensor.add_ b.Layer.bn_gamma.p_grad ggamma;
               Tensor.add_ b.bn_beta.p_grad gbeta
             end;
-            accumulate grads (one_input node) gin
+            accumulate (one_input node) gin
         | Relu ->
             let input = run.acts.(one_input node) in
-            accumulate grads (one_input node) (Ops.relu_backward ~input ~gout)
+            accumulate (one_input node) (Ops.relu_backward ?arena ~input ~gout ())
         | Max_pool _ ->
             let indices =
               match run.caches.(i) with
@@ -163,51 +170,51 @@ let sweep g run ~loss_grad ~params ~stop =
               | C_none | C_bn _ -> assert false
             in
             let input = run.acts.(one_input node) in
-            accumulate grads (one_input node)
-              (Ops.max_pool2d_backward ~input ~gout ~indices)
+            accumulate (one_input node)
+              (Ops.max_pool2d_backward ?arena ~input ~gout ~indices ())
         | Avg_pool { size; stride; pad } ->
             let input = run.acts.(one_input node) in
-            accumulate grads (one_input node)
-              (Ops.avg_pool2d_backward ~input ~gout ~size ~stride ~pad)
+            accumulate (one_input node)
+              (Ops.avg_pool2d_backward ?arena ~input ~gout ~size ~stride ~pad ())
         | Global_avg_pool ->
             let input = run.acts.(one_input node) in
-            accumulate grads (one_input node)
-              (Ops.global_avg_pool_backward ~input ~gout)
+            accumulate (one_input node)
+              (Ops.global_avg_pool_backward ?arena ~input ~gout ())
         | Linear l ->
             let input = run.acts.(one_input node) in
             let gin, gw, gb =
-              Ops.linear_backward ~input ~weight:l.Layer.ln_w.p_value ~gout
+              Ops.linear_backward ?arena ~input ~weight:l.Layer.ln_w.p_value ~gout ()
             in
             if params then begin
               Tensor.add_ l.ln_w.p_grad gw;
               Tensor.add_ l.ln_b.p_grad gb
             end;
-            accumulate grads (one_input node) gin
-        | Add -> List.iter (fun j -> accumulate grads j gout) node.inputs
+            accumulate (one_input node) gin
+        | Add -> List.iter (fun j -> accumulate j gout) node.inputs
         | Concat ->
             let parts =
               List.map (fun j -> (Tensor.shape run.acts.(j)).(1)) node.inputs
             in
-            let gs = Ops.split_channels_backward ~gout ~parts in
-            List.iter2 (fun j gpart -> accumulate grads j gpart) node.inputs gs
-        | Identity -> accumulate grads (one_input node) gout
+            let gs = Ops.split_channels_backward ?arena ~gout ~parts () in
+            List.iter2 (fun j gpart -> accumulate j gpart) node.inputs gs
+        | Identity -> accumulate (one_input node) gout
         | Zero -> ()
         | Upsample f ->
             let input = run.acts.(one_input node) in
-            accumulate grads (one_input node)
-              (Ops.upsample_nearest_backward ~input ~gout f)
+            accumulate (one_input node)
+              (Ops.upsample_nearest_backward ?arena ~input ~gout f)
         | Sigmoid ->
-            accumulate grads (one_input node)
-              (Ops.sigmoid_backward ~out:run.acts.(i) ~gout)
+            accumulate (one_input node)
+              (Ops.sigmoid_backward ?arena ~out:run.acts.(i) ~gout ())
         | Scale_channels -> begin
             match node.inputs with
             | [ main; gate ] ->
                 let gmain, ggate =
-                  Ops.scale_channels_backward ~input:run.acts.(main)
-                    ~gate:run.acts.(gate) ~gout
+                  Ops.scale_channels_backward ?arena ~input:run.acts.(main)
+                    ~gate:run.acts.(gate) ~gout ()
                 in
-                accumulate grads main gmain;
-                accumulate grads gate ggate
+                accumulate main gmain;
+                accumulate gate ggate
             | _ -> assert false
           end)
   done
@@ -216,8 +223,8 @@ let backward g run ~loss_grad = sweep g run ~loss_grad ~params:true ~stop:0
 
 (* Node [earliest] needs only the gradients its successors send it, so the
    sweep stops just above it. *)
-let backward_activations g run ~loss_grad ~earliest =
-  sweep g run ~loss_grad ~params:false ~stop:(earliest + 1)
+let backward_activations ?arena g run ~loss_grad ~earliest =
+  sweep ?arena g run ~loss_grad ~params:false ~stop:(earliest + 1)
 
 let activation_grad run i =
   match run.grads.(i) with

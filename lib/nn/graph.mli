@@ -42,8 +42,12 @@ val make : node array -> output_id:int -> t
 type run
 (** State of one forward (and optionally backward) pass. *)
 
-val forward : t -> Tensor.t -> run
-(** Runs the graph on a batch (NCHW input tensor). *)
+val forward : ?arena:Arena.t -> t -> Tensor.t -> run
+(** Runs the graph on a batch (NCHW input tensor).  With [arena], every
+    activation the pass computes (the input and identities aside), the
+    copy an [Add] node starts from and a [Zero] node's output come from
+    the arena (see {!Ops}): the run is then valid only inside the
+    {!Arena.scoped} that took them. *)
 
 val output : run -> Tensor.t
 (** Activation of the output node. *)
@@ -56,13 +60,17 @@ val backward : t -> run -> loss_grad:Tensor.t -> unit
     accumulating parameter gradients into their [p_grad] buffers and storing
     per-node activation gradients in the run. *)
 
-val backward_activations : t -> run -> loss_grad:Tensor.t -> earliest:int -> unit
+val backward_activations :
+  ?arena:Arena.t -> t -> run -> loss_grad:Tensor.t -> earliest:int -> unit
 (** The same sweep as {!backward}, for activation gradients only: it
     leaves every [p_grad] untouched, and a convolution calls
     {!Ops.conv2d_backward_input}, skipping its weight gradient.  It
     stops once node [earliest] has its gradient, so every node with
     [id >= earliest] gets bit for bit the activation gradient {!backward}
-    gives it; earlier nodes may hold partial sums or none. *)
+    gives it; earlier nodes may hold partial sums or none.  With [arena]
+    every gradient it stores, including the copy that starts each node's
+    gradient sum, comes from the arena, with the same validity rule as
+    {!forward}. *)
 
 val activation_grad : run -> int -> Tensor.t
 (** Gradient of the loss w.r.t. a node's activation.  Only valid after

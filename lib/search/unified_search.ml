@@ -64,7 +64,7 @@ let scores_of ~ctx ~prefix ~seed model probe impls =
       let candidate =
         Models.rebuild ~layers:(Eval_ctx.layer_cache ctx) model (Rng.create seed) impls
       in
-      Fisher.score candidate probe)
+      Fisher.score ~arena:(Eval_ctx.arena ctx) candidate probe)
 
 (* The reference network is the all-[Full] vector: the same key and the
    same computation as the all-baseline candidate, so it is one more memo
@@ -262,6 +262,10 @@ let snapshot_engine_counters ctx =
     Obs.set obs "cache.fisher.misses" fs.cs_misses;
     Obs.set obs "cache.fisher.evictions" fs.cs_evictions;
     Obs.set obs "cache.fisher.size" fs.cs_size;
+    let ars = Arena.stats (Eval_ctx.arena ctx) in
+    Obs.set obs "cache.arena.bytes" ars.Arena.as_bytes;
+    Obs.set obs "cache.arena.reused" ars.as_reused;
+    Obs.set obs "cache.arena.fresh" ars.as_fresh;
     Obs.set obs "engine.tune_configs" (Eval_ctx.tune_configs ctx);
     Obs.set obs "engine.faults_injected" (Fault.injected (Eval_ctx.fault ctx))
   end

@@ -73,7 +73,8 @@ val fisher_oracle : ctx:Eval_ctx.t -> Rng.t -> Models.t -> Train.batch -> fisher
 val fisher_scores : ctx:Eval_ctx.t -> fisher_oracle -> Conv_impl.t array -> Fisher.scores
 (** The memoized score of one implementation vector.  A miss rebuilds the
     candidate through [ctx]'s layer cache ({!Eval_ctx.layer_cache}) and
-    runs {!Fisher.score}; the result is bit-identical to a fresh rebuild. *)
+    runs {!Fisher.score} in [ctx]'s arena ({!Eval_ctx.arena}); the result
+    is bit-identical to a fresh rebuild scored without an arena. *)
 
 val search :
   ?candidates:int ->

@@ -161,7 +161,7 @@ let conv2d_direct ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
    padded tap, then take one ordered dot product per output.  Outputs whose
    window lies inside the input copy their taps through the per-call
    offset table [koff]; only border outputs check bounds. *)
-let conv2d_im2col ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
+let conv2d_im2col ~arena ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
   let { stride; pad; groups; dilation } = params in
   let cog = co / groups in
   let kk = cig * kh * kw and plane = ho * wo in
@@ -173,7 +173,7 @@ let conv2d_im2col ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
   let h_in_hi = tap_last ~off:(((kh - 1) * dilation) - pad) ~stride ~extent:h ~out:ho in
   let w_in_lo = tap_first ~off:(-pad) ~stride in
   let w_in_hi = tap_last ~off:(((kw - 1) * dilation) - pad) ~stride ~extent:w ~out:wo in
-  let col = Array.create_float (plane * kk) in
+  let col = Arena.floats arena (plane * kk) in
   for ni = 0 to n - 1 do
     for g = 0 to groups - 1 do
       let ibase_g = ((ni * ci) + (g * cig)) * h * w in
@@ -210,7 +210,7 @@ let conv2d_im2col ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
     done
   done
 
-let conv2d ~input ~weight ~bias params =
+let conv2d ?arena ~input ~weight ~bias params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
   let n = ishape.(0) and ci = ishape.(1) and h = ishape.(2) and w = ishape.(3) in
   let co = wshape.(0) and cig = wshape.(1) and kh = wshape.(2) and kw = wshape.(3) in
@@ -221,9 +221,9 @@ let conv2d ~input ~weight ~bias params =
   let ho = conv_out_dim h ~k:kh ~stride ~pad ~dilation in
   let wo = conv_out_dim w ~k:kw ~stride ~pad ~dilation in
   assert (ho > 0 && wo > 0);
-  let output = Tensor.zeros [| n; co; ho; wo |] in
+  let output = Arena.zeros arena [| n; co; ho; wo |] in
   let id = Tensor.data input and wd = Tensor.data weight and od = Tensor.data output in
-  (if cig > 1 && all_finite id && all_finite wd then conv2d_im2col
+  (if cig > 1 && all_finite id && all_finite wd then conv2d_im2col ~arena
    else conv2d_direct)
     ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (match bias with
@@ -311,12 +311,13 @@ let conv2d_backward_direct ~id ~god ~wd ~gid ~gwd ~n ~ci ~h ~w ~co ~cig ~kh ~kw 
    through tap [kh] (columns alike).  Inputs all of whose taps land inside
    the output copy them through the per-call offset table [joff]; only
    border inputs check bounds. *)
-let conv2d_backward_input_gather ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
+let conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo
+    params =
   let { stride; pad; groups; dilation } = params in
   assert (stride = 1);
   let cog = co / groups in
   let jj = cog * kh * kw and plane = h * w in
-  let wt = Array.create_float (groups * cig * jj) in
+  let wt = Arena.floats arena (groups * cig * jj) in
   for g = 0 to groups - 1 do
     for cig_i = 0 to cig - 1 do
       for cog_i = 0 to cog - 1 do
@@ -331,7 +332,7 @@ let conv2d_backward_input_gather ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho
   in
   let h_in_lo = ((kh - 1) * dilation) - pad and h_in_hi = ho - 1 - pad in
   let w_in_lo = ((kw - 1) * dilation) - pad and w_in_hi = wo - 1 - pad in
-  let gcol = Array.create_float (plane * jj) in
+  let gcol = Arena.floats arena (plane * jj) in
   for ni = 0 to n - 1 do
     for g = 0 to groups - 1 do
       let obase_g = ((ni * co) + (g * cog)) * ho * wo in
@@ -368,19 +369,19 @@ let conv2d_backward_input_gather ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho
     done
   done
 
-let conv2d_backward_input ~input ~weight ~gout params =
+let conv2d_backward_input ?arena ~input ~weight ~gout params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
   let n = ishape.(0) and ci = ishape.(1) and h = ishape.(2) and w = ishape.(3) in
   let co = wshape.(0) and cig = wshape.(1) and kh = wshape.(2) and kw = wshape.(3) in
   let oshape = Tensor.shape gout in
   let ho = oshape.(2) and wo = oshape.(3) in
-  let ginput = Tensor.zeros ishape in
+  let ginput = Arena.zeros arena ishape in
   let god = Tensor.data gout and wd = Tensor.data weight and gid = Tensor.data ginput in
   (* A padded tap multiplies 0.0 by a weight, so only the weight must be
      finite for the gather form to add exact zeros.  With a stride above 1
      most gathered taps are such zeros, and the direct loop is faster. *)
   if cig > 1 && params.stride = 1 && all_finite wd then
-    conv2d_backward_input_gather ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+    conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
   else
     conv2d_backward_direct ~id:[||] ~god ~wd ~gid ~gwd:[||] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho
       ~wo params;
@@ -414,22 +415,50 @@ let conv2d_backward ~input ~weight ~gout params =
     ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (ginput, gweight, gbias)
 
-let relu t = Tensor.map (fun x -> if x > 0.0 then x else 0.0) t
+(* The elementwise kernels are direct loops rather than [Tensor.map]
+   closures, which box every float on the way in and on the way out. *)
+let relu ?arena t =
+  let out = Arena.zeros arena (Tensor.shape t) in
+  let td = Tensor.data t and od = Tensor.data out in
+  for i = 0 to Array.length td - 1 do
+    let x = Array.unsafe_get td i in
+    Array.unsafe_set od i (if x > 0.0 then x else 0.0)
+  done;
+  out
 
-let relu_backward ~input ~gout =
-  Tensor.map2 (fun x g -> if x > 0.0 then g else 0.0) input gout
+let relu_backward ?arena ~input ~gout () =
+  assert (Tensor.same_shape input gout);
+  let gin = Arena.zeros arena (Tensor.shape input) in
+  let id = Tensor.data input and god = Tensor.data gout and gd = Tensor.data gin in
+  for i = 0 to Array.length id - 1 do
+    Array.unsafe_set gd i (if Array.unsafe_get id i > 0.0 then Array.unsafe_get god i else 0.0)
+  done;
+  gin
 
-let sigmoid t = Tensor.map (fun x -> 1.0 /. (1.0 +. exp (-.x))) t
+let sigmoid ?arena t =
+  let out = Arena.zeros arena (Tensor.shape t) in
+  let td = Tensor.data t and od = Tensor.data out in
+  for i = 0 to Array.length td - 1 do
+    Array.unsafe_set od i (1.0 /. (1.0 +. exp (-.Array.unsafe_get td i)))
+  done;
+  out
 
-let sigmoid_backward ~out ~gout =
-  Tensor.map2 (fun o g -> g *. o *. (1.0 -. o)) out gout
+let sigmoid_backward ?arena ~out ~gout () =
+  assert (Tensor.same_shape out gout);
+  let gin = Arena.zeros arena (Tensor.shape out) in
+  let od = Tensor.data out and god = Tensor.data gout and gd = Tensor.data gin in
+  for i = 0 to Array.length od - 1 do
+    let o = Array.unsafe_get od i in
+    Array.unsafe_set gd i (Array.unsafe_get god i *. o *. (1.0 -. o))
+  done;
+  gin
 
-let scale_channels ~input ~gate =
+let scale_channels ?arena ~input ~gate () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let gs = Tensor.shape gate in
   assert (Array.length gs = 2 && gs.(0) = n && gs.(1) = c);
-  let out = Tensor.zeros s in
+  let out = Arena.zeros arena s in
   let id = Tensor.data input and gd = Tensor.data gate and od = Tensor.data out in
   let plane = h * w in
   for nc = 0 to (n * c) - 1 do
@@ -441,11 +470,11 @@ let scale_channels ~input ~gate =
   done;
   out
 
-let scale_channels_backward ~input ~gate ~gout =
+let scale_channels_backward ?arena ~input ~gate ~gout () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let ginput = Tensor.zeros s in
-  let ggate = Tensor.zeros [| n; c |] in
+  let ginput = Arena.zeros arena s in
+  let ggate = Arena.zeros arena [| n; c |] in
   let id = Tensor.data input
   and gd = Tensor.data gate
   and god = Tensor.data gout
@@ -465,12 +494,12 @@ let scale_channels_backward ~input ~gate ~gout =
   done;
   (ginput, ggate)
 
-let max_pool2d t ~size ~stride ~pad =
+let max_pool2d ?arena t ~size ~stride ~pad =
   let s = Tensor.shape t in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let ho = conv_out_dim h ~k:size ~stride ~pad in
   let wo = conv_out_dim w ~k:size ~stride ~pad in
-  let out = Tensor.zeros [| n; c; ho; wo |] in
+  let out = Arena.zeros arena [| n; c; ho; wo |] in
   let indices = Array.make (Tensor.numel out) (-1) in
   let td = Tensor.data t and od = Tensor.data out in
   let oi = ref 0 in
@@ -504,18 +533,18 @@ let max_pool2d t ~size ~stride ~pad =
   done;
   (out, indices)
 
-let max_pool2d_backward ~input ~gout ~indices =
-  let gin = Tensor.zeros (Tensor.shape input) in
+let max_pool2d_backward ?arena ~input ~gout ~indices () =
+  let gin = Arena.zeros arena (Tensor.shape input) in
   let gd = Tensor.data gin and god = Tensor.data gout in
   Array.iteri (fun oi idx -> if idx >= 0 then gd.(idx) <- gd.(idx) +. god.(oi)) indices;
   gin
 
-let avg_pool2d t ~size ~stride ~pad =
+let avg_pool2d ?arena t ~size ~stride ~pad =
   let s = Tensor.shape t in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let ho = conv_out_dim h ~k:size ~stride ~pad in
   let wo = conv_out_dim w ~k:size ~stride ~pad in
-  let out = Tensor.zeros [| n; c; ho; wo |] in
+  let out = Arena.zeros arena [| n; c; ho; wo |] in
   let td = Tensor.data t and od = Tensor.data out in
   let inv = 1.0 /. float_of_int (size * size) in
   let oi = ref 0 in
@@ -542,12 +571,12 @@ let avg_pool2d t ~size ~stride ~pad =
   done;
   out
 
-let avg_pool2d_backward ~input ~gout ~size ~stride ~pad =
+let avg_pool2d_backward ?arena ~input ~gout ~size ~stride ~pad () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let os = Tensor.shape gout in
   let ho = os.(2) and wo = os.(3) in
-  let gin = Tensor.zeros s in
+  let gin = Arena.zeros arena s in
   let gd = Tensor.data gin and god = Tensor.data gout in
   let inv = 1.0 /. float_of_int (size * size) in
   let oi = ref 0 in
@@ -575,11 +604,11 @@ let avg_pool2d_backward ~input ~gout ~size ~stride ~pad =
   done;
   gin
 
-let upsample_nearest t f =
+let upsample_nearest ?arena t f =
   assert (f >= 1);
   let s = Tensor.shape t in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let out = Tensor.zeros [| n; c; h * f; w * f |] in
+  let out = Arena.zeros arena [| n; c; h * f; w * f |] in
   let td = Tensor.data t and od = Tensor.data out in
   let wf = w * f in
   for nc = 0 to (n * c) - 1 do
@@ -593,10 +622,10 @@ let upsample_nearest t f =
   done;
   out
 
-let upsample_nearest_backward ~input ~gout f =
+let upsample_nearest_backward ?arena ~input ~gout f =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let gin = Tensor.zeros s in
+  let gin = Arena.zeros arena s in
   let gd = Tensor.data gin and god = Tensor.data gout in
   let wf = w * f in
   for nc = 0 to (n * c) - 1 do
@@ -611,10 +640,10 @@ let upsample_nearest_backward ~input ~gout f =
   done;
   gin
 
-let global_avg_pool t =
+let global_avg_pool ?arena t =
   let s = Tensor.shape t in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let out = Tensor.zeros [| n; c |] in
+  let out = Arena.zeros arena [| n; c |] in
   let td = Tensor.data t and od = Tensor.data out in
   let inv = 1.0 /. float_of_int (h * w) in
   for ni = 0 to n - 1 do
@@ -629,10 +658,10 @@ let global_avg_pool t =
   done;
   out
 
-let global_avg_pool_backward ~input ~gout =
+let global_avg_pool_backward ?arena ~input ~gout () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let gin = Tensor.zeros s in
+  let gin = Arena.zeros arena s in
   let gd = Tensor.data gin and god = Tensor.data gout in
   let inv = 1.0 /. float_of_int (h * w) in
   for ni = 0 to n - 1 do
@@ -646,12 +675,12 @@ let global_avg_pool_backward ~input ~gout =
   done;
   gin
 
-let linear ~input ~weight ~bias =
+let linear ?arena ~input ~weight ~bias () =
   let is = Tensor.shape input and ws = Tensor.shape weight in
   let n = is.(0) and f = is.(1) in
   let out_dim = ws.(0) in
   assert (ws.(1) = f);
-  let out = Tensor.zeros [| n; out_dim |] in
+  let out = Arena.zeros arena [| n; out_dim |] in
   let id = Tensor.data input
   and wd = Tensor.data weight
   and bd = Tensor.data bias
@@ -669,13 +698,13 @@ let linear ~input ~weight ~bias =
   done;
   out
 
-let linear_backward ~input ~weight ~gout =
+let linear_backward ?arena ~input ~weight ~gout () =
   let is = Tensor.shape input and ws = Tensor.shape weight in
   let n = is.(0) and f = is.(1) in
   let out_dim = ws.(0) in
-  let ginput = Tensor.zeros is in
-  let gweight = Tensor.zeros ws in
-  let gbias = Tensor.zeros [| out_dim |] in
+  let ginput = Arena.zeros arena is in
+  let gweight = Arena.zeros arena ws in
+  let gbias = Arena.zeros arena [| out_dim |] in
   let id = Tensor.data input
   and wd = Tensor.data weight
   and god = Tensor.data gout
@@ -706,7 +735,7 @@ type bn_cache = {
   bn_xhat : Tensor.t;
 }
 
-let batch_norm ~input ~gamma ~beta ~eps =
+let batch_norm ?arena ~input ~gamma ~beta ~eps () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let count = float_of_int (n * h * w) in
@@ -735,8 +764,8 @@ let batch_norm ~input ~gamma ~beta ~eps =
     var.(ci) <- !acc /. count
   done;
   let inv_std = Array.map (fun v -> 1.0 /. sqrt (v +. eps)) var in
-  let xhat = Tensor.zeros s in
-  let out = Tensor.zeros s in
+  let xhat = Arena.zeros arena s in
+  let out = Arena.zeros arena s in
   let xd = Tensor.data xhat and od = Tensor.data out in
   let gd = Tensor.data gamma and bd = Tensor.data beta in
   for ni = 0 to n - 1 do
@@ -753,13 +782,13 @@ let batch_norm ~input ~gamma ~beta ~eps =
   done;
   (out, { bn_input = input; bn_gamma = gamma; bn_mean = mean; bn_inv_std = inv_std; bn_xhat = xhat })
 
-let batch_norm_backward ~gout ~cache =
+let batch_norm_backward ?arena ~gout ~cache () =
   let s = Tensor.shape cache.bn_input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let count = float_of_int (n * h * w) in
-  let ginput = Tensor.zeros s in
-  let ggamma = Tensor.zeros [| c |] in
-  let gbeta = Tensor.zeros [| c |] in
+  let ginput = Arena.zeros arena s in
+  let ggamma = Arena.zeros arena [| c |] in
+  let gbeta = Arena.zeros arena [| c |] in
   let god = Tensor.data gout
   and xd = Tensor.data cache.bn_xhat
   and gid = Tensor.data ginput
@@ -794,14 +823,14 @@ let batch_norm_backward ~gout ~cache =
   done;
   (ginput, ggamma, gbeta)
 
-let concat_channels parts =
+let concat_channels ?arena parts =
   match parts with
   | [] -> invalid_arg "concat_channels: empty"
   | first :: _ ->
       let s = Tensor.shape first in
       let n = s.(0) and h = s.(2) and w = s.(3) in
       let total_c = List.fold_left (fun acc t -> acc + (Tensor.shape t).(1)) 0 parts in
-      let out = Tensor.zeros [| n; total_c; h; w |] in
+      let out = Arena.zeros arena [| n; total_c; h; w |] in
       let od = Tensor.data out in
       let plane = h * w in
       for ni = 0 to n - 1 do
@@ -816,7 +845,7 @@ let concat_channels parts =
       done;
       out
 
-let split_channels_backward ~gout ~parts =
+let split_channels_backward ?arena ~gout ~parts () =
   let s = Tensor.shape gout in
   let n = s.(0) and total_c = s.(1) and h = s.(2) and w = s.(3) in
   assert (List.fold_left ( + ) 0 parts = total_c);
@@ -828,7 +857,7 @@ let split_channels_backward ~gout ~parts =
   in
   List.map
     (fun (off, c) ->
-      let g = Tensor.zeros [| n; c; h; w |] in
+      let g = Arena.zeros arena [| n; c; h; w |] in
       let gd = Tensor.data g in
       for ni = 0 to n - 1 do
         Array.blit god (((ni * total_c) + off) * plane) gd (ni * c * plane) (c * plane)

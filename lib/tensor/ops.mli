@@ -3,7 +3,20 @@
     Activations are NCHW, convolution weights are OIHW (with the I dimension
     equal to [C_i / groups] for grouped convolution).  Every forward kernel
     has a matching backward kernel returning gradients with respect to each
-    input, which powers both SGD training and the Fisher Potential pass. *)
+    input, which powers both SGD training and the Fisher Potential pass.
+
+    {2 Arenas}
+
+    The kernels that the Fisher pass runs ([Graph.forward] and
+    [Graph.backward_activations]) take an optional [?arena].  With one,
+    every tensor a kernel returns (outputs, gradients, the batch-norm
+    cache) and every im2col scratch buffer it uses is taken from the
+    arena ({!Arena.zeros}, {!Arena.floats}) instead of allocated, so the
+    call must run inside {!Arena.scoped}.  A returned tensor is
+    zero-filled before the kernel writes it, exactly like a fresh one, so
+    its bits never depend on what the buffer held before; it is valid
+    until the scope ends and must not be kept past it.  Without
+    [?arena] a kernel allocates every tensor and buffer afresh. *)
 
 type conv_params = {
   stride : int;
@@ -45,13 +58,23 @@ val conv_out_dim : ?dilation:int -> int -> k:int -> stride:int -> pad:int -> int
     weight gradients in one pass. *)
 
 val conv2d :
-  input:Tensor.t -> weight:Tensor.t -> bias:Tensor.t option -> conv_params -> Tensor.t
+  ?arena:Arena.t ->
+  input:Tensor.t ->
+  weight:Tensor.t ->
+  bias:Tensor.t option ->
+  conv_params ->
+  Tensor.t
 (** [conv2d ~input ~weight ~bias p] computes a (possibly grouped, possibly
     dilated) 2-D convolution.  Input [N;Ci;H;W], weight [Co;Ci/g;Kh;Kw],
     output [N;Co;Ho;Wo].  [Ci] and [Co] must be divisible by [p.groups]. *)
 
 val conv2d_backward_input :
-  input:Tensor.t -> weight:Tensor.t -> gout:Tensor.t -> conv_params -> Tensor.t
+  ?arena:Arena.t ->
+  input:Tensor.t ->
+  weight:Tensor.t ->
+  gout:Tensor.t ->
+  conv_params ->
+  Tensor.t
 (** Gradient of {!conv2d} w.r.t. its input alone ([input] supplies only the
     shape).  Bit for bit the first component of {!conv2d_backward}; the
     Fisher pass calls it to skip the weight gradient. *)
@@ -66,75 +89,108 @@ val conv2d_backward :
 
 (** {2 Other kernels} *)
 
-val relu : Tensor.t -> Tensor.t
+val relu : ?arena:Arena.t -> Tensor.t -> Tensor.t
 (** Elementwise max(x, 0). *)
 
-val relu_backward : input:Tensor.t -> gout:Tensor.t -> Tensor.t
+val relu_backward : ?arena:Arena.t -> input:Tensor.t -> gout:Tensor.t -> unit -> Tensor.t
 (** Gradient of {!relu} w.r.t. its input. *)
 
-val sigmoid : Tensor.t -> Tensor.t
+val sigmoid : ?arena:Arena.t -> Tensor.t -> Tensor.t
 (** Elementwise logistic function, used by squeeze-excite gates. *)
 
-val sigmoid_backward : out:Tensor.t -> gout:Tensor.t -> Tensor.t
+val sigmoid_backward : ?arena:Arena.t -> out:Tensor.t -> gout:Tensor.t -> unit -> Tensor.t
 (** Gradient of {!sigmoid} w.r.t. its input, computed from the forward
     output ([g * out * (1 - out)]). *)
 
-val scale_channels : input:Tensor.t -> gate:Tensor.t -> Tensor.t
+val scale_channels : ?arena:Arena.t -> input:Tensor.t -> gate:Tensor.t -> unit -> Tensor.t
 (** [scale_channels ~input ~gate] multiplies every spatial plane of the NCHW
     [input] by the matching per-channel gate value ([gate] is [N;C]).  This
     is the broadcast product a squeeze-excite block applies. *)
 
 val scale_channels_backward :
-  input:Tensor.t -> gate:Tensor.t -> gout:Tensor.t -> Tensor.t * Tensor.t
+  ?arena:Arena.t ->
+  input:Tensor.t ->
+  gate:Tensor.t ->
+  gout:Tensor.t ->
+  unit ->
+  Tensor.t * Tensor.t
 (** Gradients of {!scale_channels} (w.r.t. input and gate); the gate
     gradient sums [gout * input] over each spatial plane. *)
 
-val max_pool2d : Tensor.t -> size:int -> stride:int -> pad:int -> Tensor.t * int array
+val max_pool2d :
+  ?arena:Arena.t -> Tensor.t -> size:int -> stride:int -> pad:int -> Tensor.t * int array
 (** Returns the pooled tensor and the flat argmax index of each output cell
     (or -1 where the window saw only padding), consumed by the backward
     pass. *)
 
 val max_pool2d_backward :
-  input:Tensor.t -> gout:Tensor.t -> indices:int array -> Tensor.t
+  ?arena:Arena.t -> input:Tensor.t -> gout:Tensor.t -> indices:int array -> unit -> Tensor.t
+(** Gradient of {!max_pool2d}: each output gradient goes to its argmax. *)
 
-val avg_pool2d : Tensor.t -> size:int -> stride:int -> pad:int -> Tensor.t
+val avg_pool2d : ?arena:Arena.t -> Tensor.t -> size:int -> stride:int -> pad:int -> Tensor.t
 (** Padding cells count as zeros in the average (count-include-pad). *)
 
 val avg_pool2d_backward :
-  input:Tensor.t -> gout:Tensor.t -> size:int -> stride:int -> pad:int -> Tensor.t
+  ?arena:Arena.t ->
+  input:Tensor.t ->
+  gout:Tensor.t ->
+  size:int ->
+  stride:int ->
+  pad:int ->
+  unit ->
+  Tensor.t
+(** Gradient of {!avg_pool2d}. *)
 
-val upsample_nearest : Tensor.t -> int -> Tensor.t
+val upsample_nearest : ?arena:Arena.t -> Tensor.t -> int -> Tensor.t
 (** [upsample_nearest t f] repeats every spatial cell [f] times along both
     spatial axes. *)
 
-val upsample_nearest_backward : input:Tensor.t -> gout:Tensor.t -> int -> Tensor.t
+val upsample_nearest_backward :
+  ?arena:Arena.t -> input:Tensor.t -> gout:Tensor.t -> int -> Tensor.t
+(** Gradient of {!upsample_nearest}: each input cell sums its [f * f] copies. *)
 
-val global_avg_pool : Tensor.t -> Tensor.t
+val global_avg_pool : ?arena:Arena.t -> Tensor.t -> Tensor.t
 (** [N;C;H;W] -> [N;C]. *)
 
-val global_avg_pool_backward : input:Tensor.t -> gout:Tensor.t -> Tensor.t
+val global_avg_pool_backward :
+  ?arena:Arena.t -> input:Tensor.t -> gout:Tensor.t -> unit -> Tensor.t
+(** Gradient of {!global_avg_pool}. *)
 
-val linear : input:Tensor.t -> weight:Tensor.t -> bias:Tensor.t -> Tensor.t
+val linear :
+  ?arena:Arena.t -> input:Tensor.t -> weight:Tensor.t -> bias:Tensor.t -> unit -> Tensor.t
 (** Input [N;F], weight [Out;F], bias [Out] -> [N;Out]. *)
 
 val linear_backward :
-  input:Tensor.t -> weight:Tensor.t -> gout:Tensor.t -> Tensor.t * Tensor.t * Tensor.t
+  ?arena:Arena.t ->
+  input:Tensor.t ->
+  weight:Tensor.t ->
+  gout:Tensor.t ->
+  unit ->
+  Tensor.t * Tensor.t * Tensor.t
+(** Gradients (w.r.t. input, weight, bias) of {!linear}. *)
 
 type bn_cache
 (** Values saved by the batch-norm forward pass for its backward pass. *)
 
 val batch_norm :
-  input:Tensor.t -> gamma:Tensor.t -> beta:Tensor.t -> eps:float -> Tensor.t * bn_cache
+  ?arena:Arena.t ->
+  input:Tensor.t ->
+  gamma:Tensor.t ->
+  beta:Tensor.t ->
+  eps:float ->
+  unit ->
+  Tensor.t * bn_cache
 (** Per-channel normalization over the N, H, W axes (training statistics). *)
 
 val batch_norm_backward :
-  gout:Tensor.t -> cache:bn_cache -> Tensor.t * Tensor.t * Tensor.t
+  ?arena:Arena.t -> gout:Tensor.t -> cache:bn_cache -> unit -> Tensor.t * Tensor.t * Tensor.t
 (** Gradients (w.r.t. input, gamma, beta). *)
 
-val concat_channels : Tensor.t list -> Tensor.t
+val concat_channels : ?arena:Arena.t -> Tensor.t list -> Tensor.t
 (** Concatenates NCHW tensors along the channel axis. *)
 
-val split_channels_backward : gout:Tensor.t -> parts:int list -> Tensor.t list
+val split_channels_backward :
+  ?arena:Arena.t -> gout:Tensor.t -> parts:int list -> unit -> Tensor.t list
 (** Inverse of {!concat_channels} for gradients: splits [gout] into chunks of
     [parts] channels. *)
 

@@ -100,6 +100,31 @@ let t_ctx_fork () =
     (parent_injected + Fault.injected (Eval_ctx.fault worker))
     (Fault.injected (Eval_ctx.fault parent))
 
+(* Every Fisher pass runs in its context's arena.  A fork starts with an
+   empty arena of its own, and the workers' buffer takes reach the
+   parent's [cache.arena.*] counters: the parent itself runs only the
+   reference pass, which can reuse nothing, so every reused buffer was a
+   worker's. *)
+let t_ctx_arena () =
+  let rng = Rng.create 5 in
+  let model = Models.build (Models.resnet18 ()) rng in
+  let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
+  let obs = Obs.create () in
+  let ctx = Eval_ctx.create ~obs () in
+  ignore
+    (Unified_search.search ~candidates:6 ~workers:2 ~ctx ~rng:(Rng.split rng)
+       ~device:Device.i7 ~probe model);
+  let empty = Arena.stats (Eval_ctx.arena (Eval_ctx.fork ctx)) in
+  Alcotest.(check (list int)) "a fork's arena starts empty" [ 0; 0; 0 ]
+    [ empty.as_bytes; empty.as_reused; empty.as_fresh ];
+  let own = Arena.stats (Eval_ctx.arena ctx) in
+  let counter = Metrics.counter (Obs.metrics obs) in
+  Alcotest.(check bool) "the reference pass ran in the parent's arena" true (own.as_bytes > 0);
+  Alcotest.(check int) "bytes held by the parent" own.as_bytes (counter "cache.arena.bytes");
+  Alcotest.(check int) "fresh takes" own.as_fresh (counter "cache.arena.fresh");
+  Alcotest.(check int) "reused takes" own.as_reused (counter "cache.arena.reused");
+  Alcotest.(check bool) "workers' reuse folded in" true (own.as_reused > 0)
+
 (* --- fisher memo bounding ------------------------------------------------ *)
 
 let t_fisher_memo_bounded () =
@@ -408,6 +433,7 @@ let () =
       ( "eval-ctx",
         [ quick "isolation" t_ctx_isolation;
           quick "fork" t_ctx_fork;
+          quick "arena" t_ctx_arena;
           quick "fisher memo bounded" t_fisher_memo_bounded;
           quick "fisher key names the network" t_fisher_key_names_network;
           quick "cache warmth never changes a result" t_warmth_never_changes_result ] );

@@ -77,14 +77,14 @@ let candidate_impls model seed =
 let candidate model seed =
   Models.rebuild model (Rng.create (1000 + seed)) (candidate_impls model seed)
 
-let score_bits m probe =
-  let s = Fisher.score m probe in
+let score_bits ?arena m probe =
+  let s = Fisher.score ?arena m probe in
   (Int64.bits_of_float s.Fisher.total, Array.map Int64.bits_of_float s.per_site)
 
-let golden_scores name =
+let golden_scores ?arena name =
   let model, probe = zoo_model name in
   model :: List.map (candidate model) [ 1; 2; 3; 4 ]
-  |> List.map (fun m -> score_bits m probe)
+  |> List.map (fun m -> score_bits ?arena m probe)
 
 let golden_bits =
   [
@@ -133,7 +133,7 @@ let golden_bits =
         (0x400fafae84a35d01L,
           [| 0x3fe861f06d668715L; 0x3fe5170771b13da2L; 0x3fe43a92ace60696L; 0x3fd830f23a1bc12bL; 0x3fd6b760206d2b6dL; 0x3fc972a0a75f7030L; 0x3fcb084d12fdd8f3L; 0x3fc8b260cd9a6a2eL; 0x3fbbfb38c53d8929L; 0x3fac9c3dc71b9372L; 0x3fa7f47e2d9428a2L; 0x3fa6e3013a03faaaL; 0x3fa444ebe66bfce0L; 0x3f9de843ccb67337L; 0x3f9cabc53f276c74L; 0x3f8dbb88fb581e6eL; 0x3f97765bae57ee8aL; 0x3f9880ef15b2f749L; 0x3f97893a40334e3eL; 0x3f91c7cce9176c4dL; 0x3f92fdaebcdefd3dL; 0x3f8602ec947ac457L; 0x3f854f07d1a571ddL; 0x3f775f1b20a70b72L; 0x3f80bcec3aed4f84L; 0x3f781df2ae4eac9fL; 0x3f830e48b230590fL; 0x3f70c4c5d399bfc2L; 0x3f6df879484b73afL; 0x3f6f51f2768b8994L; 0x3f72e893f9416b73L; 0x3f685b085091d495L; 0x3f65495e88fb8aa5L; 0x3f6016b8a909fea6L; 0x3f735118106851abL; 0x3f6dfdcf0da33aefL; 0x3f5682347e350f8aL; 0x3f442f0a1010a98eL; 0x3f5baddfb0426012L; 0x3f5166050216a8f2L; 0x3f4e4a944a54d386L; 0x3f45101456aadffbL; 0x3f5f615914f53866L; 0x3f53f920a08e20a6L; 0x3f4d76b25172d1e9L; 0x3f4d6593715de4b6L; 0x3f4954bb3df625c0L; 0x3f501b9045d9f592L; 0x3f4795209cb6aee3L; 0x3f3b1f1cf9df3a2aL; 0x3f32673283987e2bL; 0x3f2d28ebf3681c9cL; 0x3f3668657e7c722bL; 0x3f2baf07d09bd4f6L; 0x3f2514668dbf972fL; 0x3f0ca6cb2e6930ecL; 0x3f288463f2739091L; 0x3f1c430ce291db3eL |]) ]) ]
 
-let t_golden_bits () =
+let check_golden ?arena () =
   List.iter
     (fun (name, expected) ->
       List.iteri
@@ -141,8 +141,112 @@ let t_golden_bits () =
           let what = Printf.sprintf "%s candidate %d" name i in
           Alcotest.(check int64) (what ^ " total bits") want_total total;
           Alcotest.(check (array int64)) (what ^ " per-site bits") want_sites sites)
-        (List.combine (golden_scores name) expected))
+        (List.combine (golden_scores ?arena name) expected))
     golden_bits
+
+let t_golden_bits () = check_golden ()
+
+(* --- the tensor arena ---------------------------------------------------------- *)
+
+(* One arena serves all four golden families in turn, so most buffers a
+   pass takes hold stale values of another candidate or family. *)
+let t_golden_bits_arena () =
+  let arena = Arena.create () in
+  check_golden ~arena ();
+  Alcotest.(check bool) "buffers were reused" true ((Arena.stats arena).as_reused > 0)
+
+(* Every registered family at [`Search] scale, baseline and two seeded
+   candidates, scored through one arena: the bits of the arena-free pass. *)
+let t_zoo_arena_bits () =
+  let arena = Arena.create () in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let model, probe = zoo_model e.ze_name in
+      List.iteri
+        (fun i m ->
+          Alcotest.(check (pair int64 (array int64)))
+            (Printf.sprintf "%s candidate %d" e.ze_name i)
+            (score_bits m probe) (score_bits ~arena m probe))
+        (model :: List.map (candidate model) [ 1; 2 ]))
+    Zoo.all
+
+let refused f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* A nested pass, or a pass from another domain while one is running,
+   refuses the busy arena instead of sharing its buffers. *)
+let t_arena_busy () =
+  let model, probe = zoo_model "mobilenet_small" in
+  let arena = Arena.create () in
+  Alcotest.(check bool) "nested use refused" true
+    (refused (fun () -> Arena.scoped arena (fun () -> Fisher.score ~arena model probe)));
+  let entered = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        Arena.scoped arena (fun () ->
+            Atomic.set entered true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  let concurrent =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set release true;
+        Domain.join holder)
+      (fun () -> refused (fun () -> Fisher.score ~arena model probe))
+  in
+  Alcotest.(check bool) "concurrent use refused" true concurrent;
+  Alcotest.(check (pair int64 (array int64))) "usable after both refusals"
+    (score_bits model probe) (score_bits ~arena model probe)
+
+(* A pass that raises half way (here: a label outside the logits, after
+   the whole forward pass has taken its buffers) still resets the arena,
+   and the next pass through it is bit-identical. *)
+let t_arena_raise () =
+  let model, probe = zoo_model "resnet18" in
+  let arena = Arena.create () in
+  let bad = { probe with Train.labels = Array.map (fun _ -> 1_000_000) probe.labels } in
+  (match Fisher.score ~arena model bad with
+  | _ -> Alcotest.fail "a label outside the logits must raise"
+  | exception Invalid_argument msg when msg <> "" -> ());
+  Alcotest.(check bool) "the failed pass took buffers" true ((Arena.stats arena).as_fresh > 0);
+  Alcotest.(check (pair int64 (array int64))) "next pass"
+    (score_bits model probe) (score_bits ~arena model probe)
+
+(* After a pass the arena holds exactly that pass's buffers: a small pass
+   after a large one leaves what the small pass alone leaves. *)
+let t_arena_footprint () =
+  let large, large_probe = zoo_model "mobilenet_small" in
+  let small, small_probe = zoo_model "resnet18" in
+  let bytes passes =
+    let arena = Arena.create () in
+    List.iter (fun (m, p) -> ignore (Fisher.score ~arena m p)) passes;
+    (Arena.stats arena).as_bytes
+  in
+  let large_only = bytes [ (large, large_probe) ] in
+  let small_only = bytes [ (small, small_probe) ] in
+  let both = bytes [ (large, large_probe); (small, small_probe) ] in
+  Alcotest.(check bool) "the large pass holds more" true (large_only > small_only);
+  Alcotest.(check int) "large then small holds the small pass" small_only both
+
+(* Allocation gate: a Fisher pass through a warm arena allocates at most
+   2 MB (the arena-free pass allocates tens of MB).  Allocation counts are
+   deterministic, so this catches a kernel that boxes its floats or takes
+   a fresh buffer again without depending on timing. *)
+let t_arena_alloc_gate () =
+  List.iter
+    (fun name ->
+      let model, probe = zoo_model name in
+      let arena = Arena.create () in
+      ignore (Fisher.score ~arena model probe);
+      let before = Gc.allocated_bytes () in
+      ignore (Fisher.score ~arena model probe);
+      let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+      if mb > 2.0 then Alcotest.failf "%s: a warm pass allocated %.2f MB" name mb)
+    [ "resnet18"; "mobilenet_small" ]
 
 (* The activation-only sweep that [Fisher.score] runs gives every node at
    or after the earliest scored node bitwise the activation gradient of the
@@ -389,10 +493,17 @@ let () =
           quick "deterministic" t_deterministic;
           quick "aggressive grouping scores lower" t_zeroed_network_scores_lower;
           quick "golden score bits" t_golden_bits;
+          quick "golden score bits through one arena" t_golden_bits_arena;
+          quick "every zoo family: arena bits" t_zoo_arena_bits;
           quick "activation-only backward" t_activation_only_backward;
           quick "shared layers match a fresh rebuild" t_shared_layers_match_fresh;
           quick "a search leaves shared layers intact"
             t_search_leaves_shared_layers_intact ] );
+      ( "arena",
+        [ quick "a busy arena refuses" t_arena_busy;
+          quick "a raising pass resets" t_arena_raise;
+          quick "holds one pass" t_arena_footprint;
+          quick "warm pass allocates <= 2 MB" t_arena_alloc_gate ] );
       ( "legality",
         [ quick "clipped total" t_clipped_total;
           quick "simple threshold" t_legal_simple ] );

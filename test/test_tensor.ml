@@ -176,23 +176,33 @@ let t_conv_bias () =
   check_close "bias added" 2.0
     (Tensor.get with_bias [| 0; 1; 0; 0 |] -. Tensor.get without [| 0; 1; 0; 0 |])
 
+(* Central differences of a scalar loss through a kernel at [samples]
+   random cells of [param]: the first cell where [grad] disagrees, if any. *)
+let fd_mismatch ?(seed = 123) ~loss ~param ~grad ~samples ~tol () =
+  let eps = 1e-4 in
+  let r = Rng.create seed in
+  let rec go k =
+    if k = 0 then None
+    else begin
+      let i = Rng.int r (Tensor.numel param) in
+      let orig = Tensor.get1 param i in
+      Tensor.set1 param i (orig +. eps);
+      let up = loss () in
+      Tensor.set1 param i (orig -. eps);
+      let down = loss () in
+      Tensor.set1 param i orig;
+      let expected = (up -. down) /. (2.0 *. eps) in
+      let got = Tensor.get1 grad i in
+      if Float.abs (expected -. got) > tol *. (1.0 +. Float.abs expected) then
+        Some (Printf.sprintf "fd %.6f vs grad %.6f at %d" expected got i)
+      else go (k - 1)
+    end
+  in
+  go samples
+
 (* Generic finite-difference check of a scalar loss through a kernel. *)
 let finite_diff ~loss ~param ~grad ~samples ~tol name =
-  let eps = 1e-4 in
-  let r = Rng.create 123 in
-  for _ = 1 to samples do
-    let i = Rng.int r (Tensor.numel param) in
-    let orig = Tensor.get1 param i in
-    Tensor.set1 param i (orig +. eps);
-    let up = loss () in
-    Tensor.set1 param i (orig -. eps);
-    let down = loss () in
-    Tensor.set1 param i orig;
-    let expected = (up -. down) /. (2.0 *. eps) in
-    let got = Tensor.get1 grad i in
-    if Float.abs (expected -. got) > tol *. (1.0 +. Float.abs expected) then
-      Alcotest.failf "%s: fd %.6f vs grad %.6f at %d" name expected got i
-  done
+  Option.iter (Alcotest.failf "%s: %s" name) (fd_mismatch ~loss ~param ~grad ~samples ~tol ())
 
 let t_conv_backward () =
   let r = rng () in
@@ -263,8 +273,8 @@ let t_linear_backward () =
   let weight = Tensor.rand_normal r [| 4; 5 |] ~mean:0.0 ~std:1.0 in
   let bias = Tensor.rand_normal r [| 4 |] ~mean:0.0 ~std:1.0 in
   let coeffs = Tensor.rand_normal r [| 3; 4 |] ~mean:0.0 ~std:1.0 in
-  let loss () = Tensor.sum (Tensor.mul (Ops.linear ~input ~weight ~bias) coeffs) in
-  let gin, gw, gb = Ops.linear_backward ~input ~weight ~gout:coeffs in
+  let loss () = Tensor.sum (Tensor.mul (Ops.linear ~input ~weight ~bias ()) coeffs) in
+  let gin, gw, gb = Ops.linear_backward ~input ~weight ~gout:coeffs () in
   finite_diff ~loss ~param:input ~grad:gin ~samples:15 ~tol:1e-3 "linear dinput";
   finite_diff ~loss ~param:weight ~grad:gw ~samples:15 ~tol:1e-3 "linear dweight";
   ignore gb
@@ -273,7 +283,7 @@ let t_bn_forward_stats () =
   let r = rng () in
   let input = Tensor.rand_normal r [| 4; 3; 6; 6 |] ~mean:5.0 ~std:2.0 in
   let gamma = Tensor.ones [| 3 |] and beta = Tensor.zeros [| 3 |] in
-  let out, _ = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 in
+  let out, _ = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 () in
   (* Per-channel mean ~0 and variance ~1. *)
   for c = 0 to 2 do
     let acc = ref 0.0 and acc2 = ref 0.0 and count = ref 0 in
@@ -298,11 +308,11 @@ let t_bn_backward () =
   let beta = Tensor.rand_normal r [| 2 |] ~mean:0.0 ~std:0.2 in
   let coeffs = Tensor.rand_normal r [| 2; 2; 3; 3 |] ~mean:0.0 ~std:1.0 in
   let loss () =
-    let out, _ = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 in
+    let out, _ = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 () in
     Tensor.sum (Tensor.mul out coeffs)
   in
-  let _, cache = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 in
-  let gin, ggamma, gbeta = Ops.batch_norm_backward ~gout:coeffs ~cache in
+  let _, cache = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 () in
+  let gin, ggamma, gbeta = Ops.batch_norm_backward ~gout:coeffs ~cache () in
   finite_diff ~loss ~param:input ~grad:gin ~samples:12 ~tol:1e-2 "bn dinput";
   finite_diff ~loss ~param:gamma ~grad:ggamma ~samples:2 ~tol:1e-2 "bn dgamma";
   finite_diff ~loss ~param:beta ~grad:gbeta ~samples:2 ~tol:1e-2 "bn dbeta"
@@ -326,12 +336,12 @@ let t_pool_backward () =
     Tensor.sum (Tensor.mul out coeffs)
   in
   let _, indices = Ops.max_pool2d input ~size:2 ~stride:2 ~pad:0 in
-  let gin = Ops.max_pool2d_backward ~input ~gout:coeffs ~indices in
+  let gin = Ops.max_pool2d_backward ~input ~gout:coeffs ~indices () in
   finite_diff ~loss:loss_max ~param:input ~grad:gin ~samples:12 ~tol:1e-2 "maxpool";
   let loss_avg () =
     Tensor.sum (Tensor.mul (Ops.avg_pool2d input ~size:2 ~stride:2 ~pad:0) coeffs)
   in
-  let gin = Ops.avg_pool2d_backward ~input ~gout:coeffs ~size:2 ~stride:2 ~pad:0 in
+  let gin = Ops.avg_pool2d_backward ~input ~gout:coeffs ~size:2 ~stride:2 ~pad:0 () in
   finite_diff ~loss:loss_avg ~param:input ~grad:gin ~samples:12 ~tol:1e-2 "avgpool"
 
 let t_gap () =
@@ -361,7 +371,7 @@ let t_concat_split () =
   Alcotest.(check (array int)) "shape" [| 2; 4; 2; 2 |] (Tensor.shape cat);
   check_close "a part" (Tensor.get a [| 1; 2; 1; 0 |]) (Tensor.get cat [| 1; 2; 1; 0 |]);
   check_close "b part" (Tensor.get b [| 1; 0; 0; 1 |]) (Tensor.get cat [| 1; 3; 0; 1 |]);
-  match Ops.split_channels_backward ~gout:cat ~parts:[ 3; 1 ] with
+  match Ops.split_channels_backward ~gout:cat ~parts:[ 3; 1 ] () with
   | [ ga; gb ] ->
       Alcotest.(check bool) "split a" true (Tensor.approx_equal ga a);
       Alcotest.(check bool) "split b" true (Tensor.approx_equal gb b)
@@ -436,6 +446,202 @@ let conv_operands g =
   let pad = if g.same_pad || reach >= g.hw then reach / 2 + (reach mod 2) else 0 in
   (input, weight, { Ops.stride = g.stride; pad; groups = g.groups; dilation = g.dilation })
 
+(* --- gradient properties over generated shapes ------------------------------- *)
+
+(* A random NCHW activation shape, a pooling window that fits it, and a
+   seed for the operands. *)
+type act_geom = {
+  an : int;
+  ac : int;
+  ah : int;
+  aw : int;
+  size : int;
+  pstride : int;
+  ppad : int;
+  factor : int;
+  aseed : int;
+}
+
+let act_geom_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* an = int_range 1 2 and* ac = int_range 1 4 in
+    let* ah = int_range 3 6 and* aw = int_range 3 6 in
+    let* size = int_range 2 3 and* pstride = int_range 1 2 and* factor = int_range 1 3 in
+    let* ppad = int_range 0 (size - 1) and* aseed = int_bound 9999 in
+    return { an; ac; ah; aw; size; pstride; ppad; factor; aseed }
+  in
+  QCheck.make gen ~print:(fun g ->
+      Printf.sprintf "n%d c%d %dx%d pool%d s%d p%d up%d seed%d" g.an g.ac g.ah g.aw g.size
+        g.pstride g.ppad g.factor g.aseed)
+
+let normal r shape = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0
+
+(* [loss ()] is the sum of [forward ()] weighted by [coeffs], so the
+   gradient of every parameter is the backward kernel at [gout = coeffs];
+   every [(name, param, grad)] must match central differences. *)
+let fd_holds ~seed ~coeffs ~forward params =
+  let loss () = Tensor.sum (Tensor.mul (forward ()) coeffs) in
+  List.for_all
+    (fun (name, param, grad) ->
+      match fd_mismatch ~seed ~loss ~param ~grad ~samples:6 ~tol:1e-2 () with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "%s: %s" name m)
+    params
+
+(* A tensor of distinct values at least 0.05 apart, so no perturbation of
+   [fd_mismatch]'s step changes a pooling window's argmax. *)
+let distinct r shape =
+  let n = Array.fold_left ( * ) 1 shape in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Rng.int r (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  Tensor.of_array shape (Array.map (fun k -> 0.05 *. float_of_int (k - (n / 2))) perm)
+
+let act_shape g = [| g.an; g.ac; g.ah; g.aw |]
+
+let gradient_props =
+  let open QCheck in
+  let prop name f = Test.make ~name:(name ^ " gradient matches fd") ~count:25 act_geom_arb f in
+  let coeffs_for r out = normal r (Tensor.shape out) in
+  [ prop "relu" (fun g ->
+        (* Inputs kept at least 0.1 away from the kink at 0. *)
+        let r = Rng.create g.aseed in
+        let x =
+          Tensor.map (fun v -> if v >= 0.0 then v +. 0.1 else v -. 0.1) (normal r (act_shape g))
+        in
+        let coeffs = coeffs_for r x in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> Ops.relu x)
+          [ ("input", x, Ops.relu_backward ~input:x ~gout:coeffs ()) ]);
+    prop "sigmoid" (fun g ->
+        let r = Rng.create g.aseed in
+        let x = normal r (act_shape g) in
+        let coeffs = coeffs_for r x in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> Ops.sigmoid x)
+          [ ("input", x, Ops.sigmoid_backward ~out:(Ops.sigmoid x) ~gout:coeffs ()) ]);
+    prop "batch norm" (fun g ->
+        let r = Rng.create g.aseed in
+        let x = Tensor.rand_normal r (act_shape g) ~mean:1.0 ~std:1.5 in
+        let gamma = Tensor.rand_normal r [| g.ac |] ~mean:1.0 ~std:0.2 in
+        let beta = normal r [| g.ac |] in
+        let coeffs = coeffs_for r x in
+        let bn () = Ops.batch_norm ~input:x ~gamma ~beta ~eps:1e-5 () in
+        let gin, ggamma, gbeta = Ops.batch_norm_backward ~gout:coeffs ~cache:(snd (bn ())) () in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> fst (bn ()))
+          [ ("input", x, gin); ("gamma", gamma, ggamma); ("beta", beta, gbeta) ]);
+    prop "max pool" (fun g ->
+        let r = Rng.create g.aseed in
+        let x = distinct r (act_shape g) in
+        let pool () = Ops.max_pool2d x ~size:g.size ~stride:g.pstride ~pad:g.ppad in
+        let out, indices = pool () in
+        let coeffs = coeffs_for r out in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> fst (pool ()))
+          [ ("input", x, Ops.max_pool2d_backward ~input:x ~gout:coeffs ~indices ()) ]);
+    prop "avg pool" (fun g ->
+        let r = Rng.create g.aseed in
+        let x = normal r (act_shape g) in
+        let { size; pstride = stride; ppad = pad; _ } = g in
+        let pool () = Ops.avg_pool2d x ~size ~stride ~pad in
+        let coeffs = coeffs_for r (pool ()) in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:pool
+          [ ("input", x, Ops.avg_pool2d_backward ~input:x ~gout:coeffs ~size ~stride ~pad ()) ]);
+    prop "global pool" (fun g ->
+        let r = Rng.create g.aseed in
+        let x = normal r (act_shape g) in
+        let coeffs = normal r [| g.an; g.ac |] in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> Ops.global_avg_pool x)
+          [ ("input", x, Ops.global_avg_pool_backward ~input:x ~gout:coeffs ()) ]);
+    prop "linear" (fun g ->
+        (* [ah] features into [aw] outputs. *)
+        let r = Rng.create g.aseed in
+        let input = normal r [| g.an; g.ah |] in
+        let weight = normal r [| g.aw; g.ah |] and bias = normal r [| g.aw |] in
+        let coeffs = normal r [| g.an; g.aw |] in
+        let gin, gw, gb = Ops.linear_backward ~input ~weight ~gout:coeffs () in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> Ops.linear ~input ~weight ~bias ())
+          [ ("input", input, gin); ("weight", weight, gw); ("bias", bias, gb) ]);
+    prop "scale_channels" (fun g ->
+        let r = Rng.create g.aseed in
+        let input = normal r (act_shape g) and gate = normal r [| g.an; g.ac |] in
+        let coeffs = coeffs_for r input in
+        let gin, ggate = Ops.scale_channels_backward ~input ~gate ~gout:coeffs () in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> Ops.scale_channels ~input ~gate ())
+          [ ("input", input, gin); ("gate", gate, ggate) ]);
+    prop "concat" (fun g ->
+        (* Parts of [ac], 1 and [factor] channels. *)
+        let r = Rng.create g.aseed in
+        let parts = [ g.ac; 1; g.factor ] in
+        let xs = List.map (fun c -> normal r [| g.an; c; g.ah; g.aw |]) parts in
+        let coeffs = normal r [| g.an; g.ac + 1 + g.factor; g.ah; g.aw |] in
+        let grads = Ops.split_channels_backward ~gout:coeffs ~parts () in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:(fun () -> Ops.concat_channels xs)
+          (List.mapi (fun i (x, gx) -> (Printf.sprintf "part %d" i, x, gx)) (List.combine xs grads)));
+    prop "upsample" (fun g ->
+        let r = Rng.create g.aseed in
+        let x = normal r (act_shape g) in
+        let up () = Ops.upsample_nearest x g.factor in
+        let coeffs = coeffs_for r (up ()) in
+        fd_holds ~seed:g.aseed ~coeffs ~forward:up
+          [ ("input", x, Ops.upsample_nearest_backward ~input:x ~gout:coeffs g.factor) ]) ]
+
+(* --- the tensor arena -------------------------------------------------------- *)
+
+(* Every kernel that takes [?arena], forward and backward, on operands of
+   one convolution geometry; the tensors they return, in a fixed order. *)
+let arena_kernels ?arena g ~scale =
+  let input, weight, p = conv_operands g in
+  let r = Rng.create (g.seed + 1) in
+  let x = Tensor.scale scale input in
+  let n = g.n and c = (Tensor.shape x).(1) and hw = g.hw in
+  let like t = Tensor.scale scale (normal r (Tensor.shape t)) in
+  let y = Ops.conv2d ?arena ~input:x ~weight ~bias:None p in
+  let gin = Ops.conv2d_backward_input ?arena ~input:x ~weight ~gout:(like y) p in
+  let relu = Ops.relu ?arena x in
+  let grelu = Ops.relu_backward ?arena ~input:x ~gout:(like x) () in
+  let sg = Ops.sigmoid ?arena x in
+  let gsg = Ops.sigmoid_backward ?arena ~out:sg ~gout:(like x) () in
+  let gate = Tensor.scale scale (normal r [| n; c |]) in
+  let sc = Ops.scale_channels ?arena ~input:x ~gate () in
+  let gsc, ggate = Ops.scale_channels_backward ?arena ~input:x ~gate ~gout:(like x) () in
+  let mp, indices = Ops.max_pool2d ?arena x ~size:2 ~stride:2 ~pad:0 in
+  let gmp = Ops.max_pool2d_backward ?arena ~input:x ~gout:(like mp) ~indices () in
+  let ap = Ops.avg_pool2d ?arena x ~size:3 ~stride:1 ~pad:1 in
+  let gap = Ops.avg_pool2d_backward ?arena ~input:x ~gout:(like ap) ~size:3 ~stride:1 ~pad:1 () in
+  let up = Ops.upsample_nearest ?arena x 2 in
+  let gup = Ops.upsample_nearest_backward ?arena ~input:x ~gout:(like up) 2 in
+  let gp = Ops.global_avg_pool ?arena x in
+  let ggp = Ops.global_avg_pool_backward ?arena ~input:x ~gout:(like gp) () in
+  let flat = Tensor.reshape x [| n; c * hw * hw |] in
+  let lw = normal r [| 3; c * hw * hw |] and lb = normal r [| 3 |] in
+  let lin = Ops.linear ?arena ~input:flat ~weight:lw ~bias:lb () in
+  let glin, glw, glb = Ops.linear_backward ?arena ~input:flat ~weight:lw ~gout:(like lin) () in
+  let gamma = normal r [| c |] and beta = normal r [| c |] in
+  let bn, cache = Ops.batch_norm ?arena ~input:x ~gamma ~beta ~eps:1e-5 () in
+  let gbn, ggamma, gbeta = Ops.batch_norm_backward ?arena ~gout:(like bn) ~cache () in
+  let cat = Ops.concat_channels ?arena [ x; sg ] in
+  let split = Ops.split_channels_backward ?arena ~gout:(like cat) ~parts:[ c; c ] () in
+  [ y; gin; relu; grelu; sg; gsg; sc; gsc; ggate; mp; gmp; ap; gap; up; gup; gp; ggp; lin; glin;
+    glw; glb; bn; gbn; ggamma; gbeta; cat ]
+  @ split
+
+let arena_props =
+  let open QCheck in
+  [ Test.make ~name:"a dirty arena changes no kernel bit" ~count:40 conv_geom_arb
+      (fun geom ->
+        let arena = Arena.create () in
+        (* A first pass on other values leaves every buffer dirty; the
+           second takes the same lengths in the same order. *)
+        Arena.scoped arena (fun () -> ignore (arena_kernels ~arena geom ~scale:(-37.0)));
+        let want = arena_kernels geom ~scale:1.0 in
+        Arena.scoped arena (fun () ->
+            let got = arena_kernels ~arena geom ~scale:1.0 in
+            (Arena.stats arena).as_reused >= List.length got
+            && List.for_all2 same_bits want got)) ]
+
 let qcheck_tests =
   let open QCheck in
   [ Test.make ~name:"conv matches naive on random shapes" ~count:60 conv_geom_arb
@@ -475,6 +681,7 @@ let qcheck_tests =
         let lhs = Tensor.sum (Tensor.mul (Ops.upsample_nearest x f) y) in
         let rhs = Tensor.sum (Tensor.mul x (Ops.upsample_nearest_backward ~input:x ~gout:y f)) in
         Float.abs (lhs -. rhs) < 1e-6) ]
+  @ gradient_props @ arena_props
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
