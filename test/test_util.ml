@@ -1,5 +1,6 @@
 (* Utility tests: RNG determinism and distributional sanity, statistics
-   against hand-computed values. *)
+   against hand-computed values, and the JSON codec's round trip, strict
+   reader and number rendering. *)
 
 let t_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -103,6 +104,140 @@ let t_stats_histogram () =
   (* 1.5 clamps to the top bin, -0.5 to the bottom. *)
   Alcotest.(check (array int)) "counts" [| 3; 3 |] h
 
+(* --- JSON codec ----------------------------------------------------------- *)
+
+(* Structural equality with numbers compared by their bits, so -0.0 and
+   0.0 differ. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys ->
+      List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite =
+    map
+      (fun b ->
+        let f = Int64.float_of_bits b in
+        if Float.is_finite f then f else -0.0)
+      ui64
+  in
+  let bytes = string_size ~gen:char (int_range 0 12) in
+  let scalar =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Number f) finite;
+        map (fun f -> Json.Number f) (oneofl [ 0.0; -0.0; 0.1; 40.0; 1e15; 5e-324 ]);
+        map (fun s -> Json.String s) bytes ]
+  in
+  let rec tree d =
+    if d = 0 then scalar
+    else
+      frequency
+        [ (2, scalar);
+          (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (tree (d - 1))));
+          (1, map (fun kvs -> Json.Obj kvs) (list_size (int_range 0 4) (pair bytes (tree (d - 1))))) ]
+  in
+  tree 4
+
+(* A rendered value cut short at a random offset or with one byte
+   replaced, or plain random bytes. *)
+let gen_json_input =
+  let open QCheck.Gen in
+  oneof
+    [ string_size ~gen:char (int_range 0 24);
+      (let* s = map Json.to_string gen_json in
+       let n = String.length s in
+       let* p = int_range 0 n in
+       let* c = char in
+       oneofl [ String.sub s 0 p; String.mapi (fun i x -> if i = p then c else x) s ]) ]
+
+let json_tests =
+  let open QCheck in
+  [ Test.make ~name:"json round-trips bit-exactly" ~count:1000
+      (make ~print:Json.to_string gen_json)
+      (fun v ->
+        match Json.of_string (Json.to_string v) with
+        | Ok v' -> json_equal v v'
+        | Error _ -> false);
+    Test.make ~name:"json reader is total" ~count:2000
+      (make ~print:String.escaped gen_json_input)
+      (fun s ->
+        ignore (Json.of_string s : (Json.t, string) result);
+        true) ]
+
+let t_json_rejects () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  List.iter
+    (fun (what, s) ->
+      match Json.of_string s with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%s: %S read as %s" what s (Json.to_string v))
+    [ ("empty input", "");
+      ("trailing bytes", {|{"a":1} x|});
+      ("two values", "1 2");
+      ("plus sign", "+1");
+      ("bare fraction", ".5");
+      ("leading zero", "01");
+      ("empty fraction", "1.");
+      ("empty exponent", "1e");
+      ("nan", "nan");
+      ("infinity", "Infinity");
+      ("raw tab in a string", "\"a\tb\"");
+      ("raw newline in a string", "\"a\nb\"");
+      ("bad \\u", {|"\u12g4"|});
+      ("short \\u", {|"\u12"|});
+      ("unknown escape", {|"\x41"|});
+      ("unterminated string", {|"abc|});
+      ("trailing comma", "[1,]");
+      ("missing colon", {|{"a" 1}|});
+      ("single quotes", "'a'");
+      ("one level past the cap", nest (Json.max_depth + 1)) ];
+  Alcotest.(check bool) "the cap itself reads" true
+    (Result.is_ok (Json.of_string (nest Json.max_depth)))
+
+let t_json_reads () =
+  let reads s v =
+    match Json.of_string s with
+    | Ok v' -> Alcotest.(check bool) (Printf.sprintf "%S" s) true (json_equal v v')
+    | Error m -> Alcotest.failf "%S rejected: %s" s m
+  in
+  reads " {\"a\" : [1, -0, 2.5e-3, true, null] }\n"
+    (Json.Obj
+       [ ("a", Json.List [ Number 1.0; Number (-0.0); Number 2.5e-3; Bool true; Null ]) ]);
+  reads {|"é\u0001\/"|} (Json.String "\xc3\xa9\001/");
+  reads {|"\ud83d\ude00"|} (Json.String "\xf0\x9f\x98\x80");
+  reads {|"\ud83dx"|} (Json.String "?x");
+  reads {|"\udc00\ud800"|} (Json.String "??");
+  reads "\"\x7f\xff\"" (Json.String "\x7f\xff");
+  Alcotest.(check (option string)) "first duplicate wins" (Some "1")
+    (match Json.member "k" (Result.get_ok (Json.of_string {|{"k":"1","k":"2"}|})) with
+    | Some (Json.String s) -> Some s
+    | _ -> None)
+
+let t_json_rendering () =
+  let num x = Json.to_string (Json.Number x) in
+  Alcotest.(check string) "0.1" "0.1" (num 0.1);
+  Alcotest.(check string) "40." "40" (num 40.0);
+  Alcotest.(check string) "-0." "-0" (num (-0.0));
+  Alcotest.(check string) "integral below 1e15" "272521000" (num 272521000.0);
+  Alcotest.(check string) "17 digits when needed" "0.30000000000000004" (num (0.1 +. 0.2));
+  Alcotest.(check string) "nan" "null" (num Float.nan);
+  Alcotest.(check string) "infinity" "null" (num Float.infinity);
+  Alcotest.(check string) "neg_infinity" "null" (num Float.neg_infinity);
+  Alcotest.(check string) "compact, escaped"
+    {|{"a":[1,"q\"\\\n\r\t\u0001é"],"b":{}}|}
+    (Json.to_string
+       (Json.Obj
+          [ ("a", Json.List [ Json.Number 1.0; Json.String "q\"\\\n\r\t\001é" ]);
+            ("b", Json.Obj []) ]))
+
 let qcheck_tests =
   let open QCheck in
   [ Test.make ~name:"pearson is within [-1, 1]" ~count:100
@@ -145,4 +280,8 @@ let () =
       ( "properties",
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
-          qcheck_tests ) ]
+          (qcheck_tests @ json_tests) );
+      ( "json",
+        [ quick "rejects" t_json_rejects;
+          quick "reads" t_json_reads;
+          quick "rendering" t_json_rendering ] ) ]
