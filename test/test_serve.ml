@@ -215,6 +215,126 @@ let protocol_properties =
       (make ~print:Obs_event.to_json gen_event)
       (fun e -> Obs_event.of_json (Obs_event.to_json e) = Some e) ]
 
+(* --- parent lines ---------------------------------------------------------- *)
+
+(* Lines written by the hand-built writers that predate [Json]: spaced
+   wire objects with [%.6g] numbers, compact trace events and reports with
+   [%.17g] numbers.  Old clients and old traces must keep reading to
+   exactly these values, floats compared by their bits. *)
+
+let bits = List.map (Option.map Int64.bits_of_float)
+
+let check_reads what parse expected floats line =
+  match parse line with
+  | Ok v ->
+      Alcotest.(check bool) (what ^ " fields") true (v = expected);
+      Alcotest.(check (list (option int64))) (what ^ " float bits")
+        (bits (floats expected)) (bits (floats v))
+  | Error m -> Alcotest.failf "%s: %s rejected: %s" what line m
+
+let t_parent_requests () =
+  let floats = function
+    | Protocol.Search rq ->
+        [ rq.Protocol.rq_mutate_prob; rq.rq_deadline_ms; Some rq.rq_fault_rate ]
+    | _ -> []
+  in
+  check_reads "request" Protocol.parse
+    (Protocol.Search
+       (Protocol.request ~network:"resnet34" ~device:"GPU" ~candidates:17 ~seed:9
+          ~mutate_prob:0.25 ~budget:12 ~deadline_ms:1234.57 ~fault_rate:0.125
+          ~fault_seed:3 ~workers:2 ~strategy:Strategy.Guided "req-\"7\"\t\001\xc3\xa9"))
+    floats
+    {|{"op": "search", "id": "req-\"7\"\t\u0001é", "network": "resnet34", "device": "GPU", "candidates": 17, "seed": 9, "mutate_prob": 0.25, "budget": 12, "deadline_ms": 1234.57, "fault_rate": 0.125, "fault_seed": 3, "workers": 2, "strategy": "guided"}|}
+
+let t_parent_responses () =
+  let floats = function
+    | Protocol.Result r ->
+        List.map Option.some
+          [ r.Protocol.rs_best_latency_us; r.rs_baseline_latency_us; r.rs_speedup;
+            r.rs_wall_ms ]
+    | Protocol.Overloaded o -> [ Some o.ov_retry_after_ms ]
+    | Protocol.Unavailable u -> [ Some u.un_retry_after_ms ]
+    | Protocol.Stats_resp kvs -> List.map (fun (_, v) -> Some v) kvs
+    | Protocol.Error_resp _ | Protocol.Pong -> []
+  in
+  List.iter
+    (fun (expected, line) ->
+      check_reads "response" Protocol.response_of_json expected floats line)
+    [ ( Protocol.Result
+          { rs_id = "r1"; rs_best_plan = "group(G=8);depthwise";
+            rs_best_latency_us = 1457.19; rs_baseline_latency_us = 8845.09;
+            rs_speedup = 272521000.0; rs_explored = 14; rs_rejected = 2;
+            rs_quarantined = 1; rs_evaluated = 14; rs_complete = true;
+            rs_degraded = false; rs_retries = 3; rs_cache_hits = 279;
+            rs_wall_ms = 1850.94 },
+        {|{"id": "r1", "status": "ok", "best_plan": "group(G=8);depthwise", "best_latency_us": 1457.19, "baseline_latency_us": 8845.09, "speedup": 2.72521e+08, "explored": 14, "rejected": 2, "quarantined": 1, "evaluated": 14, "complete": true, "degraded": false, "retries": 3, "cache_hits": 279, "wall_ms": 1850.94}|}
+      );
+      ( Protocol.Overloaded { ov_id = "r2"; ov_retry_after_ms = 125.0 },
+        {|{"id": "r2", "status": "overloaded", "retry_after_ms": 125}|} );
+      ( Protocol.Unavailable
+          { un_id = "r3"; un_reason = "breaker_open"; un_retry_after_ms = 50.5 },
+        {|{"id": "r3", "status": "unavailable", "reason": "breaker_open", "retry_after_ms": 50.5}|}
+      );
+      ( Protocol.Error_resp
+          { er_id = "r4"; er_class = "timed-out"; er_message = "late \"quoted\"\nline" },
+        {|{"id": "r4", "status": "error", "class": "timed-out", "message": "late \"quoted\"\nline"}|}
+      );
+      (Protocol.Pong, {|{"status": "pong"}|});
+      ( Protocol.Stats_resp
+          [ ("admitted", 4.0); ("cache_hit_rate", 0.123457); ("inflight", 2.0);
+            ("wall_ms_total", 1234567.0) ],
+        {|{"status": "stats", "admitted": 4, "cache_hit_rate": 0.123457, "inflight": 2, "wall_ms_total": 1234567}|}
+      ) ]
+
+let t_parent_events () =
+  let floats e = [ Some e.Obs_event.e_t; e.e_dur_s ] in
+  let parse l = Option.to_result ~none:"None" (Obs_event.of_json l) in
+  List.iter
+    (fun (expected, line) -> check_reads "event" parse expected floats line)
+    [ ( Obs_event.span_begin ~name:"search" ~depth:0 ~t:936797091.92963994,
+        {|{"kind":"span_begin","name":"search","depth":0,"t":936797091.92963994}|} );
+      ( Obs_event.span_end ~name:"fisher" ~depth:2 ~t:936797092.1 ~dur_s:0.1,
+        {|{"kind":"span_end","name":"fisher","depth":2,"t":936797092.10000002,"dur_s":0.10000000000000001}|}
+      );
+      ( Obs_event.note ~detail:"ctl\001\031 tab\t quote\" \xc3\xa9" ~name:"quarantine"
+          ~depth:3 ~t:1e-9 (),
+        {|{"kind":"note","name":"quarantine","depth":3,"t":1.0000000000000001e-09,"detail":"ctl\u0001\u001f tab\t quote\" é"}|}
+      );
+      ( Obs_event.note ~name:"edge\127" ~depth:1 ~t:5e-324 (),
+        "{\"kind\":\"note\",\"name\":\"edge\127\",\"depth\":1,\"t\":4.9406564584124654e-324}" );
+      ( Obs_event.span_end ~name:"wall" ~depth:0 ~t:(-0.0) ~dur_s:1.7976931348623157e308,
+        {|{"kind":"span_end","name":"wall","depth":0,"t":-0,"dur_s":1.7976931348623157e+308}|}
+      ) ]
+
+(* Nothing in the library reads a report back; the line pins what any
+   JSON reader of [BENCH_search.json] sees.  The writer is canonical and
+   lossless, so equal renderings mean bit-equal values. *)
+let t_parent_report () =
+  let line =
+    {|{"generated":40,"static_checked":0,"static_rejected":0,"fisher_rejected":36,"quarantined":0,"cost_ranked":4,"rejection_fraction":0.90000000000000002,"paper_rejection_fraction":0.90000000000000002,"wall_s":1.5,"phases":[{"name":"fisher","count":2,"total_s":0.75,"mean_s":0.375},{"name":"cost","count":1,"total_s":0.10000000000000001,"mean_s":0.10000000000000001}],"counters":{"search.cost_ranked":4,"search.fisher_rejected":36,"search.generated":40}}|}
+  in
+  let n x = Json.Number x in
+  let phase name count total mean =
+    Json.Obj
+      [ ("name", Json.String name); ("count", n count); ("total_s", n total);
+        ("mean_s", n mean) ]
+  in
+  let expected =
+    Json.Obj
+      [ ("generated", n 40.); ("static_checked", n 0.); ("static_rejected", n 0.);
+        ("fisher_rejected", n 36.); ("quarantined", n 0.); ("cost_ranked", n 4.);
+        ("rejection_fraction", n 0.9); ("paper_rejection_fraction", n 0.9);
+        ("wall_s", n 1.5);
+        ("phases", Json.List [ phase "fisher" 2. 0.75 0.375; phase "cost" 1. 0.1 0.1 ]);
+        ( "counters",
+          Json.Obj
+            [ ("search.cost_ranked", n 4.); ("search.fisher_rejected", n 36.);
+              ("search.generated", n 40.) ] ) ]
+  in
+  match Json.of_string line with
+  | Ok v -> Alcotest.(check string) "report" (Json.to_string expected) (Json.to_string v)
+  | Error m -> Alcotest.failf "report line rejected: %s" m
+
 (* --- taxonomy extensions ------------------------------------------------ *)
 
 let t_unix_error_classified () =
@@ -873,6 +993,11 @@ let () =
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]))
           protocol_properties );
+      ( "parent lines",
+        [ quick "requests" t_parent_requests;
+          quick "responses" t_parent_responses;
+          quick "trace events" t_parent_events;
+          quick "report" t_parent_report ] );
       ( "taxonomy",
         [ quick "unix errors classified" t_unix_error_classified;
           quick "transient partition" t_transient_partition ] );
