@@ -20,7 +20,9 @@ let () =
   Printf.printf "wrote %d events to %s\n\n" (Trace_sink.length (Obs.sink obs))
     trace_file;
   (* Round-trip: everything below is read back from the JSONL file. *)
-  let events = Trace_sink.load trace_file in
+  let events =
+    match Trace_sink.load trace_file with Ok events -> events | Error m -> failwith m
+  in
   print_endline "trace (from the JSONL file; '>' opens a span, '<' closes it):";
   List.iter (fun e -> Format.printf "  %a@." Obs_event.pp e) events;
   Format.printf "@.%a" Report.pp

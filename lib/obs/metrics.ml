@@ -100,24 +100,3 @@ let merge t other =
 let clear t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.histograms
-
-let to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"counters\":{";
-  List.iteri
-    (fun i (k, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "%s:%d" (Obs_event.json_string k) n)
-    (counters t);
-  Buffer.add_string b "},\"histograms\":{";
-  List.iteri
-    (fun i (k, h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "%s:{\"count\":%d,\"sum_s\":%s,\"min_s\":%s,\"max_s\":%s}"
-        (Obs_event.json_string k) h.h_count
-        (Obs_event.json_float h.h_sum_s)
-        (Obs_event.json_float (if h.h_count = 0 then 0.0 else h.h_min_s))
-        (Obs_event.json_float (if h.h_count = 0 then 0.0 else h.h_max_s)))
-    (histograms t);
-  Buffer.add_string b "}}";
-  Buffer.contents b

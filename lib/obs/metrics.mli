@@ -65,7 +65,3 @@ val merge : t -> t -> unit
 
 val clear : t -> unit
 (** Drop every counter and histogram. *)
-
-val to_json : t -> string
-(** The whole registry as one JSON object
-    [{"counters":{...},"histograms":{...}}] with keys sorted. *)

@@ -35,154 +35,34 @@ let kind_of_name = function
 let strip_times e =
   { e with e_t = 0.0; e_dur_s = (match e.e_dur_s with None -> None | Some _ -> Some 0.0) }
 
-(* --- JSON rendering ----------------------------------------------------- *)
+(* --- JSON ------------------------------------------------------------------ *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-(* %.17g keeps enough significant digits that float_of_string reads back
-   the identical bit pattern, so a JSONL round-trip is lossless. *)
-let json_float f = Printf.sprintf "%.17g" f
+let json_string s = Json.to_string (Json.String s)
 
 let to_json e =
-  let b = Buffer.create 96 in
-  Printf.bprintf b "{\"kind\":\"%s\",\"name\":%s,\"depth\":%d,\"t\":%s"
-    (kind_name e.e_kind) (json_string e.e_name) e.e_depth (json_float e.e_t);
-  (match e.e_dur_s with
-  | Some d -> Printf.bprintf b ",\"dur_s\":%s" (json_float d)
-  | None -> ());
-  (match e.e_detail with
-  | Some d -> Printf.bprintf b ",\"detail\":%s" (json_string d)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* --- JSON parsing (the subset this module emits) ------------------------ *)
-
-exception Bad
-
-let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
-let skip_ws s i =
-  let n = String.length s in
-  let i = ref i in
-  while !i < n && is_ws s.[!i] do incr i done;
-  !i
-
-let hex_digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> raise Bad
-
-let parse_string s i =
-  let n = String.length s in
-  if i >= n || s.[i] <> '"' then raise Bad;
-  let b = Buffer.create 16 in
-  let i = ref (i + 1) in
-  let stop = ref (-1) in
-  while !stop < 0 do
-    if !i >= n then raise Bad;
-    (match s.[!i] with
-    | '"' -> stop := !i + 1
-    | '\\' ->
-        if !i + 1 >= n then raise Bad;
-        (match s.[!i + 1] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-            if !i + 5 >= n then raise Bad;
-            let code =
-              (hex_digit s.[!i + 2] * 4096) + (hex_digit s.[!i + 3] * 256)
-              + (hex_digit s.[!i + 4] * 16) + hex_digit s.[!i + 5]
-            in
-            (* We only emit \u for control characters; anything wider is
-               someone else's JSON and degrades to '?'. *)
-            Buffer.add_char b (if code < 256 then Char.chr code else '?')
-        | _ -> raise Bad);
-        i := !i + (if s.[!i + 1] = 'u' then 6 else 2)
-    | c ->
-        Buffer.add_char b c;
-        incr i)
-  done;
-  (Buffer.contents b, !stop)
-
-type field = F_string of string | F_raw of string
-
-let parse_fields line =
-  let n = String.length line in
-  let i = skip_ws line 0 in
-  if i >= n || line.[i] <> '{' then raise Bad;
-  let fields = ref [] in
-  let i = ref (skip_ws line (i + 1)) in
-  let stop = ref false in
-  if !i < n && line.[!i] = '}' then stop := true;
-  while not !stop do
-    let key, j = parse_string line !i in
-    let j = skip_ws line j in
-    if j >= n || line.[j] <> ':' then raise Bad;
-    let j = skip_ws line (j + 1) in
-    let value, j =
-      if j < n && line.[j] = '"' then
-        let v, j = parse_string line j in
-        (F_string v, j)
-      else begin
-        let k = ref j in
-        while !k < n && line.[!k] <> ',' && line.[!k] <> '}' do incr k done;
-        (F_raw (String.trim (String.sub line j (!k - j))), !k)
-      end
-    in
-    fields := (key, value) :: !fields;
-    let j = skip_ws line j in
-    if j < n && line.[j] = ',' then i := skip_ws line (j + 1)
-    else if j < n && line.[j] = '}' then stop := true
-    else raise Bad
-  done;
-  List.rev !fields
+  let opt key f = function Some x -> [ (key, f x) ] | None -> [] in
+  Json.to_string
+    (Json.Obj
+       ([ ("kind", Json.String (kind_name e.e_kind));
+          ("name", Json.String e.e_name);
+          ("depth", Json.Number (float_of_int e.e_depth));
+          ("t", Json.Number e.e_t) ]
+       @ opt "dur_s" (fun d -> Json.Number d) e.e_dur_s
+       @ opt "detail" (fun d -> Json.String d) e.e_detail))
 
 let of_json line =
-  match parse_fields line with
-  | exception Bad -> None
-  | exception _ -> None
-  | fields -> (
-      let str k =
-        match List.assoc_opt k fields with Some (F_string s) -> Some s | _ -> None
-      in
-      let num k =
-        match List.assoc_opt k fields with
-        | Some (F_raw r) -> float_of_string_opt r
-        | _ -> None
-      in
-      match (Option.bind (str "kind") kind_of_name, str "name", num "depth", num "t")
-      with
-      | Some kind, Some name, Some depth, Some t ->
+  match Json.of_string line with
+  | Error _ -> None
+  | Ok v -> (
+      let str k = match Json.member k v with Some (Json.String s) -> Some s | _ -> None in
+      let num k = match Json.member k v with Some (Json.Number x) -> Some x | _ -> None in
+      match (Option.bind (str "kind") kind_of_name, str "name", num "depth", num "t") with
+      | Some e_kind, Some e_name, Some depth, Some e_t ->
           Some
-            { e_kind = kind;
-              e_name = name;
+            { e_kind;
+              e_name;
               e_depth = int_of_float depth;
-              e_t = t;
+              e_t;
               e_dur_s = num "dur_s";
               e_detail = str "detail" }
       | _ -> None)

@@ -1,10 +1,12 @@
 (** Trace events and their JSONL encoding.
 
     An event is one line of a trace: a span boundary or a point-in-time
-    note.  The JSON encoding is canonical (fixed field order, [%.17g]
-    floats) so that encoding is deterministic and a round trip through
-    {!to_json}/{!of_json} reproduces the event bit-for-bit — which is what
-    lets tests diff whole traces across worker counts. *)
+    note.  The encoding is a mapping onto {!Json}: fixed field order,
+    compact output and the shortest number that reads back to the same
+    bits, so encoding is deterministic and a round trip through
+    {!to_json}/{!of_json} reproduces the event bit-for-bit (for finite
+    times) — which is what lets tests diff whole traces across worker
+    counts. *)
 
 type kind =
   | Span_begin  (** a nested timed region opened *)
@@ -40,15 +42,13 @@ val to_json : t -> string
 (** One canonical JSON object, no trailing newline. *)
 
 val of_json : string -> t option
-(** Parse one line as produced by {!to_json} (tolerating whitespace and
-    field reordering); [None] on anything malformed. *)
+(** Parse one line with {!Json.of_string}, which accepts whitespace and
+    any field order but nothing outside RFC 8259; [None] on malformed
+    JSON or a missing or mistyped [kind], [name], [depth] or [t].  An
+    unknown field is ignored. *)
 
 val json_string : string -> string
-(** A JSON string literal with the standard escapes (shared by the other
-    JSON writers in this library). *)
-
-val json_float : float -> string
-(** A JSON number that round-trips through [float_of_string] exactly. *)
+(** A JSON string literal: [Json.to_string (Json.String s)]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-liner, indented two spaces per nesting level. *)

@@ -86,31 +86,26 @@ let pp ppf r =
   List.iter (fun (k, n) -> Format.fprintf ppf "    %-28s %d@." k n) r.rp_counters
 
 let to_json r =
-  let b = Buffer.create 512 in
-  Printf.bprintf b
-    "{\"generated\":%d,\"static_checked\":%d,\"static_rejected\":%d,\"fisher_rejected\":%d,\"quarantined\":%d,\"cost_ranked\":%d"
-    r.rp_generated r.rp_static_checked r.rp_static_rejected r.rp_fisher_rejected
-    r.rp_quarantined r.rp_cost_ranked;
-  Printf.bprintf b ",\"rejection_fraction\":%s"
-    (Obs_event.json_float r.rp_rejection_fraction);
-  Printf.bprintf b ",\"paper_rejection_fraction\":%s"
-    (Obs_event.json_float r.rp_paper_fraction);
-  Printf.bprintf b ",\"wall_s\":%s" (Obs_event.json_float r.rp_wall_s);
-  Buffer.add_string b ",\"phases\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"name\":%s,\"count\":%d,\"total_s\":%s,\"mean_s\":%s}"
-        (Obs_event.json_string p.ph_name)
-        p.ph_count
-        (Obs_event.json_float p.ph_total_s)
-        (Obs_event.json_float p.ph_mean_s))
-    r.rp_phases;
-  Buffer.add_string b "],\"counters\":{";
-  List.iteri
-    (fun i (k, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "%s:%d" (Obs_event.json_string k) n)
-    r.rp_counters;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let int n = Json.Number (float_of_int n) in
+  Json.to_string
+    (Json.Obj
+       [ ("generated", int r.rp_generated);
+         ("static_checked", int r.rp_static_checked);
+         ("static_rejected", int r.rp_static_rejected);
+         ("fisher_rejected", int r.rp_fisher_rejected);
+         ("quarantined", int r.rp_quarantined);
+         ("cost_ranked", int r.rp_cost_ranked);
+         ("rejection_fraction", Json.Number r.rp_rejection_fraction);
+         ("paper_rejection_fraction", Json.Number r.rp_paper_fraction);
+         ("wall_s", Json.Number r.rp_wall_s);
+         ( "phases",
+           Json.List
+             (List.map
+                (fun p ->
+                  Json.Obj
+                    [ ("name", Json.String p.ph_name);
+                      ("count", int p.ph_count);
+                      ("total_s", Json.Number p.ph_total_s);
+                      ("mean_s", Json.Number p.ph_mean_s) ])
+                r.rp_phases) );
+         ("counters", Json.Obj (List.map (fun (k, n) -> (k, int n)) r.rp_counters)) ])

@@ -35,17 +35,14 @@ let write_to t path =
 let write t = match t.dest with Some path -> write_to t path | None -> ()
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line when String.trim line = "" -> go acc
-        | line -> (
+  In_channel.with_open_text path (fun ic ->
+      let rec go n acc =
+        match In_channel.input_line ic with
+        | None -> Ok (List.rev acc)
+        | Some line when String.trim line = "" -> go (n + 1) acc
+        | Some line -> (
             match Obs_event.of_json line with
-            | Some e -> go (e :: acc)
-            | None -> go acc)
+            | Some e -> go (n + 1) (e :: acc)
+            | None -> Error (Printf.sprintf "%s: line %d is not a trace event" path n))
       in
-      go [])
+      go 1 [])

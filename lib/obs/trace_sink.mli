@@ -40,5 +40,6 @@ val write_to : t -> string -> unit
 val write : t -> unit
 (** Write to the sink's configured destination; no-op for memory sinks. *)
 
-val load : string -> Obs_event.t list
-(** Read a JSONL trace back, skipping blank or unparseable lines. *)
+val load : string -> (Obs_event.t list, string) result
+(** Read a JSONL trace back, skipping blank lines.  [Error] names the
+    first line that is not a trace event by its 1-based number. *)

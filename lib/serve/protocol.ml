@@ -1,149 +1,37 @@
 (* Line-oriented JSON protocol: one flat JSON object per line in, one per
-   line out.  The parser below handles exactly that shape — an object of
-   scalar fields — with a proper string lexer, so no external JSON
-   dependency is needed (mirroring Obs_event's dependency-free codec). *)
-
-type value = Null | Bool of bool | Num of float | Str of string
+   line out.  Lines are read and written by [Json]; this module checks the
+   protocol's shape on top — an object of scalar fields. *)
 
 exception Parse of string
 
 let parse_error fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt
 
-let parse_flat_object (s : string) : (string * value) list =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then parse_error "unexpected end of input"
-    else begin
-      let c = s.[!pos] in
-      incr pos;
-      c
-    end
-  in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    let g = next () in
-    if g <> c then parse_error "expected '%c', got '%c'" c g
-  in
-  let utf8_of_code buf code =
-    (* Basic-multilingual-plane escapes only; lone surrogates map to '?'. *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code >= 0xD800 && code <= 0xDFFF then Buffer.add_char buf '?'
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          (match next () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 4 > n then parse_error "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with Failure _ -> parse_error "bad \\u escape %s" hex
-              in
-              utf8_of_code buf code
-          | c -> parse_error "bad escape \\%c" c);
-          go ())
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let parse_scalar () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some ('t' | 'f' | 'n') ->
-        let kw stop v =
-          let l = String.length stop in
-          if !pos + l <= n && String.sub s !pos l = stop then begin
-            pos := !pos + l;
-            v
-          end
-          else parse_error "bad literal at offset %d" !pos
-        in
-        if s.[!pos] = 't' then kw "true" (Bool true)
-        else if s.[!pos] = 'f' then kw "false" (Bool false)
-        else kw "null" Null
-    | Some ('{' | '[') -> parse_error "nested values are not part of the protocol"
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match s.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr pos
-        done;
-        if !pos = start then parse_error "expected a value at offset %d" start;
-        let tok = String.sub s start (!pos - start) in
-        (try Num (float_of_string tok) with Failure _ -> parse_error "bad number %s" tok)
-    | None -> parse_error "unexpected end of input"
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  (match peek () with
-  | Some '}' -> incr pos
-  | _ ->
-      let rec members () =
-        skip_ws ();
-        let key = parse_string () in
-        expect ':';
-        let v = parse_scalar () in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        match next () with
-        | ',' -> members ()
-        | '}' -> ()
-        | c -> parse_error "expected ',' or '}', got '%c'" c
-      in
-      members ());
-  skip_ws ();
-  if !pos <> n then parse_error "trailing garbage after object";
-  List.rev !fields
+let parse_flat_object line =
+  match Json.of_string line with
+  | Error m -> parse_error "%s" m
+  | Ok (Json.Obj fields) ->
+      List.iter
+        (function
+          | _, (Json.List _ | Json.Obj _) ->
+              parse_error "nested values are not part of the protocol"
+          | _ -> ())
+        fields;
+      fields
+  | Ok _ -> parse_error "expected a JSON object"
 
 (* --- field accessors ---------------------------------------------------- *)
 
-let find fields key = List.assoc_opt key fields
+let find fields key = Json.member key (Json.Obj fields)
 
 let str_field fields key =
   match find fields key with
-  | Some (Str s) -> Some s
+  | Some (Json.String s) -> Some s
   | Some _ -> parse_error "field %s must be a string" key
   | None -> None
 
 let num_field fields key =
   match find fields key with
-  | Some (Num x) -> Some x
+  | Some (Json.Number x) -> Some x
   | Some _ -> parse_error "field %s must be a number" key
   | None -> None
 
@@ -218,98 +106,81 @@ let search_keys =
     "budget"; "deadline_ms"; "fault_rate"; "fault_seed"; "workers"; "strategy" ]
 
 let parse line =
-  match parse_flat_object line with
-  | exception Parse m -> Error m
-  | fields -> (
-      match str_field fields "op" with
-      | exception Parse m -> Error m
-      | Some "ping" -> Ok Ping
-      | Some "stats" -> Ok Stats
-      | Some "shutdown" -> Ok Shutdown
-      | Some "search" -> (
-          try
-            List.iter
-              (fun (k, _) ->
-                if not (List.mem k search_keys) then
-                  parse_error "unknown field %s in search request" k)
-              fields;
-            let dflt = request "" in
-            let get_s key d = Option.value ~default:d (str_field fields key) in
-            let get_i key d = Option.value ~default:d (int_field fields key) in
-            Ok
-              (Search
-                 (validated
-                    { rq_id = get_s "id" "";
-                      rq_network = get_s "network" dflt.rq_network;
-                      rq_device = get_s "device" dflt.rq_device;
-                      rq_candidates = get_i "candidates" dflt.rq_candidates;
-                      rq_seed = get_i "seed" dflt.rq_seed;
-                      rq_mutate_prob = num_field fields "mutate_prob";
-                      rq_budget = int_field fields "budget";
-                      rq_deadline_ms = num_field fields "deadline_ms";
-                      rq_fault_rate =
-                        Option.value ~default:0.0 (num_field fields "fault_rate");
-                      rq_fault_seed = int_field fields "fault_seed";
-                      rq_workers = get_i "workers" dflt.rq_workers;
-                      rq_strategy =
-                        (match str_field fields "strategy" with
-                        | None -> None
-                        | Some s -> (
-                            match Strategy.of_string s with
-                            | Some t -> Some t
-                            | None ->
-                                parse_error "unknown strategy %s (valid: %s)" s
-                                  Strategy.names_doc)) }))
-          with Parse m -> Error m)
-      | Some other -> Error (Printf.sprintf "unknown op %s" other)
-      | None ->
-          (* Defaulting a bare '{}' (or a typo'd "opp" key) into a full
-             search would silently launch real work; demand intent. *)
-          Error "missing op field (search | ping | stats | shutdown)")
+  try
+    let fields = parse_flat_object line in
+    match str_field fields "op" with
+    | Some "ping" -> Ok Ping
+    | Some "stats" -> Ok Stats
+    | Some "shutdown" -> Ok Shutdown
+    | Some "search" ->
+        List.iter
+          (fun (k, _) ->
+            if not (List.mem k search_keys) then
+              parse_error "unknown field %s in search request" k)
+          fields;
+        let dflt = request "" in
+        let get_s key d = Option.value ~default:d (str_field fields key) in
+        let get_i key d = Option.value ~default:d (int_field fields key) in
+        Ok
+          (Search
+             (validated
+                { rq_id = get_s "id" "";
+                  rq_network = get_s "network" dflt.rq_network;
+                  rq_device = get_s "device" dflt.rq_device;
+                  rq_candidates = get_i "candidates" dflt.rq_candidates;
+                  rq_seed = get_i "seed" dflt.rq_seed;
+                  rq_mutate_prob = num_field fields "mutate_prob";
+                  rq_budget = int_field fields "budget";
+                  rq_deadline_ms = num_field fields "deadline_ms";
+                  rq_fault_rate = Option.value ~default:0.0 (num_field fields "fault_rate");
+                  rq_fault_seed = int_field fields "fault_seed";
+                  rq_workers = get_i "workers" dflt.rq_workers;
+                  rq_strategy =
+                    (match str_field fields "strategy" with
+                    | None -> None
+                    | Some s -> (
+                        match Strategy.of_string s with
+                        | Some t -> Some t
+                        | None ->
+                            parse_error "unknown strategy %s (valid: %s)" s
+                              Strategy.names_doc)) }))
+    | Some other -> Error (Printf.sprintf "unknown op %s" other)
+    | None ->
+        (* Defaulting a bare '{}' (or a typo'd "opp" key) into a full
+           search would silently launch real work; demand intent. *)
+        Error "missing op field (search | ping | stats | shutdown)"
+  with Parse m -> Error m
 
 (* --- wire writing ------------------------------------------------------- *)
 
-let jstr = Obs_event.json_string
+(* Protocol floats favor readability over bit-exact round-trips: values
+   are rounded to six significant digits, plenty for latencies and rates,
+   which keeps response lines short.  Integral values below 1e15 (counts,
+   ids) stay exact. *)
+let num x =
+  Json.Number
+    (if Float.is_integer x && Float.abs x < 1e15 then x
+     else float_of_string (Printf.sprintf "%.6g" x))
 
-(* Protocol floats favor readability over bit-exact round-trips: %.6g is
-   plenty for latencies and rates, and keeps response lines short. *)
-let jnum x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
-
-let jbool b = if b then "true" else "false"
+let int n = Json.Number (float_of_int n)
+let opt key f = function Some x -> [ (key, f x) ] | None -> []
 
 let request_to_json rq =
-  let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "{\"op\": \"search\", \"id\": %s" (jstr rq.rq_id));
-  Buffer.add_string b (Printf.sprintf ", \"network\": %s" (jstr rq.rq_network));
-  Buffer.add_string b (Printf.sprintf ", \"device\": %s" (jstr rq.rq_device));
-  Buffer.add_string b (Printf.sprintf ", \"candidates\": %d" rq.rq_candidates);
-  Buffer.add_string b (Printf.sprintf ", \"seed\": %d" rq.rq_seed);
-  Option.iter
-    (fun p -> Buffer.add_string b (Printf.sprintf ", \"mutate_prob\": %s" (jnum p)))
-    rq.rq_mutate_prob;
-  Option.iter
-    (fun n -> Buffer.add_string b (Printf.sprintf ", \"budget\": %d" n))
-    rq.rq_budget;
-  Option.iter
-    (fun d -> Buffer.add_string b (Printf.sprintf ", \"deadline_ms\": %s" (jnum d)))
-    rq.rq_deadline_ms;
-  if rq.rq_fault_rate > 0.0 then
-    Buffer.add_string b (Printf.sprintf ", \"fault_rate\": %s" (jnum rq.rq_fault_rate));
-  Option.iter
-    (fun s -> Buffer.add_string b (Printf.sprintf ", \"fault_seed\": %d" s))
-    rq.rq_fault_seed;
-  if rq.rq_workers <> 1 then
-    Buffer.add_string b (Printf.sprintf ", \"workers\": %d" rq.rq_workers);
-  Option.iter
-    (fun t ->
-      Buffer.add_string b
-        (Printf.sprintf ", \"strategy\": %s" (jstr (Strategy.to_string t))))
-    rq.rq_strategy;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       ([ ("op", Json.String "search");
+          ("id", Json.String rq.rq_id);
+          ("network", Json.String rq.rq_network);
+          ("device", Json.String rq.rq_device);
+          ("candidates", int rq.rq_candidates);
+          ("seed", int rq.rq_seed) ]
+       @ opt "mutate_prob" num rq.rq_mutate_prob
+       @ opt "budget" int rq.rq_budget
+       @ opt "deadline_ms" num rq.rq_deadline_ms
+       @ (if rq.rq_fault_rate > 0.0 then [ ("fault_rate", num rq.rq_fault_rate) ] else [])
+       @ opt "fault_seed" int rq.rq_fault_seed
+       @ (if rq.rq_workers <> 1 then [ ("workers", int rq.rq_workers) ] else [])
+       @ opt "strategy" (fun t -> Json.String (Strategy.to_string t)) rq.rq_strategy))
 
 (* --- responses ---------------------------------------------------------- *)
 
@@ -338,97 +209,80 @@ type response =
   | Pong
   | Stats_resp of (string * float) list
 
-let response_to_json = function
-  | Result r ->
-      Printf.sprintf
-        "{\"id\": %s, \"status\": \"ok\", \"best_plan\": %s, \
-         \"best_latency_us\": %s, \"baseline_latency_us\": %s, \"speedup\": %s, \
-         \"explored\": %d, \"rejected\": %d, \"quarantined\": %d, \
-         \"evaluated\": %d, \"complete\": %s, \"degraded\": %s, \"retries\": %d, \
-         \"cache_hits\": %d, \"wall_ms\": %s}"
-        (jstr r.rs_id) (jstr r.rs_best_plan)
-        (jnum r.rs_best_latency_us)
-        (jnum r.rs_baseline_latency_us)
-        (jnum r.rs_speedup) r.rs_explored r.rs_rejected r.rs_quarantined
-        r.rs_evaluated (jbool r.rs_complete) (jbool r.rs_degraded) r.rs_retries
-        r.rs_cache_hits (jnum r.rs_wall_ms)
-  | Overloaded o ->
-      Printf.sprintf
-        "{\"id\": %s, \"status\": \"overloaded\", \"retry_after_ms\": %s}"
-        (jstr o.ov_id) (jnum o.ov_retry_after_ms)
-  | Unavailable u ->
-      Printf.sprintf
-        "{\"id\": %s, \"status\": \"unavailable\", \"reason\": %s, \
-         \"retry_after_ms\": %s}"
-        (jstr u.un_id) (jstr u.un_reason)
-        (jnum u.un_retry_after_ms)
-  | Error_resp e ->
-      Printf.sprintf "{\"id\": %s, \"status\": \"error\", \"class\": %s, \"message\": %s}"
-        (jstr e.er_id) (jstr e.er_class) (jstr e.er_message)
-  | Pong -> "{\"status\": \"pong\"}"
-  | Stats_resp kvs ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b "{\"status\": \"stats\"";
-      List.iter
-        (fun (k, v) -> Buffer.add_string b (Printf.sprintf ", %s: %s" (jstr k) (jnum v)))
-        kvs;
-      Buffer.add_string b "}";
-      Buffer.contents b
+let response_to_json resp =
+  let reply id status fields =
+    Json.Obj (("id", Json.String id) :: ("status", Json.String status) :: fields)
+  in
+  Json.to_string
+    (match resp with
+    | Result r ->
+        reply r.rs_id "ok"
+          [ ("best_plan", Json.String r.rs_best_plan);
+            ("best_latency_us", num r.rs_best_latency_us);
+            ("baseline_latency_us", num r.rs_baseline_latency_us);
+            ("speedup", num r.rs_speedup);
+            ("explored", int r.rs_explored);
+            ("rejected", int r.rs_rejected);
+            ("quarantined", int r.rs_quarantined);
+            ("evaluated", int r.rs_evaluated);
+            ("complete", Json.Bool r.rs_complete);
+            ("degraded", Json.Bool r.rs_degraded);
+            ("retries", int r.rs_retries);
+            ("cache_hits", int r.rs_cache_hits);
+            ("wall_ms", num r.rs_wall_ms) ]
+    | Overloaded o -> reply o.ov_id "overloaded" [ ("retry_after_ms", num o.ov_retry_after_ms) ]
+    | Unavailable u ->
+        reply u.un_id "unavailable"
+          [ ("reason", Json.String u.un_reason); ("retry_after_ms", num u.un_retry_after_ms) ]
+    | Error_resp e ->
+        reply e.er_id "error"
+          [ ("class", Json.String e.er_class); ("message", Json.String e.er_message) ]
+    | Pong -> Json.Obj [ ("status", Json.String "pong") ]
+    | Stats_resp kvs ->
+        Json.Obj (("status", Json.String "stats") :: List.map (fun (k, v) -> (k, num v)) kvs))
 
 let response_of_json line =
-  match parse_flat_object line with
-  | exception Parse m -> Error m
-  | fields -> (
-      try
-        let id () = Option.value ~default:"" (str_field fields "id") in
-        let num key = match num_field fields key with Some x -> x | None -> 0.0 in
-        let int key = match int_field fields key with Some i -> i | None -> 0 in
-        let bool key =
-          match find fields key with Some (Bool b) -> b | _ -> false
-        in
-        match str_field fields "status" with
-        | Some "ok" ->
-            Ok
-              (Result
-                 { rs_id = id ();
-                   rs_best_plan =
-                     Option.value ~default:"" (str_field fields "best_plan");
-                   rs_best_latency_us = num "best_latency_us";
-                   rs_baseline_latency_us = num "baseline_latency_us";
-                   rs_speedup = num "speedup";
-                   rs_explored = int "explored";
-                   rs_rejected = int "rejected";
-                   rs_quarantined = int "quarantined";
-                   rs_evaluated = int "evaluated";
-                   rs_complete = bool "complete";
-                   rs_degraded = bool "degraded";
-                   rs_retries = int "retries";
-                   rs_cache_hits = int "cache_hits";
-                   rs_wall_ms = num "wall_ms" })
-        | Some "overloaded" ->
-            Ok
-              (Overloaded
-                 { ov_id = id (); ov_retry_after_ms = num "retry_after_ms" })
-        | Some "unavailable" ->
-            Ok
-              (Unavailable
-                 { un_id = id ();
-                   un_reason = Option.value ~default:"" (str_field fields "reason");
-                   un_retry_after_ms = num "retry_after_ms" })
-        | Some "error" ->
-            Ok
-              (Error_resp
-                 { er_id = id ();
-                   er_class = Option.value ~default:"" (str_field fields "class");
-                   er_message = Option.value ~default:"" (str_field fields "message") })
-        | Some "pong" -> Ok Pong
-        | Some "stats" ->
-            Ok
-              (Stats_resp
-                 (List.filter_map
-                    (fun (k, v) ->
-                      match v with Num x when k <> "status" -> Some (k, x) | _ -> None)
-                    fields))
-        | Some other -> Error (Printf.sprintf "unknown status %s" other)
-        | None -> Error "missing status field"
-      with Parse m -> Error m)
+  try
+    let fields = parse_flat_object line in
+    let str key = Option.value ~default:"" (str_field fields key) in
+    let num key = Option.value ~default:0.0 (num_field fields key) in
+    let int key = Option.value ~default:0 (int_field fields key) in
+    let bool key = find fields key = Some (Json.Bool true) in
+    match str_field fields "status" with
+    | Some "ok" ->
+        Ok
+          (Result
+             { rs_id = str "id";
+               rs_best_plan = str "best_plan";
+               rs_best_latency_us = num "best_latency_us";
+               rs_baseline_latency_us = num "baseline_latency_us";
+               rs_speedup = num "speedup";
+               rs_explored = int "explored";
+               rs_rejected = int "rejected";
+               rs_quarantined = int "quarantined";
+               rs_evaluated = int "evaluated";
+               rs_complete = bool "complete";
+               rs_degraded = bool "degraded";
+               rs_retries = int "retries";
+               rs_cache_hits = int "cache_hits";
+               rs_wall_ms = num "wall_ms" })
+    | Some "overloaded" ->
+        Ok (Overloaded { ov_id = str "id"; ov_retry_after_ms = num "retry_after_ms" })
+    | Some "unavailable" ->
+        Ok
+          (Unavailable
+             { un_id = str "id"; un_reason = str "reason";
+               un_retry_after_ms = num "retry_after_ms" })
+    | Some "error" ->
+        Ok (Error_resp { er_id = str "id"; er_class = str "class"; er_message = str "message" })
+    | Some "pong" -> Ok Pong
+    | Some "stats" ->
+        Ok
+          (Stats_resp
+             (List.filter_map
+                (function
+                  | k, Json.Number x when k <> "status" -> Some (k, x) | _ -> None)
+                fields))
+    | Some other -> Error (Printf.sprintf "unknown status %s" other)
+    | None -> Error "missing status field"
+  with Parse m -> Error m

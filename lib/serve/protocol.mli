@@ -12,10 +12,11 @@
     (admission rejection, with a retry-after hint), ["unavailable"]
     (circuit breaker open), ["error"], ["pong"] and ["stats"].
 
-    The codec is dependency-free (same spirit as [Obs_event]) and only
-    accepts the protocol's shape — flat objects of scalars; nested values
-    are a parse error, never undefined behavior.  See DESIGN.md §10 for
-    the grammar. *)
+    Lines are read and written by {!Json}: the reader is strict RFC 8259
+    and this module accepts only the protocol's shape on top — flat
+    objects of scalars; nested values are a parse error, never undefined
+    behavior.  Output is compact, and non-integral numbers are rounded to
+    six significant digits.  See DESIGN.md §10 for the grammar. *)
 
 type request = {
   rq_id : string;  (** client-chosen correlation id, echoed in responses *)

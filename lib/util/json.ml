@@ -28,13 +28,11 @@ let add_string b s =
    often do, and then keep integers below 1e15 and short decimals such as
    0.1 free of representation noise. *)
 let number x =
-  if not (Float.is_finite x) then "null"
-  else
-    let s15 = Printf.sprintf "%.15g" x in
-    if float_of_string s15 = x then s15
-    else
-      let s16 = Printf.sprintf "%.16g" x in
-      if float_of_string s16 = x then s16 else Printf.sprintf "%.17g" x
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p = 17 || float_of_string s = x then s else shortest (p + 1)
+  in
+  if Float.is_finite x then shortest 15 else "null"
 
 let to_string v =
   let b = Buffer.create 128 in
@@ -43,24 +41,23 @@ let to_string v =
     | Bool x -> Buffer.add_string b (if x then "true" else "false")
     | Number x -> Buffer.add_string b (number x)
     | String s -> add_string b s
-    | List l ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            go x)
-          l;
-        Buffer.add_char b ']'
+    | List l -> seq '[' ']' go l
     | Obj kvs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char b ',';
+        seq '{' '}'
+          (fun (k, x) ->
             add_string b k;
             Buffer.add_char b ':';
             go x)
-          kvs;
-        Buffer.add_char b '}'
+          kvs
+  and seq : 'a. char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun op cl item l ->
+    Buffer.add_char b op;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        item x)
+      l;
+    Buffer.add_char b cl
   in
   go v;
   Buffer.contents b
@@ -70,25 +67,6 @@ let to_string v =
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let add_utf8 b code =
-  let byte x = Buffer.add_char b (Char.chr x) in
-  if code < 0x80 then byte code
-  else if code < 0x800 then begin
-    byte (0xC0 lor (code lsr 6));
-    byte (0x80 lor (code land 0x3F))
-  end
-  else if code < 0x10000 then begin
-    byte (0xE0 lor (code lsr 12));
-    byte (0x80 lor ((code lsr 6) land 0x3F));
-    byte (0x80 lor (code land 0x3F))
-  end
-  else begin
-    byte (0xF0 lor (code lsr 18));
-    byte (0x80 lor ((code lsr 12) land 0x3F));
-    byte (0x80 lor ((code lsr 6) land 0x3F));
-    byte (0x80 lor (code land 0x3F))
-  end
 
 let of_string s =
   let n = String.length s in
@@ -126,20 +104,11 @@ let of_string s =
     Number (float_of_string (String.sub s start (!pos - start)))
   in
   let hex4 () =
-    if !pos + 4 > n then bad "truncated \\u escape at offset %d" !pos;
-    let code = ref 0 in
-    for i = !pos to !pos + 3 do
-      let d =
-        match s.[i] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | _ -> bad "bad \\u escape at offset %d" !pos
-      in
-      code := (!code lsl 4) lor d
-    done;
+    let h = if !pos + 4 <= n then String.sub s !pos 4 else "" in
+    let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    if h = "" || not (String.for_all hex h) then bad "bad \\u escape at offset %d" (!pos - 2);
     pos := !pos + 4;
-    !code
+    int_of_string ("0x" ^ h)
   in
   (* A high surrogate followed by an escaped low one is one character;
      any other surrogate stands alone and becomes '?'. *)
@@ -151,14 +120,14 @@ let of_string s =
       pos := !pos + 2;
       let lo = hex4 () in
       if lo >= 0xDC00 && lo <= 0xDFFF then
-        add_utf8 b (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+        Buffer.add_utf_8_uchar b (Uchar.of_int (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)))
       else begin
         pos := save;
         Buffer.add_char b '?'
       end
     end
     else if hi >= 0xD800 && hi <= 0xDFFF then Buffer.add_char b '?'
-    else add_utf8 b hi
+    else Buffer.add_utf_8_uchar b (Uchar.of_int hi)
   in
   let string () =
     expect '"';

@@ -157,11 +157,36 @@ let t_sink_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace_sink.write_to sink path;
-      let back = Trace_sink.load path in
+      let back =
+        match Trace_sink.load path with Ok back -> back | Error m -> Alcotest.fail m
+      in
       Alcotest.(check int) "all lines parsed" (List.length sample_events)
         (List.length back);
       Alcotest.(check bool) "file round-trip is lossless" true
         (back = sample_events))
+
+(* A trace cut short mid-line (a crashed writer) must be reported, not
+   read as a shorter trace; blank lines are still skipped. *)
+let t_sink_truncated_line () =
+  let path = Filename.temp_file "obs_test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let line e = Obs_event.to_json e ^ "\n" in
+      let third = Obs_event.to_json (List.nth sample_events 2) in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (line (List.nth sample_events 0));
+          output_string oc "\n";
+          output_string oc (line (List.nth sample_events 1));
+          output_string oc (String.sub third 0 (String.length third / 2)));
+      Alcotest.(check (result reject string)) "names the truncated line"
+        (Error (path ^ ": line 4 is not a trace event"))
+        (Trace_sink.load path);
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "\n";
+          output_string oc (line (List.nth sample_events 0)));
+      Alcotest.(check int) "blank lines skipped" 1
+        (List.length (Result.get_ok (Trace_sink.load path))))
 
 (* --- fork / absorb ------------------------------------------------------ *)
 
@@ -273,7 +298,8 @@ let () =
           Alcotest.test_case "merge" `Quick t_metrics_merge ] );
       ( "jsonl",
         [ Alcotest.test_case "event round-trip" `Quick t_event_json_roundtrip;
-          Alcotest.test_case "file sink round-trip" `Quick t_sink_file_roundtrip ] );
+          Alcotest.test_case "file sink round-trip" `Quick t_sink_file_roundtrip;
+          Alcotest.test_case "truncated line" `Quick t_sink_truncated_line ] );
       ( "fork-absorb",
         [ Alcotest.test_case "event order and depth" `Quick t_fork_absorb_order ] );
       ( "search",

@@ -92,8 +92,10 @@ let t_response_roundtrip () =
 
 (* Generators over the codecs' lossless domain: strings are arbitrary
    bytes, integers stay below 2^53 (numbers travel as JSON floats) and
-   protocol floats carry at most the six significant digits [%.6g] writes.
-   [Obs_event] writes [%.17g], so its floats are any finite bit pattern. *)
+   protocol floats carry at most the six significant digits the protocol
+   rounds values to.  [Obs_event] numbers are written by [Json] in the
+   shortest form that reads back to the same bits, so its floats are any
+   finite bit pattern. *)
 let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_range 0 24))
 let gen_int = QCheck.Gen.int_range (-1_000_000_000) 1_000_000_000
 let gen_hundredths lo hi =
