@@ -7,6 +7,22 @@ let setup () =
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
   (rng, model, probe)
 
+let result_fingerprint r =
+  ( Unified_search.plans_signature r.Unified_search.r_best.Unified_search.cd_plans,
+    r.Unified_search.r_best.Unified_search.cd_latency_s,
+    r.Unified_search.r_explored,
+    r.Unified_search.r_rejected,
+    List.map fst r.Unified_search.r_quarantined )
+
+let check_same_result msg a b =
+  let sa, la, ea, ra, qa = result_fingerprint a in
+  let sb, lb, eb, rb, qb = result_fingerprint b in
+  Alcotest.(check string) (msg ^ ": best plans") sa sb;
+  Alcotest.(check (float 0.0)) (msg ^ ": best latency (bit-identical)") la lb;
+  Alcotest.(check int) (msg ^ ": explored") ea eb;
+  Alcotest.(check int) (msg ^ ": rejected") ra rb;
+  Alcotest.(check (list string)) (msg ^ ": quarantine") qa qb
+
 let t_unified_improves_or_equals_baseline () =
   let rng, model, probe = setup () in
   let r =
@@ -42,11 +58,21 @@ let t_unified_multi_matches_single_pool () =
         >= r.r_best.Unified_search.cd_latency_s))
     results;
   (* The Fisher-filter statistics are shared between devices. *)
-  match results with
+  (match results with
   | [ (_, a); (_, b) ] ->
       Alcotest.(check int) "shared rejections" a.Unified_search.r_rejected
         b.Unified_search.r_rejected
-  | _ -> ()
+  | _ -> ());
+  (* Each device's row is exactly a standalone search on a fresh context. *)
+  List.iter
+    (fun (device, r) ->
+      let rng, model, probe = setup () in
+      let single =
+        Unified_search.search ~candidates:25 ~ctx:(Eval_ctx.create ())
+          ~rng:(Rng.split rng) ~device ~probe model
+      in
+      check_same_result ("multi = single on " ^ device.Device.short_name) single r)
+    results
 
 let t_winning_plans_are_legal () =
   let rng, model, probe = setup () in
@@ -98,26 +124,10 @@ let t_blockswap_menu_excludes_sequences () =
 
 (* --- strategies --------------------------------------------------------- *)
 
-let result_fingerprint r =
-  ( Unified_search.plans_signature r.Unified_search.r_best.Unified_search.cd_plans,
-    r.Unified_search.r_best.Unified_search.cd_latency_s,
-    r.Unified_search.r_explored,
-    r.Unified_search.r_rejected,
-    List.map fst r.Unified_search.r_quarantined )
-
 let run_strategy ?strategy ~workers ~schedule ~candidates () =
   let rng, model, probe = setup () in
   Unified_search.search ?strategy ~candidates ~workers ~schedule
     ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
-
-let check_same_result msg a b =
-  let sa, la, ea, ra, qa = result_fingerprint a in
-  let sb, lb, eb, rb, qb = result_fingerprint b in
-  Alcotest.(check string) (msg ^ ": best plans") sa sb;
-  Alcotest.(check (float 0.0)) (msg ^ ": best latency (bit-identical)") la lb;
-  Alcotest.(check int) (msg ^ ": explored") ea eb;
-  Alcotest.(check int) (msg ^ ": rejected") ra rb;
-  Alcotest.(check (list string)) (msg ^ ": quarantine") qa qb
 
 let t_strategy_random_bit_identical () =
   (* The contract behind Strategy.Random: passing it explicitly changes
