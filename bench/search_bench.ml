@@ -359,18 +359,10 @@ let () =
   Printf.fprintf oc "  ],\n";
   (* Per-strategy rows at the headline budget: identical seed, device and
      candidate count, so survivor fraction and best latency isolate the
-     candidate generator.  The typed/guided generators must beat random's
-     survivor fraction without giving up latency — enforced here, so a
-     regression in the typed menus fails the bench. *)
+     candidate generator.  The gate on them (typed and guided keep more
+     survivors than random, with a best latency no worse) is test_search's
+     "survivor gate". *)
   let strategy_rows = List.map (fun st -> (st, strategy_run ~n:candidates st)) Strategy.all in
-  let row st =
-    let _, (r, frac) =
-      (st, List.assoc st strategy_rows)
-    in
-    (r, frac)
-  in
-  let random_r, random_frac = row Strategy.Random in
-  let random_best = random_r.Unified_search.r_best.Unified_search.cd_latency_s in
   Printf.fprintf oc "  \"strategies\": [\n";
   let ns = List.length strategy_rows in
   List.iteri
@@ -388,21 +380,6 @@ let () =
         (if i = ns - 1 then "" else ","))
     strategy_rows;
   Printf.fprintf oc "  ],\n";
-  List.iter
-    (fun st ->
-      let r, frac = row st in
-      if frac <= random_frac then (
-        Printf.eprintf
-          "STRATEGY REGRESSION: %s survivor fraction %.4f is not above random's %.4f\n"
-          (Strategy.to_string st) frac random_frac;
-        exit 1);
-      if r.Unified_search.r_best.Unified_search.cd_latency_s > random_best then (
-        Printf.eprintf
-          "STRATEGY REGRESSION: %s best latency %.6fs is worse than random's %.6fs\n"
-          (Strategy.to_string st)
-          r.Unified_search.r_best.Unified_search.cd_latency_s random_best;
-        exit 1))
-    [ Strategy.Typed; Strategy.Guided ];
   (* Differential-sanitizer agreement rate: the static legality analyzer
      against the sampling oracle over the seeded fuzz corpus (the same
      corpus `dune build @sanitize` gates CI on). *)

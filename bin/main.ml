@@ -42,7 +42,7 @@ let seed_arg =
 
 let resilient_arg =
   let doc =
-    "Print the supervisor's failure-attribution and cache report after the \
+    "Print the failure-attribution and cache report after the \
      search (quarantined candidates are always tolerated)."
   in
   Arg.(value & flag & info [ "resilient" ] ~doc)

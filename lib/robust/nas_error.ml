@@ -4,7 +4,6 @@ type t =
   | Invalid_plan of string
   | Shape_mismatch of string
   | Non_finite of source
-  | Budget_exceeded of string
   | Injected_fault of string
   | Checkpoint_error of string
   | Io_error of string
@@ -27,7 +26,6 @@ let class_name = function
   | Invalid_plan _ -> "invalid-plan"
   | Shape_mismatch _ -> "shape-mismatch"
   | Non_finite s -> "non-finite:" ^ source_to_string s
-  | Budget_exceeded _ -> "budget-exceeded"
   | Injected_fault _ -> "injected-fault"
   | Checkpoint_error _ -> "checkpoint-error"
   | Io_error _ -> "io-error"
@@ -38,7 +36,6 @@ let to_string = function
   | Invalid_plan m -> "invalid plan: " ^ m
   | Shape_mismatch m -> "shape mismatch: " ^ m
   | Non_finite s -> "non-finite value from " ^ source_to_string s
-  | Budget_exceeded m -> "budget exceeded: " ^ m
   | Injected_fault m -> "injected fault: " ^ m
   | Checkpoint_error m -> "checkpoint error: " ^ m
   | Io_error m -> "I/O error: " ^ m
@@ -65,8 +62,7 @@ let of_exn = function
    its deadline has already passed, retrying can only waste the pool. *)
 let transient = function
   | Io_error _ | Injected_fault _ | Checkpoint_error _ -> true
-  | Invalid_plan _ | Shape_mismatch _ | Non_finite _ | Budget_exceeded _
-  | Timed_out _ | Eval_failure _ ->
+  | Invalid_plan _ | Shape_mismatch _ | Non_finite _ | Timed_out _ | Eval_failure _ ->
       false
 
 let guard f =

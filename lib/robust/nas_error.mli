@@ -2,7 +2,7 @@
 
     The search treats a failed candidate as data, not as a crash: every
     failure mode that used to escape as a raw [Invalid_argument] or
-    [Failure] is classified here, so the supervisor can quarantine the
+    [Failure] is classified here, so the search can quarantine the
     candidate, attribute the failure, and continue to a valid survivor. *)
 
 type source =
@@ -15,7 +15,6 @@ type t =
   | Invalid_plan of string  (** a plan inapplicable to its site *)
   | Shape_mismatch of string  (** arity / dimension disagreement *)
   | Non_finite of source  (** a NaN or infinity reached a ranking value *)
-  | Budget_exceeded of string  (** the supervisor's work budget ran out *)
   | Injected_fault of string  (** a deliberate test-harness fault *)
   | Checkpoint_error of string  (** checkpoint serialization / IO failure *)
   | Io_error of string  (** an operating-system I/O failure (e.g. [Unix_error]) *)

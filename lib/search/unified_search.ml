@@ -226,7 +226,9 @@ let eval_outcome ~ctx ~slack ~oracle ~device ~prepared model index plans =
 (* The pool is regenerated deterministically from the caller's RNG on
    resume, so the checkpoint only carries progress: the next pool index,
    the counters, the incumbent and the quarantine list.  [ck_key] rejects
-   checkpoints from a different configuration. *)
+   checkpoints from a different configuration: it names the oracle
+   (network spec, probe batch and rebuild seed) and digests the pool's
+   plan signatures, so a snapshot taken under another seed starts fresh. *)
 type ckpt_state = {
   ck_key : string;
   ck_done : int;
@@ -235,9 +237,10 @@ type ckpt_state = {
   ck_quarantine : (string * Nas_error.t) list;  (* newest first *)
 }
 
-let ckpt_key strategy model device ~pool_size ~slack =
-  Printf.sprintf "%s|%s|%s|%d|%g" (Strategy.to_string strategy) model.Models.name
-    device.Device.short_name pool_size slack
+let ckpt_key strategy device ~slack ~oracle pool =
+  Printf.sprintf "%s|%s|%g|%s%s" (Strategy.to_string strategy) device.Device.short_name
+    slack oracle.fo_prefix
+    (digest (Array.map plans_signature pool))
 
 let load_checkpoint path key =
   match Checkpoint.load ~path with
@@ -329,69 +332,6 @@ let guided_next_round rng model ~seen ~survivors ~room =
   let extensions = List.filteri (fun k _ -> k < target) extensions in
   extensions @ top_up [] (target - List.length extensions) (8 * target)
 
-(* The guided evaluation loop.  Rounds alternate generation (main domain,
-   RNG-ordered) with evaluation (serial or parallel; outcomes merge in
-   index order), so the result is deterministic for every worker count.
-   Checkpointing is not supported — the round state is cheap to recompute
-   and a guided run is budget-capped anyway. *)
-let guided_run ~ctx ~slack ~oracle ~device ~prepared ~stop ~workers ~schedule
-    ~on_sched_stats ~rng ~limit model =
-  let explored = ref 0 in
-  let rejected = ref 0 in
-  let processed = ref 0 in
-  let best = ref None in
-  let quarantine_rev = ref [] in
-  let survivors_rev = ref [] in
-  let skipped = ref false in
-  let seen = Hashtbl.create 64 in
-  let seeds = uniform_candidates model in
-  List.iter (fun plans -> Hashtbl.replace seen (plans_signature plans) ()) seeds;
-  let round = ref (List.filteri (fun k _ -> k < limit) seeds) in
-  if !round = [] then
-    round := guided_next_round rng model ~seen ~survivors:[] ~room:limit;
-  while !round <> [] && !explored < limit && not !skipped do
-    let room = limit - !explored in
-    let arr = Array.of_list (List.filteri (fun k _ -> k < room) !round) in
-    let base = !explored in
-    let eval wctx i =
-      if stop () then O_skipped
-      else
-        eval_outcome ~ctx:wctx ~slack ~oracle ~device ~prepared model (base + i)
-          arr.(i)
-    in
-    let outcomes =
-      if workers <= 1 || Array.length arr <= 1 then
-        Array.mapi (fun i _ -> eval ctx i) arr
-      else
-        Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats ~workers ~ctx
-          ~first:0 ~limit:(Array.length arr) eval
-    in
-    Array.iter
-      (function
-        | O_survivor cand ->
-            incr processed;
-            survivors_rev := cand :: !survivors_rev;
-            (match !best with
-            | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
-            | _ -> best := Some cand)
-        | O_rejected ->
-            incr processed;
-            incr rejected
-        | O_failed (label, e) ->
-            incr processed;
-            quarantine_rev := (label, e) :: !quarantine_rev
-        | O_skipped -> skipped := true)
-      outcomes;
-    explored := !explored + Array.length arr;
-    if !explored < limit && not !skipped then
-      round :=
-        guided_next_round rng model ~seen
-          ~survivors:(List.rev !survivors_rev)
-          ~room:(limit - !explored)
-    else round := []
-  done;
-  (!best, !explored, !rejected, !quarantine_rev, !processed, !skipped)
-
 let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
     ?(stop = fun () -> false) ?budget ?checkpoint ?(checkpoint_every = 25)
     ?(workers = 1) ?(schedule = Parallel_eval.Dynamic) ?on_sched_stats
@@ -408,6 +348,8 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
         Pipeline.evaluate_prepared ~ctx device prepared
           ~plans:(Array.map (fun _ -> Site_plan.baseline) model.Models.sites))
   in
+  (* A guided pool holds only the directed seeds; its later rounds are
+     drawn during evaluation from the outcomes so far. *)
   let oracle, pool =
     Obs.with_span obs "generate" (fun () ->
         let oracle = fisher_oracle ~ctx rng model probe in
@@ -415,41 +357,22 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
           match strategy with
           | Strategy.Random -> generate_pool rng model ~candidates ~mutate_prob
           | Strategy.Typed -> typed_pool rng model ~candidates
-          | Strategy.Guided -> [||] (* rounds are generated during evaluation *)
+          | Strategy.Guided -> Array.of_list (uniform_candidates model)
         in
         (oracle, pool))
   in
   let baseline_fisher = oracle.fo_reference.Fisher.total in
-  if strategy = Strategy.Guided then begin
-    let limit = match budget with Some b -> min candidates b | None -> candidates in
-    let best, explored, rejected, quarantine_rev, processed, skipped =
-      Obs.with_span obs "evaluate" (fun () ->
-          guided_run ~ctx ~slack ~oracle ~device ~prepared ~stop ~workers ~schedule
-            ~on_sched_stats ~rng ~limit model)
-    in
-    Obs.set obs "search.generated" explored;
-    Obs.set obs "search.resumed" 0;
-    let best_cand =
-      Obs.with_span obs "select" (fun () ->
-          match best with
-          | Some b -> b
-          | None -> fallback_candidate model baseline baseline_fisher)
-    in
-    snapshot_engine_counters ctx;
-    { r_best = best_cand;
-      r_baseline = baseline;
-      r_baseline_fisher = baseline_fisher;
-      r_explored = explored;
-      r_rejected = rejected;
-      r_quarantined = sort_quarantine quarantine_rev;
-      r_evaluated = processed;
-      r_complete = not skipped;
-      r_checkpoint_error = None;
-      r_wall_s = Unix.gettimeofday () -. start }
-  end
-  else begin
+  let guided = strategy = Strategy.Guided in
+  (* A guided round depends on every outcome before it, so a guided run
+     neither resumes nor saves a snapshot. *)
+  let checkpoint = if guided then None else checkpoint in
   let n = Array.length pool in
-  let key = ckpt_key strategy model device ~pool_size:n ~slack in
+  let target = if guided then candidates else n in
+  let key =
+    match checkpoint with
+    | None -> ""
+    | Some _ -> ckpt_key strategy device ~slack ~oracle pool
+  in
   let resumed =
     match checkpoint with Some path -> load_checkpoint path key | None -> None
   in
@@ -461,6 +384,9 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   let rejected = ref rejected0 in
   let best = ref best0 in
   let quarantine_rev = ref quarantine0 in
+  let survivors_rev = ref [] in
+  let processed = ref 0 in
+  let first_skip = ref None in
   let checkpoint_error = ref None in
   let save_checkpoint done_ =
     match checkpoint with
@@ -480,19 +406,11 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   (* The budget caps cumulative evaluations (resumed progress included), so
      the range of indices to process this run is known up front — which is
      what lets a worker pool split it deterministically. *)
-  let limit = match budget with Some b -> min n (max first b) | None -> n in
-  let stopped = limit < n in
-  (* The [search.*] counters are the deterministic namespace: every value
-     below is a pure function of the search configuration, so they are
-     bit-identical across worker counts (unlike [cache.*] hit rates, which
-     depend on how the pool was split). *)
-  Obs.set obs "search.generated" n;
-  Obs.set obs "search.resumed" first;
-  let processed = ref 0 in
-  let first_skip = ref None in
+  let limit = match budget with Some b -> min target (max first b) | None -> target in
   let merge_outcome i = function
     | O_survivor cand ->
         incr processed;
+        survivors_rev := cand :: !survivors_rev;
         (match !best with
         | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
         | _ -> best := Some cand)
@@ -504,51 +422,66 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
         quarantine_rev := (label, e) :: !quarantine_rev
     | O_skipped -> if !first_skip = None then first_skip := Some i
   in
-  Obs.with_span obs "evaluate" (fun () ->
-      if workers <= 1 then begin
-        (* Sequential path: shared caches across the whole pool, periodic
-           checkpoints.  The [stop] hook is polled between candidates: a
-           fired hook ends the run at the current index, which the final
-           checkpoint records so a resume continues exactly there. *)
-        let i = ref first in
-        let stopping = ref false in
-        while !i < limit && not !stopping do
-          if stop () then begin
-            stopping := true;
-            first_skip := Some !i
-          end
-          else begin
-            merge_outcome !i
-              (eval_outcome ~ctx ~slack ~oracle ~device ~prepared model !i pool.(!i));
-            incr i;
-            if checkpoint <> None && !i mod checkpoint_every = 0 && !i < n then
-              save_checkpoint !i
-          end
-        done
-      end
-      else
-        (* Parallel path: per-domain context forks pull candidates under
-           the chosen schedule (dynamic by default — idle domains claim
-           the next unclaimed index); outcomes come back in index order,
-           so the sequential merge below reproduces the workers=1 result
-           exactly for either schedule.  Workers poll [stop] per candidate
-           (the hook must be domain-safe), so a deadline cancels in-flight
-           work at candidate granularity. *)
-        Array.iteri
-          (fun off o -> merge_outcome (first + off) o)
-          (Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats ~workers ~ctx
-             ~first ~limit (fun wctx i ->
-               if stop () then O_skipped
-               else
-                 eval_outcome ~ctx:wctx ~slack ~oracle ~device ~prepared model i
-                   pool.(i))));
-  (* Resume point: the first unprocessed index.  When the stop hook fired
-     mid-pool, candidates past it that a parallel worker already finished
-     are simply re-evaluated on resume (they are deterministic). *)
-  let reached =
-    match !first_skip with Some i -> i | None -> if stopped then limit else n
+  let seen = Hashtbl.create 64 in
+  if guided then Array.iter (fun plans -> Hashtbl.replace seen (plans_signature plans) ()) pool;
+  (* The batch starting at index [base]: a slice of the pool, ending at the
+     next snapshot index when checkpointing, then (guided only) the next
+     beam round. *)
+  let next_batch base =
+    if base >= limit then [||]
+    else if base < n then
+      let hi =
+        match checkpoint with
+        | None -> limit
+        | Some _ -> min limit (((base / checkpoint_every) + 1) * checkpoint_every)
+      in
+      Array.sub pool base (min hi n - base)
+    else
+      Array.of_list
+        (guided_next_round rng model ~seen ~survivors:(List.rev !survivors_rev)
+           ~room:(limit - base))
   in
-  save_checkpoint reached;
+  (* Latched: once the hook returns true no later poll calls it again, so
+     every candidate that starts afterwards is skipped, at any worker
+     count. *)
+  let halted = Atomic.make false in
+  let stop () = Atomic.get halted || (stop () && (Atomic.set halted true; true)) in
+  let explored = ref first in
+  Obs.with_span obs "evaluate" (fun () ->
+      (* Each batch runs on [workers] domains, each against its own context
+         fork ([workers = 1] is a plain map over [ctx]); outcomes come back
+         in index order, so the merge reproduces the serial result for any
+         worker count and schedule. *)
+      let rec loop batch =
+        if Array.length batch > 0 then begin
+          let base = !explored in
+          Array.iteri
+            (fun k o -> merge_outcome (base + k) o)
+            (Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats ~workers ~ctx
+               ~first:0 ~limit:(Array.length batch) (fun wctx k ->
+                 if stop () then O_skipped
+                 else
+                   eval_outcome ~ctx:wctx ~slack ~oracle ~device ~prepared model (base + k)
+                     batch.(k)));
+          explored := base + Array.length batch;
+          if !first_skip = None then begin
+            if !explored < limit then save_checkpoint !explored;
+            loop (next_batch !explored)
+          end
+        end
+      in
+      loop (next_batch first));
+  (* Resume point: the first unprocessed index.  When the stop hook fired
+     mid-batch, candidates past it that a parallel worker already finished
+     are simply re-evaluated on resume (they are deterministic). *)
+  save_checkpoint (match !first_skip with Some i -> i | None -> !explored);
+  (* The [search.*] counters are the deterministic namespace: every value
+     below is a pure function of the search configuration, so they are
+     bit-identical across worker counts (unlike [cache.*] hit rates, which
+     depend on how the pool was split). *)
+  let generated = if guided then !explored else n in
+  Obs.set obs "search.generated" generated;
+  Obs.set obs "search.resumed" first;
   let best_cand =
     Obs.with_span obs "select" (fun () ->
         match !best with
@@ -559,95 +492,25 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   { r_best = best_cand;
     r_baseline = baseline;
     r_baseline_fisher = baseline_fisher;
-    r_explored = n;
+    r_explored = generated;
     r_rejected = !rejected;
     r_quarantined = sort_quarantine !quarantine_rev;
     r_evaluated = !processed;
-    r_complete = (not stopped) && !first_skip = None;
+    r_complete = limit = target && !first_skip = None;
     r_checkpoint_error = !checkpoint_error;
     r_wall_s = Unix.gettimeofday () -. start }
-  end
 
 let speedup r = r.r_baseline.Pipeline.ev_latency_s /. r.r_best.cd_latency_s
 
 let quarantine_counts r = Nas_error.count_classes r.r_quarantined
 
-let search_multi ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12) ~ctx ~rng
-    ~devices ~probe model =
-  let start = Unix.gettimeofday () in
-  let oracle = fisher_oracle ~ctx rng model probe in
-  let baseline_fisher = oracle.fo_reference.Fisher.total in
-  (* Phase 1 (device-independent): generate the pool and Fisher-filter it,
-     quarantining candidates whose scores fail the guards. *)
-  let supervisor = Supervisor.create () in
-  let rejected = ref 0 in
-  let survivors = ref [] in
-  let pool = generate_pool rng model ~candidates ~mutate_prob in
-  Array.iter
-    (fun plans ->
-      match
-        Supervisor.run supervisor ~label:(plans_signature plans) (fun () ->
-            let scores = fisher_scores ~ctx oracle (impls_of plans) in
-            let total =
-              Guard.check_float ~source:Nas_error.Fisher_score scores.Fisher.total
-            in
-            ignore
-              (Guard.check_array ~source:Nas_error.Fisher_score scores.Fisher.per_site);
-            if Fisher.legal_clipped ~slack ~baseline:oracle.fo_reference scores then
-              Some (plans, total)
-            else None)
-      with
-      | Ok (Some survivor) -> survivors := survivor :: !survivors
-      | Ok None -> incr rejected
-      | Error _ -> ())
-    pool;
-  let quarantined = Supervisor.quarantined supervisor in
-  let wall_shared = Unix.gettimeofday () -. start in
-  (* Phase 2 (per device): rank the survivors with the cost model.  A
-     candidate whose cost blows up on one device stays rankable on the
-     others. *)
+(* Every device runs the same pool: each search starts from a copy of
+   [rng], and the Fisher memo in the shared [ctx] turns every score after
+   the first device's into a hit. *)
+let search_multi ?candidates ?mutate_prob ?slack ~ctx ~rng ~devices ~probe model =
   List.map
     (fun device ->
-      let dev_start = Unix.gettimeofday () in
-      let baseline = Pipeline.baseline ~ctx device model in
-      let dev_supervisor = Supervisor.create () in
-      let best = ref None in
-      List.iter
-        (fun (plans, fisher) ->
-          match
-            Supervisor.run dev_supervisor ~label:(plans_signature plans) (fun () ->
-                let ev = Pipeline.evaluate ~ctx device model ~plans in
-                let latency =
-                  Guard.check_float ~source:Nas_error.Cost_model
-                    ev.Pipeline.ev_latency_s
-                in
-                { cd_plans = plans;
-                  cd_fisher = fisher;
-                  cd_latency_s = latency;
-                  cd_macs = ev.ev_macs;
-                  cd_params = ev.ev_params })
-          with
-          | Ok cand -> (
-              match !best with
-              | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
-              | _ -> best := Some cand)
-          | Error _ -> ())
-        !survivors;
-      let best =
-        match !best with
-        | Some b -> b
-        | None -> fallback_candidate model baseline baseline_fisher
-      in
       ( device,
-        { r_best = best;
-          r_baseline = baseline;
-          r_baseline_fisher = baseline_fisher;
-          r_explored = Array.length pool;
-          r_rejected = !rejected;
-          r_quarantined =
-            sort_quarantine (quarantined @ Supervisor.quarantined dev_supervisor);
-          r_evaluated = Array.length pool;
-          r_complete = true;
-          r_checkpoint_error = None;
-          r_wall_s = wall_shared +. (Unix.gettimeofday () -. dev_start) } ))
+        search ?candidates ?mutate_prob ?slack ~ctx ~rng:(Rng.copy rng) ~device ~probe
+          model ))
     devices

@@ -3,7 +3,7 @@
     Fisher Potential legality check (no training), and rank the survivors
     with the autotuned hardware cost model.
 
-    Candidate evaluation is supervised: a malformed plan, a non-finite
+    Candidate evaluation is guarded: a malformed plan, a non-finite
     Fisher score or a cost-model divergence quarantines that one candidate
     (recorded with a structured {!Nas_error.t}) and the search continues to
     a valid survivor.  A deterministic fault-injection layer ({!Fault}) and
@@ -29,7 +29,9 @@ type result = {
           signature so the attribution output is deterministic and
           diffable across runs and worker counts *)
   r_evaluated : int;  (** configurations processed in this run *)
-  r_complete : bool;  (** false iff the run stopped on its work budget *)
+  r_complete : bool;
+      (** false iff the budget capped the run below its target or the
+          stop hook fired *)
   r_checkpoint_error : Nas_error.t option;
       (** first checkpoint-write failure, if any — the search itself is
           unaffected, but resume will not be possible *)
@@ -106,14 +108,15 @@ val search :
     static-vs-Fisher rejection split.
 
     [stop] (default: never) is a cooperative cancellation hook polled
-    between candidate evaluations — the daemon installs a deadline
-    watchdog here.  Once it returns true the run stops, returns its
-    best-so-far incumbent with [r_complete = false], and saves a resumable
-    checkpoint at the first unprocessed index.  With [workers > 1] the
-    hook is polled from every worker domain, so it must be domain-safe
-    (e.g. {!Deadline.expired} on the shared monotonic clock); cancellation
-    is at candidate granularity.  A run whose hook never fires is
-    bit-identical to one without a hook.
+    before each candidate evaluation — the daemon installs a deadline
+    watchdog here.  The hook is latched: once it returns true no later
+    candidate polls it, the run stops, returns its best-so-far incumbent
+    with [r_complete = false], and saves a resumable checkpoint at the
+    first unprocessed index.  With [workers > 1] the hook is polled from
+    every worker domain, so it must be domain-safe (e.g.
+    {!Deadline.expired} on the shared monotonic clock); cancellation is at
+    candidate granularity.  A run whose hook never fires is bit-identical
+    to one without a hook.
 
     [ctx] owns the memo caches, the fault-injection plan and the
     observability recorder.  Warm caches only add hits: a search returns
@@ -123,12 +126,15 @@ val search :
     faults into the Fisher oracle / cost model / plan generation, the
     corrupted candidates are quarantined and the search still completes.
 
-    [workers] (default 1) evaluates the candidate pool on that many OCaml 5
-    domains, each against its own context fork.  Outcomes are merged in
-    candidate-index order, so any worker count returns the identical best
-    candidate, rejection count and (sorted) quarantine list; per-worker
-    cache and fault telemetry is folded back into [ctx].  [workers = 1]
-    routes through the sequential path with zero scheduling overhead.
+    Every strategy runs one loop: take the next batch of candidates,
+    evaluate it with {!Parallel_eval.map_range}, merge the outcomes in
+    candidate-index order, save a checkpoint if one is due, repeat.
+    [workers] (default 1) evaluates each batch on that many OCaml 5
+    domains, each against its own context fork made for that batch;
+    per-worker cache and fault telemetry is folded back into [ctx].  Any
+    worker count returns the identical best candidate, rejection count
+    and (sorted) quarantine list.  [workers = 1] maps the batch over
+    [ctx] itself with zero scheduling overhead.
 
     [schedule] (default {!Parallel_eval.Dynamic}) picks how candidates are
     assigned to worker domains: [Dynamic] has idle domains pull the next
@@ -136,21 +142,25 @@ val search :
     [Static] assigns fixed contiguous chunks.  Results, [search.*]
     counters and trace content are bit-identical for either schedule.
 
-    [on_sched_stats] (parallel runs only) receives the scheduler's
-    per-worker item/steal/busy accounting after the evaluation phase —
-    timing-dependent telemetry, deliberately outside the deterministic
-    result; BENCH_search.json records it as per-worker utilization.
+    [on_sched_stats] receives the scheduler's per-worker item/steal/busy
+    accounting once per batch, at any worker count — timing-dependent
+    telemetry, deliberately outside the deterministic result;
+    BENCH_search.json records it as per-worker utilization.
 
-    [budget] caps cumulative candidate evaluations; on exhaustion the
+    [budget] caps cumulative candidate evaluations.  When it caps the run
+    below its target (the pool size, or [candidates] for [Guided]), the
     search saves a checkpoint (if [checkpoint] is set), returns its
     incumbent and reports [r_complete = false].
 
-    [checkpoint] names a snapshot file: progress is saved every
-    [checkpoint_every] candidates (default 25; parallel runs snapshot on
-    completion) and an existing compatible snapshot is resumed instead of
-    restarting.  The candidate pool is regenerated deterministically from
-    [rng], so a resumed search reproduces the uninterrupted run's best
-    candidate.
+    [checkpoint] names a snapshot file: pool batches end at multiples of
+    [checkpoint_every] (default 25), progress is saved after each for any
+    worker count, and an existing compatible snapshot is resumed instead
+    of restarting.  Without [checkpoint] the whole pool is one batch.  A
+    snapshot is compatible when its strategy, device, slack, oracle
+    ({!fisher_oracle}'s [fo_prefix]) and pool plan signatures all match,
+    so a snapshot from another seed is ignored.  The candidate pool is
+    regenerated deterministically from [rng], so a resumed search
+    reproduces the uninterrupted run's best candidate.
 
     [strategy] (default {!Strategy.Random}) picks the candidate
     generator.  [Random] keeps the historical pool — directed seeds plus
@@ -160,14 +170,13 @@ val search :
     well-typed-by-construction candidates drawn from the rule-inverted
     {!Sequences.typed_menu}; the pool is still deterministic in [rng], so
     checkpointing and parallel evaluation behave exactly as for [Random].
-    [Guided] replaces the precomputed pool with beam rounds: directed
-    seeds first, then each round resamples one site of each Pareto-front
-    member (latency vs. Fisher, {!Pareto.front}) of the survivors so far,
+    [Guided] draws its batches as beam rounds: the directed seeds first,
+    then each round resamples one site of each Pareto-front member
+    (latency vs. Fisher, {!Pareto.front}) of the survivors so far,
     topping up with fresh typed candidates; rounds stop at [candidates]
-    (or [budget]) cumulative evaluations.  Guided runs honor
-    [stop], [budget], [workers] and [schedule] (deterministic merge as
-    above) but ignore [checkpoint] — [r_checkpoint_error] is always
-    [None]. *)
+    (or [budget]) cumulative evaluations.  Guided runs honor [stop],
+    [budget], [workers] and [schedule] (deterministic merge as above) but
+    ignore [checkpoint] — [r_checkpoint_error] is always [None]. *)
 
 val speedup : result -> float
 (** Baseline latency over best-candidate latency. *)
@@ -185,9 +194,9 @@ val search_multi :
   probe:Train.batch ->
   Models.t ->
   (Device.t * result) list
-(** Like {!search} for several devices at once: the candidate pool and its
-    Fisher evaluations (the expensive part) are shared; only the cost
-    ranking is per-device.  Guarded like {!search} (shared-phase
-    quarantines appear in every device's [r_quarantined]).  Fault
-    injection and checkpointing are single-device features: [ctx]'s fault
-    plan is not drawn from here. *)
+(** {!search} once per device, each from a copy of [rng] on the shared
+    [ctx]: every device sees the same pool, and the Fisher memo in [ctx]
+    makes every score after the first device's a hit, so only the cost
+    ranking is paid per device.  Each row equals a standalone {!search}
+    on a fresh context.  [r_wall_s] is each device's own search, so only
+    the first device's includes the Fisher passes. *)

@@ -1,10 +1,11 @@
 (* Robustness tests: the error taxonomy, numeric guards, deterministic
-   fault injection, the evaluation supervisor, checkpoint round-trips, and
-   the hardened unified search (NaN-guard quarantine, completion under
-   injected faults, checkpoint/resume determinism). *)
+   fault injection, checkpoint round-trips, and the hardened unified
+   search (NaN-guard quarantine, completion under injected faults,
+   checkpoint/resume determinism at one and two workers, snapshots from
+   another seed ignored). *)
 
-let setup () =
-  let rng = Rng.create 77 in
+let setup ?(seed = 77) () =
+  let rng = Rng.create seed in
   let model = Models.build (Models.resnet18 ()) rng in
   let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
   (rng, model, probe)
@@ -15,7 +16,7 @@ let t_error_classes () =
   let errs =
     [ Nas_error.Invalid_plan "p"; Shape_mismatch "s";
       Non_finite Nas_error.Fisher_score; Non_finite Nas_error.Cost_model;
-      Budget_exceeded "b"; Injected_fault "f"; Checkpoint_error "c";
+      Injected_fault "f"; Checkpoint_error "c";
       Eval_failure "e" ]
   in
   let classes = List.map Nas_error.class_name errs in
@@ -115,38 +116,6 @@ let t_fault_targets () =
     (Float.is_nan (Fault.corrupt_float only_fisher ~key:1 Fault.Fisher_oracle 1.0));
   Alcotest.(check (float 0.0)) "corrupt spares" 1.0
     (Fault.corrupt_float only_fisher ~key:1 Fault.Cost_oracle 1.0)
-
-(* --- supervisor --------------------------------------------------------- *)
-
-let t_supervisor_quarantine () =
-  let sup = Supervisor.create () in
-  (match Supervisor.run sup ~label:"good" (fun () -> 1) with
-  | Ok 1 -> ()
-  | _ -> Alcotest.fail "healthy eval");
-  (match Supervisor.run sup ~label:"bad" (fun () -> Nas_error.fail (Invalid_plan "x")) with
-  | Error (Nas_error.Invalid_plan _) -> ()
-  | _ -> Alcotest.fail "failure not classified");
-  Alcotest.(check int) "evaluated" 2 (Supervisor.evaluated sup);
-  Alcotest.(check (list (pair string int))) "attribution" [ ("invalid-plan", 1) ]
-    (Supervisor.class_counts sup);
-  match Supervisor.quarantined sup with
-  | [ ("bad", Nas_error.Invalid_plan _) ] -> ()
-  | _ -> Alcotest.fail "quarantine entry"
-
-let t_supervisor_budget () =
-  let sup = Supervisor.create ~budget:2 () in
-  ignore (Supervisor.run sup ~label:"a" (fun () -> ()));
-  ignore (Supervisor.run sup ~label:"b" (fun () -> ()));
-  Alcotest.(check bool) "exhausted" true (Supervisor.budget_exhausted sup);
-  Alcotest.(check bool) "not yet refused" false (Supervisor.budget_hit sup);
-  let ran = ref false in
-  (match Supervisor.run sup ~label:"c" (fun () -> ran := true) with
-  | Error (Nas_error.Budget_exceeded _) -> ()
-  | _ -> Alcotest.fail "budget not enforced");
-  Alcotest.(check bool) "refused thunk never ran" false !ran;
-  Alcotest.(check bool) "refusal recorded" true (Supervisor.budget_hit sup);
-  Alcotest.(check int) "refusal not an evaluation" 2 (Supervisor.evaluated sup);
-  Alcotest.(check int) "refusal not quarantined" 0 (List.length (Supervisor.quarantined sup))
 
 (* --- checkpoint --------------------------------------------------------- *)
 
@@ -276,31 +245,76 @@ let t_search_fault_free_unchanged () =
 
 let t_search_checkpoint_resume () =
   let path = tmp_path "nas_pte_search_ckpt.bin" in
-  Checkpoint.remove ~path;
   (* Every run gets a fresh context, so the resumed run starts with cold
      caches: only the checkpoint carries state between runs. *)
-  let run ?budget ?checkpoint () =
+  let run ?budget ?checkpoint ?stop ~workers () =
     let rng, model, probe = setup () in
+    Unified_search.search ~candidates:20 ?budget ?checkpoint ~checkpoint_every:5 ?stop
+      ~workers ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe
+      model
+  in
+  List.iter
+    (fun workers ->
+      let msg s = Printf.sprintf "workers=%d: %s" workers s in
+      Checkpoint.remove ~path;
+      let full = run ~workers () in
+      (* The hook never fires; it only looks for a snapshot on disk, which
+         the first batch of five candidates leaves before the run ends. *)
+      let saw_snapshot = Atomic.make false in
+      let stop () =
+        if Sys.file_exists path then Atomic.set saw_snapshot true;
+        false
+      in
+      let partial = run ~budget:7 ~checkpoint:path ~stop ~workers () in
+      Alcotest.(check bool) (msg "budget stop reported") false
+        partial.Unified_search.r_complete;
+      Alcotest.(check bool) (msg "snapshot saved mid-run") true (Atomic.get saw_snapshot);
+      Alcotest.(check bool) (msg "checkpoint written") true (Sys.file_exists path);
+      let resumed = run ~checkpoint:path ~workers () in
+      Alcotest.(check bool) (msg "resumed run completes") true
+        resumed.Unified_search.r_complete;
+      Alcotest.(check bool) (msg "resume skips the explored prefix") true
+        (resumed.Unified_search.r_evaluated < full.Unified_search.r_explored);
+      Alcotest.(check (float 1e-12)) (msg "same best latency as uninterrupted")
+        full.Unified_search.r_best.Unified_search.cd_latency_s
+        resumed.Unified_search.r_best.Unified_search.cd_latency_s;
+      Alcotest.(check string) (msg "same best plans as uninterrupted")
+        (Unified_search.plans_signature full.Unified_search.r_best.Unified_search.cd_plans)
+        (Unified_search.plans_signature
+           resumed.Unified_search.r_best.Unified_search.cd_plans);
+      Alcotest.(check int) (msg "same rejection accounting")
+        full.Unified_search.r_rejected resumed.Unified_search.r_rejected)
+    [ 1; 2 ];
+  Checkpoint.remove ~path
+
+let t_search_checkpoint_other_seed () =
+  (* A snapshot left by a seed-7 run must not steer a seed-8 run: the
+     seed-8 run starts fresh and equals an uninterrupted seed-8 run. *)
+  let path = tmp_path "nas_pte_search_ckpt_seed.bin" in
+  Checkpoint.remove ~path;
+  let run ~seed ?budget ?checkpoint () =
+    let rng, model, probe = setup ~seed () in
     Unified_search.search ~candidates:20 ?budget ?checkpoint ~checkpoint_every:5
       ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
-  let full = run () in
-  let partial = run ~budget:7 ~checkpoint:path () in
-  Alcotest.(check bool) "budget stop reported" false partial.Unified_search.r_complete;
-  Alcotest.(check bool) "checkpoint written" true (Sys.file_exists path);
-  let resumed = run ~checkpoint:path () in
-  Alcotest.(check bool) "resumed run completes" true resumed.Unified_search.r_complete;
-  Alcotest.(check bool) "resume skips the explored prefix" true
-    (resumed.Unified_search.r_evaluated < full.Unified_search.r_explored);
-  Alcotest.(check (float 1e-12)) "same best latency as uninterrupted"
-    full.Unified_search.r_best.Unified_search.cd_latency_s
-    resumed.Unified_search.r_best.Unified_search.cd_latency_s;
-  Alcotest.(check string) "same best plans as uninterrupted"
-    (Unified_search.plans_signature full.Unified_search.r_best.Unified_search.cd_plans)
-    (Unified_search.plans_signature resumed.Unified_search.r_best.Unified_search.cd_plans);
-  Alcotest.(check int) "same rejection accounting" full.Unified_search.r_rejected
-    resumed.Unified_search.r_rejected;
-  Checkpoint.remove ~path
+  ignore (run ~seed:7 ~budget:7 ~checkpoint:path ());
+  Alcotest.(check bool) "seed-7 snapshot written" true (Sys.file_exists path);
+  let fresh = run ~seed:8 () in
+  let other = run ~seed:8 ~checkpoint:path () in
+  Checkpoint.remove ~path;
+  Alcotest.(check int) "nothing resumed" fresh.Unified_search.r_evaluated
+    other.Unified_search.r_evaluated;
+  Alcotest.(check int) "same rejections" fresh.Unified_search.r_rejected
+    other.Unified_search.r_rejected;
+  Alcotest.(check string) "same best plans"
+    (Unified_search.plans_signature fresh.Unified_search.r_best.Unified_search.cd_plans)
+    (Unified_search.plans_signature other.Unified_search.r_best.Unified_search.cd_plans);
+  Alcotest.(check (float 0.0)) "same best latency"
+    fresh.Unified_search.r_best.Unified_search.cd_latency_s
+    other.Unified_search.r_best.Unified_search.cd_latency_s;
+  Alcotest.(check (list string)) "same quarantine"
+    (List.map fst fresh.Unified_search.r_quarantined)
+    (List.map fst other.Unified_search.r_quarantined)
 
 (* --- bounded pipeline cache ---------------------------------------------- *)
 
@@ -367,9 +381,6 @@ let () =
         [ quick "deterministic" t_fault_deterministic;
           quick "rates" t_fault_rates;
           quick "targets" t_fault_targets ] );
-      ( "supervisor",
-        [ quick "quarantine" t_supervisor_quarantine;
-          quick "budget" t_supervisor_budget ] );
       ( "checkpoint",
         [ quick "roundtrip" t_checkpoint_roundtrip;
           quick "garbage" t_checkpoint_rejects_garbage;
@@ -378,7 +389,8 @@ let () =
         [ quick "nan fisher quarantined" t_search_nan_fisher_quarantined;
           quick "survives 30% faults" t_search_survives_30pct_faults;
           quick "fault-free identity" t_search_fault_free_unchanged;
-          quick "checkpoint resume" t_search_checkpoint_resume ] );
+          quick "checkpoint resume" t_search_checkpoint_resume;
+          quick "checkpoint from another seed" t_search_checkpoint_other_seed ] );
       ( "cache",
         [ quick "bounded" t_cache_bounded; quick "stats" t_cache_stats_counts ] );
       ( "properties",

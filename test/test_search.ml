@@ -180,6 +180,55 @@ let t_strategy_guided_parallel_identical () =
       check_same_result "guided parallel" serial r)
     [ Parallel_eval.Static; Parallel_eval.Dynamic ]
 
+let t_guided_budget_incomplete () =
+  (* A budget below [candidates] caps the run short of its target, so the
+     run is incomplete; a budget at the target is not a cap. *)
+  List.iter
+    (fun workers ->
+      let run budget =
+        let rng, model, probe = setup () in
+        Unified_search.search ~strategy:Strategy.Guided ~candidates:20 ~budget ~workers
+          ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+      in
+      let msg s = Printf.sprintf "workers=%d: %s" workers s in
+      let capped = run 7 in
+      Alcotest.(check bool) (msg "budget-capped run incomplete") false
+        capped.Unified_search.r_complete;
+      Alcotest.(check int) (msg "evaluated up to the budget") 7
+        capped.Unified_search.r_evaluated;
+      Alcotest.(check bool) (msg "budget at the target completes") true
+        (run 20).Unified_search.r_complete)
+    [ 1; 2 ]
+
+let t_strategy_gate () =
+  (* At equal seed, device and candidate count, the typed and guided
+     generators keep more candidates past the Fisher check and quarantine
+     than random sampling, with a best latency no worse. *)
+  let run strategy =
+    let rng = Rng.create 7 in
+    let model = Models.build (Models.resnet18 ()) rng in
+    let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
+    let r =
+      Unified_search.search ~candidates:60 ~strategy ~ctx:(Eval_ctx.create ())
+        ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+    in
+    ( r.Unified_search.r_explored - r.r_rejected - List.length r.r_quarantined,
+      r.r_best.Unified_search.cd_latency_s )
+  in
+  let random_survivors, random_best = run Strategy.Random in
+  List.iter
+    (fun strategy ->
+      let survivors, best = run strategy in
+      let name = Strategy.to_string strategy in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s survivors %d > random's %d" name survivors random_survivors)
+        true
+        (survivors > random_survivors);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s best %.6g s <= random's %.6g s" name best random_best)
+        true (best <= random_best))
+    [ Strategy.Typed; Strategy.Guided ]
+
 (* The one valid [standard_menu] entry [typed_menu] leaves out: a split-2
    [Seq1] on an odd output plane, where the autotuner drops the split hint
    and [--analyze] reports the sequence inapplicable. *)
@@ -298,6 +347,8 @@ let () =
         [ quick "random bit-identical" t_strategy_random_bit_identical;
           quick "typed parallel identical" t_strategy_typed_parallel_identical;
           quick "guided parallel identical" t_strategy_guided_parallel_identical;
+          quick "guided budget incomplete" t_guided_budget_incomplete;
+          quick "survivor gate" t_strategy_gate;
           quick "typed menu valid" t_typed_menu_valid_by_construction;
           quick "typed plans valid" t_typed_plans_valid_by_construction ] );
       ( "blockswap",
