@@ -1,5 +1,6 @@
 (* Bechamel micro-benchmarks of the performance-critical kernels: the
-   convolution forward, backward and backward-input, one Fisher Potential
+   convolution forward, backward and backward-input (dense, grouped,
+   depthwise and strided), one Fisher Potential
    pass, the analytic cost model, the autotuner sweep and the loop-nest
    interpreter. *)
 
@@ -8,36 +9,60 @@ open Toolkit
 
 let same_pad = { Ops.stride = 1; pad = 1; groups = 1; dilation = 1 }
 
-(* A k3 same-padded convolution on an [n; c; hw; hw] input: its input,
-   weight and an output gradient. *)
-let conv_operands ~seed ~n ~c ~hw =
+(* A k3 convolution with padding 1 on an [n; c; hw; hw] input and [co]
+   output channels ([c] by default): its input, weight and an output
+   gradient. *)
+let conv_operands ?co ?(p = same_pad) ~seed ~n ~c ~hw () =
+  let co = Option.value co ~default:c in
   let rng = Rng.create seed in
+  let ho = Ops.conv_out_dim hw ~k:3 ~stride:p.Ops.stride ~pad:p.pad in
   let input = Tensor.rand_normal rng [| n; c; hw; hw |] ~mean:0.0 ~std:1.0 in
-  let weight = Tensor.rand_normal rng [| c; c; 3; 3 |] ~mean:0.0 ~std:0.1 in
-  let gout = Tensor.rand_normal rng [| n; c; hw; hw |] ~mean:0.0 ~std:1.0 in
+  let weight = Tensor.rand_normal rng [| co; c / p.groups; 3; 3 |] ~mean:0.0 ~std:0.1 in
+  let gout = Tensor.rand_normal rng [| n; co; ho; ho |] ~mean:0.0 ~std:1.0 in
   (input, weight, gout)
 
-let conv_test =
-  let input, weight, _ = conv_operands ~seed:1 ~n:4 ~c:16 ~hw:16 in
-  Test.make ~name:"conv2d fwd 4x16x16x16 k3"
-    (Staged.stage (fun () -> ignore (Ops.conv2d ~input ~weight ~bias:None same_pad)))
+let fwd_test ?co ?(p = same_pad) ~name ~seed ~n ~c ~hw () =
+  let input, weight, _ = conv_operands ?co ~p ~seed ~n ~c ~hw () in
+  Test.make ~name (Staged.stage (fun () -> ignore (Ops.conv2d ~input ~weight ~bias:None p)))
+
+let bwd_input_test ?co ?(p = same_pad) ~name ~seed ~n ~c ~hw () =
+  let input, weight, gout = conv_operands ?co ~p ~seed ~n ~c ~hw () in
+  Test.make ~name
+    (Staged.stage (fun () -> ignore (Ops.conv2d_backward_input ~input ~weight ~gout p)))
+
+let conv_test = fwd_test ~name:"conv2d fwd 4x16x16x16 k3" ~seed:1 ~n:4 ~c:16 ~hw:16 ()
 
 (* The late-stage shape: a 2x2 plane, where a loop along output rows is
    all overhead. *)
-let conv_late_test =
-  let input, weight, _ = conv_operands ~seed:5 ~n:16 ~c:64 ~hw:2 in
-  Test.make ~name:"conv2d fwd 16x64x2x2 k3"
-    (Staged.stage (fun () -> ignore (Ops.conv2d ~input ~weight ~bias:None same_pad)))
+let conv_late_test = fwd_test ~name:"conv2d fwd 16x64x2x2 k3" ~seed:5 ~n:16 ~c:64 ~hw:2 ()
 
 let conv_bwd_test =
-  let input, weight, gout = conv_operands ~seed:2 ~n:4 ~c:16 ~hw:16 in
+  let input, weight, gout = conv_operands ~seed:2 ~n:4 ~c:16 ~hw:16 () in
   Test.make ~name:"conv2d bwd 4x16x16x16 k3"
     (Staged.stage (fun () -> ignore (Ops.conv2d_backward ~input ~weight ~gout same_pad)))
 
 let conv_bwd_input_test =
-  let input, weight, gout = conv_operands ~seed:2 ~n:4 ~c:16 ~hw:16 in
-  Test.make ~name:"conv2d bwd-input 4x16x16x16 k3"
-    (Staged.stage (fun () -> ignore (Ops.conv2d_backward_input ~input ~weight ~gout same_pad)))
+  bwd_input_test ~name:"conv2d bwd-input 4x16x16x16 k3" ~seed:2 ~n:4 ~c:16 ~hw:16 ()
+
+(* Grouped (im2col per group), depthwise (the direct loops) and a
+   stride-2 input gradient (the direct loop). *)
+let grouped = { same_pad with Ops.groups = 4 }
+let depthwise = { same_pad with Ops.groups = 32 }
+
+let conv_grouped_test =
+  fwd_test ~p:grouped ~name:"conv2d fwd 16x64x4x4 g4 k3" ~seed:6 ~n:16 ~c:64 ~hw:4 ()
+
+let conv_dw_test =
+  fwd_test ~p:depthwise ~name:"conv2d fwd 16x32x8x8 g32 k3" ~seed:7 ~n:16 ~c:32 ~hw:8 ()
+
+let conv_dw_bwd_input_test =
+  bwd_input_test ~p:depthwise ~name:"conv2d bwd-input 16x32x8x8 g32 k3" ~seed:7 ~n:16 ~c:32
+    ~hw:8 ()
+
+let conv_s2_bwd_input_test =
+  bwd_input_test ~co:64
+    ~p:{ same_pad with Ops.stride = 2 }
+    ~name:"conv2d bwd-input 16x32x8x8 co64 s2 k3" ~seed:8 ~n:16 ~c:32 ~hw:8 ()
 
 let fisher_test =
   let rng = Rng.create 3 in
@@ -71,7 +96,8 @@ let interp_test =
 
 let tests =
   Test.make_grouped ~name:"kernels"
-    [ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; fisher_test; cost_test;
+    [ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; conv_grouped_test;
+      conv_dw_test; conv_dw_bwd_input_test; conv_s2_bwd_input_test; fisher_test; cost_test;
       tune_test; interp_test ]
 
 let run ppf =

@@ -407,20 +407,25 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
      the range of indices to process this run is known up front — which is
      what lets a worker pool split it deterministically. *)
   let limit = match budget with Some b -> min target (max first b) | None -> target in
-  let merge_outcome i = function
-    | O_survivor cand ->
-        incr processed;
-        survivors_rev := cand :: !survivors_rev;
-        (match !best with
-        | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
-        | _ -> best := Some cand)
-    | O_rejected ->
-        incr processed;
-        incr rejected
-    | O_failed (label, e) ->
-        incr processed;
-        quarantine_rev := (label, e) :: !quarantine_rev
-    | O_skipped -> if !first_skip = None then first_skip := Some i
+  (* Outcomes come in index order.  Once one is skipped, the resume point
+     is fixed at its index, so later outcomes (a parallel worker may have
+     finished some) are dropped: the resumed run evaluates them again. *)
+  let merge_outcome i o =
+    if !first_skip = None then
+      match o with
+      | O_survivor cand ->
+          incr processed;
+          survivors_rev := cand :: !survivors_rev;
+          (match !best with
+          | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
+          | _ -> best := Some cand)
+      | O_rejected ->
+          incr processed;
+          incr rejected
+      | O_failed (label, e) ->
+          incr processed;
+          quarantine_rev := (label, e) :: !quarantine_rev
+      | O_skipped -> first_skip := Some i
   in
   let seen = Hashtbl.create 64 in
   if guided then Array.iter (fun plans -> Hashtbl.replace seen (plans_signature plans) ()) pool;
@@ -471,9 +476,7 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
         end
       in
       loop (next_batch first));
-  (* Resume point: the first unprocessed index.  When the stop hook fired
-     mid-batch, candidates past it that a parallel worker already finished
-     are simply re-evaluated on resume (they are deterministic). *)
+  (* Resume point: the first unprocessed index. *)
   save_checkpoint (match !first_skip with Some i -> i | None -> !explored);
   (* The [search.*] counters are the deterministic namespace: every value
      below is a pure function of the search configuration, so they are

@@ -4,8 +4,21 @@ let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
   ((d + (2 * pad) - (dilation * (k - 1)) - 1) / stride) + 1
 
 (* The convolution kernels are the hot path of the whole project (training,
-   Fisher passes and NAS-bench evaluation all funnel through them), so they
-   use unsafe flat-array access with incrementally maintained offsets.
+   Fisher passes and NAS-bench evaluation all funnel through them).  Their
+   inner loops are C (conv_stubs.c): the ordered dot product behind the
+   im2col forward pass and the gathered input gradient ([dot_rows]), and
+   the direct forward and backward loops.  The im2col and gather packing
+   loops stay here.  dune compiles the C with -O3 -ffp-contract=off
+   -fno-fast-math and no -march flag: no multiply-add is fused, no sum is
+   reassociated, and no instruction depends on the host, so every output
+   keeps the bits of the OCaml loops it replaced (the bitwise [naive_conv*]
+   references in test_tensor are the specification).
+
+   Before every C call an [assert] checks that each index the kernel
+   touches lies inside its array; the C code itself checks nothing.  The
+   externals are [@@noalloc] and one call covers at most one (image,
+   group), so a stop-the-world collection on another domain never waits
+   for a whole layer.
 
    Ordered accumulation (the contract is in ops.mli).  Every output of a
    kernel below is +0.0 plus its terms in one fixed order.  The fast paths
@@ -35,126 +48,88 @@ let tap_last ~off ~stride ~extent ~out =
   let room = extent - 1 - off in
   if room < 0 then -1 else if room / stride < out - 1 then room / stride else out - 1
 
+(* The C kernels (conv_stubs.c).  Arrays come with the offset of the slab
+   the call works on; the eleven trailing ints of the conv kernels are the
+   geometry of one (image, group): cig cog h w kh kw ho wo stride pad
+   dilation. *)
+external c_dot_rows :
+  float array -> (int[@untagged]) -> float array -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> float array -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_dot_rows_byte" "nas_dot_rows"
+[@@noalloc]
+
+(* input, weight, output *)
+external c_conv_direct :
+  float array -> (int[@untagged]) -> float array -> (int[@untagged]) -> float array ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_conv_direct_byte" "nas_conv_direct"
+[@@noalloc]
+
+(* output gradient, weight, input gradient *)
+external c_conv_backward_input_direct :
+  float array -> (int[@untagged]) -> float array -> (int[@untagged]) -> float array ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_conv_backward_input_direct_byte" "nas_conv_backward_input_direct"
+[@@noalloc]
+
+(* input and input gradient, output gradient, weight and weight gradient *)
+external c_conv_backward_direct :
+  float array -> float array -> (int[@untagged]) -> float array -> (int[@untagged]) ->
+  float array -> float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "nas_conv_backward_direct_byte" "nas_conv_backward_direct"
+[@@noalloc]
+
+(* [len] floats from [off] lie inside [a] (and there is at least one, so
+   a C kernel never sees an empty array). *)
+let in_bounds ~off ~len a = off >= 0 && len > 0 && off + len <= Array.length a
+
 (* [dot_rows a ~a_off b ~len ~rows ~cols out ~out_off ~out_stride] sets
    [out.(out_off + r * out_stride + q)], for [r < rows] and [q < cols], to
    +0.0 plus [b.(q * len + j) *. a.(a_off + r * len + j)] for [j] ascending
-   from 0 to [len - 1].  The sums stay in registers, in blocks of four
-   rows by two columns: each load of [b] serves four rows, each load of
-   [a] two columns. *)
+   from 0 to [len - 1]. *)
 let dot_rows a ~a_off b ~len ~rows ~cols out ~out_off ~out_stride =
-  let r = ref 0 in
-  while !r + 4 <= rows do
-    let a0 = a_off + (!r * len) in
-    let a1 = a0 + len in
-    let a2 = a1 + len in
-    let a3 = a2 + len in
-    let o0 = out_off + (!r * out_stride) in
-    let q = ref 0 in
-    while !q + 2 <= cols do
-      let bq = !q * len in
-      let bq1 = bq + len in
-      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-      let t0 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 and t3 = ref 0.0 in
-      for j = 0 to len - 1 do
-        let x = Array.unsafe_get b (bq + j) and y = Array.unsafe_get b (bq1 + j) in
-        let w0 = Array.unsafe_get a (a0 + j) in
-        s0 := !s0 +. (x *. w0);
-        t0 := !t0 +. (y *. w0);
-        let w1 = Array.unsafe_get a (a1 + j) in
-        s1 := !s1 +. (x *. w1);
-        t1 := !t1 +. (y *. w1);
-        let w2 = Array.unsafe_get a (a2 + j) in
-        s2 := !s2 +. (x *. w2);
-        t2 := !t2 +. (y *. w2);
-        let w3 = Array.unsafe_get a (a3 + j) in
-        s3 := !s3 +. (x *. w3);
-        t3 := !t3 +. (y *. w3)
-      done;
-      let o = o0 + !q in
-      Array.unsafe_set out o !s0;
-      Array.unsafe_set out (o + 1) !t0;
-      Array.unsafe_set out (o + out_stride) !s1;
-      Array.unsafe_set out (o + out_stride + 1) !t1;
-      Array.unsafe_set out (o + (2 * out_stride)) !s2;
-      Array.unsafe_set out (o + (2 * out_stride) + 1) !t2;
-      Array.unsafe_set out (o + (3 * out_stride)) !s3;
-      Array.unsafe_set out (o + (3 * out_stride) + 1) !t3;
-      q := !q + 2
-    done;
-    if !q < cols then begin
-      let bq = !q * len in
-      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-      for j = 0 to len - 1 do
-        let x = Array.unsafe_get b (bq + j) in
-        s0 := !s0 +. (x *. Array.unsafe_get a (a0 + j));
-        s1 := !s1 +. (x *. Array.unsafe_get a (a1 + j));
-        s2 := !s2 +. (x *. Array.unsafe_get a (a2 + j));
-        s3 := !s3 +. (x *. Array.unsafe_get a (a3 + j))
-      done;
-      let o = o0 + !q in
-      Array.unsafe_set out o !s0;
-      Array.unsafe_set out (o + out_stride) !s1;
-      Array.unsafe_set out (o + (2 * out_stride)) !s2;
-      Array.unsafe_set out (o + (3 * out_stride)) !s3
-    end;
-    r := !r + 4
-  done;
-  for r = !r to rows - 1 do
-    let a0 = a_off + (r * len) in
-    let o0 = out_off + (r * out_stride) in
-    for q = 0 to cols - 1 do
-      let bq = q * len in
-      let s = ref 0.0 in
-      for j = 0 to len - 1 do
-        s := !s +. (Array.unsafe_get b (bq + j) *. Array.unsafe_get a (a0 + j))
-      done;
-      Array.unsafe_set out (o0 + q) !s
+  assert (
+    rows > 0 && len > 0 && cols > 0 && cols <= out_stride
+    && in_bounds ~off:a_off ~len:(rows * len) a
+    && in_bounds ~off:0 ~len:(cols * len) b
+    && in_bounds ~off:out_off ~len:(((rows - 1) * out_stride) + cols) out);
+  c_dot_rows a a_off b len rows cols out out_off out_stride
+
+(* The direct loops make one C call per (image, group).  A call touches
+   only that group's slab of each operand: [cig] planes of each array in
+   [ins] from offset [ib], [cog] planes of each array in [outs] from [ob],
+   and their weights in each array of [wts] from [wb].  The hoisted tap
+   bounds keep every index inside its plane. *)
+let direct_slabs ~ins ~outs ~wts ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params call =
+  let { stride; groups; dilation; _ } = params in
+  assert (stride >= 1 && dilation >= 1);
+  let cog = co / groups in
+  let ilen = cig * h * w and olen = cog * ho * wo and wlen = cog * cig * kh * kw in
+  for ni = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      let ib = ((ni * ci) + (g * cig)) * h * w and ob = ((ni * co) + (g * cog)) * ho * wo in
+      let wb = g * wlen in
+      assert (
+        List.for_all (in_bounds ~off:ib ~len:ilen) ins
+        && List.for_all (in_bounds ~off:ob ~len:olen) outs
+        && List.for_all (in_bounds ~off:wb ~len:wlen) wts);
+      call ~ib ~ob ~wb ~cog
     done
   done
 
-(* Direct forward loop: scatters each nonzero weight over the output plane,
-   with the padding bounds of every tap hoisted out of the inner loops. *)
+(* Direct forward loop: scatters each nonzero weight over the output
+   plane. *)
 let conv2d_direct ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
-  let { stride; pad; groups; dilation } = params in
-  let cog = co / groups in
-  for ni = 0 to n - 1 do
-    for g = 0 to groups - 1 do
-      for cog_i = 0 to cog - 1 do
-        let co_i = (g * cog) + cog_i in
-        let wbase_co = co_i * cig * kh * kw in
-        let obase_co = ((ni * co) + co_i) * ho * wo in
-        for cig_i = 0 to cig - 1 do
-          let ci_i = (g * cig) + cig_i in
-          let ibase_ci = ((ni * ci) + ci_i) * h * w in
-          let wbase_ci = wbase_co + (cig_i * kh * kw) in
-          for khi = 0 to kh - 1 do
-            let hoff = (khi * dilation) - pad in
-            let h_lo = tap_first ~off:hoff ~stride in
-            let h_hi = tap_last ~off:hoff ~stride ~extent:h ~out:ho in
-            let wbase_kh = wbase_ci + (khi * kw) in
-            for kwi = 0 to kw - 1 do
-              let wv = Array.unsafe_get wd (wbase_kh + kwi) in
-              if wv <> 0.0 then begin
-                let woff = (kwi * dilation) - pad in
-                let w_lo = tap_first ~off:woff ~stride in
-                let w_hi = tap_last ~off:woff ~stride ~extent:w ~out:wo in
-                for hoi = h_lo to h_hi do
-                  let irow = ibase_ci + ((((hoi * stride) + hoff) * w) + woff) in
-                  let orow = obase_co + (hoi * wo) in
-                  let ii = ref (irow + (w_lo * stride)) in
-                  for oi = orow + w_lo to orow + w_hi do
-                    Array.unsafe_set od oi
-                      (Array.unsafe_get od oi +. (Array.unsafe_get id !ii *. wv));
-                    ii := !ii + stride
-                  done
-                done
-              end
-            done
-          done
-        done
-      done
-    done
-  done
+  let { stride; pad; dilation; _ } = params in
+  direct_slabs ~ins:[ id ] ~outs:[ od ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+    (fun ~ib ~ob ~wb ~cog ->
+      c_conv_direct id ib wd wb od ob cig cog h w kh kw ho wo stride pad dilation)
 
 (* im2col forward: for each (image, group) gather [col.(q * kk + k)], the
    input tap [k = (cig, kh, kw)] of output position [q], with 0.0 for a
@@ -243,65 +218,23 @@ let conv2d ?arena ~input ~weight ~bias params =
       done);
   output
 
-(* Direct backward loop: scatters [gout * w] over the input gradient for
-   every tap, zero weights included.  With a non-empty [gwd] it also sums
+(* Direct backward loops: scatter [gout * w] over the input gradient for
+   every tap, zero weights included.  [conv2d_backward_direct] also sums
    each tap's weight gradient over the valid output positions in the same
    pass. *)
+let conv2d_backward_input_direct ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
+  let { stride; pad; dilation; _ } = params in
+  direct_slabs ~ins:[ gid ] ~outs:[ god ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo
+    params (fun ~ib ~ob ~wb ~cog ->
+      c_conv_backward_input_direct god ob wd wb gid ib cig cog h w kh kw ho wo stride pad
+        dilation)
+
 let conv2d_backward_direct ~id ~god ~wd ~gid ~gwd ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
-  let { stride; pad; groups; dilation } = params in
-  let cog = co / groups in
-  let weight_grad = Array.length gwd > 0 in
-  for ni = 0 to n - 1 do
-    for g = 0 to groups - 1 do
-      for cog_i = 0 to cog - 1 do
-        let co_i = (g * cog) + cog_i in
-        let wbase_co = co_i * cig * kh * kw in
-        let obase_co = ((ni * co) + co_i) * ho * wo in
-        for cig_i = 0 to cig - 1 do
-          let ibase_ci = ((ni * ci) + (g * cig) + cig_i) * h * w in
-          let wbase_ci = wbase_co + (cig_i * kh * kw) in
-          for khi = 0 to kh - 1 do
-            let hoff = (khi * dilation) - pad in
-            let h_lo = tap_first ~off:hoff ~stride in
-            let h_hi = tap_last ~off:hoff ~stride ~extent:h ~out:ho in
-            for kwi = 0 to kw - 1 do
-              let widx = wbase_ci + (khi * kw) + kwi in
-              let wv = Array.unsafe_get wd widx in
-              let woff = (kwi * dilation) - pad in
-              let w_lo = tap_first ~off:woff ~stride in
-              let w_hi = tap_last ~off:woff ~stride ~extent:w ~out:wo in
-              if weight_grad then begin
-                let wacc = ref 0.0 in
-                for hoi = h_lo to h_hi do
-                  let irow = ibase_ci + ((((hoi * stride) + hoff) * w) + woff) in
-                  let orow = obase_co + (hoi * wo) in
-                  let ii = ref (irow + (w_lo * stride)) in
-                  for oi = orow + w_lo to orow + w_hi do
-                    let gov = Array.unsafe_get god oi in
-                    wacc := !wacc +. (gov *. Array.unsafe_get id !ii);
-                    Array.unsafe_set gid !ii (Array.unsafe_get gid !ii +. (gov *. wv));
-                    ii := !ii + stride
-                  done
-                done;
-                Array.unsafe_set gwd widx (Array.unsafe_get gwd widx +. !wacc)
-              end
-              else
-                for hoi = h_lo to h_hi do
-                  let irow = ibase_ci + ((((hoi * stride) + hoff) * w) + woff) in
-                  let orow = obase_co + (hoi * wo) in
-                  let ii = ref (irow + (w_lo * stride)) in
-                  for oi = orow + w_lo to orow + w_hi do
-                    Array.unsafe_set gid !ii
-                      (Array.unsafe_get gid !ii +. (Array.unsafe_get god oi *. wv));
-                    ii := !ii + stride
-                  done
-                done
-            done
-          done
-        done
-      done
-    done
-  done
+  let { stride; pad; dilation; _ } = params in
+  direct_slabs ~ins:[ id; gid ] ~outs:[ god ] ~wts:[ wd; gwd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw
+    ~ho ~wo params (fun ~ib ~ob ~wb ~cog ->
+      c_conv_backward_direct id gid ib god ob wd gwd wb cig cog h w kh kw ho wo stride pad
+        dilation)
 
 (* Gather form of the input gradient, for stride 1: for each (image, group)
    gather [gcol.(p * jj + j)], the output gradient that reaches input
@@ -383,8 +316,7 @@ let conv2d_backward_input ?arena ~input ~weight ~gout params =
   if cig > 1 && params.stride = 1 && all_finite wd then
     conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
   else
-    conv2d_backward_direct ~id:[||] ~god ~wd ~gid ~gwd:[||] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho
-      ~wo params;
+    conv2d_backward_input_direct ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   ginput
 
 let conv2d_backward ~input ~weight ~gout params =

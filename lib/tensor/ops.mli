@@ -55,7 +55,19 @@ val conv_out_dim : ?dilation:int -> int -> k:int -> stride:int -> pad:int -> int
       loop never computes, so the direct loop keeps NaN placement exact.
 
     {!conv2d_backward} always runs the direct loop, computing the input and
-    weight gradients in one pass. *)
+    weight gradients in one pass.
+
+    The inner loops of both implementations (the blocked dot product and
+    the direct loops) are C, in [conv_stubs.c]; only the im2col and gather
+    packing is OCaml.  The C is compiled with [-O3 -ffp-contract=off
+    -fno-fast-math] and no [-march] flag: [-ffp-contract=off] keeps every
+    [x * w + s] two roundings (no fused multiply-add), [-fno-fast-math]
+    keeps every sum in the order above (no reassociation, so the compiler
+    vectorizes only across independent outputs), and without [-march] the
+    instructions are baseline x86-64 on every host.  The results are
+    therefore the bits of the order above on any machine.  Each C call
+    covers one (image, group), after an OCaml [assert] has checked that
+    every index it touches lies inside its array. *)
 
 val conv2d :
   ?arena:Arena.t ->

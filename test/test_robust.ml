@@ -1,8 +1,8 @@
 (* Robustness tests: the error taxonomy, numeric guards, deterministic
    fault injection, checkpoint round-trips, and the hardened unified
    search (NaN-guard quarantine, completion under injected faults,
-   checkpoint/resume determinism at one and two workers, snapshots from
-   another seed ignored). *)
+   checkpoint/resume determinism at one and two workers, a stop in the
+   middle of a parallel batch, snapshots from another seed ignored). *)
 
 let setup ?(seed = 77) () =
   let rng = Rng.create seed in
@@ -287,6 +287,37 @@ let t_search_checkpoint_resume () =
     [ 1; 2 ];
   Checkpoint.remove ~path
 
+let t_search_stop_mid_batch_resume () =
+  (* Two static workers, and a stop hook that fires from its 9th poll: the
+     other worker may already have finished candidates past the first
+     skipped one.  Stopping and resuming must add up to the uninterrupted
+     run, with no candidate counted twice. *)
+  let path = tmp_path "nas_pte_search_ckpt_stop.bin" in
+  Checkpoint.remove ~path;
+  let run ?checkpoint ?stop () =
+    let rng, model, probe = setup () in
+    Unified_search.search ~candidates:20 ?checkpoint ?stop ~workers:2
+      ~schedule:Parallel_eval.Static ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng)
+      ~device:Device.i7 ~probe model
+  in
+  let full = run () in
+  let polls = Atomic.make 0 in
+  let stop () = Atomic.fetch_and_add polls 1 >= 8 in
+  let partial = run ~checkpoint:path ~stop () in
+  Alcotest.(check bool) "stop reported" false partial.Unified_search.r_complete;
+  let resumed = run ~checkpoint:path () in
+  Checkpoint.remove ~path;
+  Alcotest.(check int) "same rejections" full.Unified_search.r_rejected
+    resumed.Unified_search.r_rejected;
+  Alcotest.(check int) "every candidate evaluated once" full.Unified_search.r_evaluated
+    (partial.Unified_search.r_evaluated + resumed.Unified_search.r_evaluated);
+  Alcotest.(check string) "same best plans"
+    (Unified_search.plans_signature full.Unified_search.r_best.Unified_search.cd_plans)
+    (Unified_search.plans_signature resumed.Unified_search.r_best.Unified_search.cd_plans);
+  Alcotest.(check (float 0.0)) "same best latency"
+    full.Unified_search.r_best.Unified_search.cd_latency_s
+    resumed.Unified_search.r_best.Unified_search.cd_latency_s
+
 let t_search_checkpoint_other_seed () =
   (* A snapshot left by a seed-7 run must not steer a seed-8 run: the
      seed-8 run starts fresh and equals an uninterrupted seed-8 run. *)
@@ -390,7 +421,8 @@ let () =
           quick "survives 30% faults" t_search_survives_30pct_faults;
           quick "fault-free identity" t_search_fault_free_unchanged;
           quick "checkpoint resume" t_search_checkpoint_resume;
-          quick "checkpoint from another seed" t_search_checkpoint_other_seed ] );
+          quick "checkpoint from another seed" t_search_checkpoint_other_seed;
+          quick "stop mid-batch then resume" t_search_stop_mid_batch_resume ] );
       ( "cache",
         [ quick "bounded" t_cache_bounded; quick "stats" t_cache_stats_counts ] );
       ( "properties",

@@ -267,6 +267,43 @@ let t_conv_non_finite () =
   Alcotest.(check bool) "input gradient matches the direct loop" true (same_bits gin expected);
   Alcotest.(check bool) "both backward kernels agree" true (same_bits gin' expected)
 
+(* The 3x3 conv shapes of the resnet18 and mobilenet_small search models
+   at the probe's 16x16 input (batch 16 there, 2 here), plus the
+   depthwise replacements a search puts at resnet18's stages: input
+   channels x plane, output channels, stride, groups.  They reach
+   [len] 576 and the 2x2 and 4x4 planes where [dot_rows] runs its
+   row and column tails, which the random geometries above do not. *)
+let workload_shapes =
+  [ (3, 16, 8, 1, 1); (8, 16, 8, 1, 1); (8, 16, 16, 2, 1); (16, 8, 16, 1, 1);
+    (16, 8, 32, 2, 1); (32, 4, 32, 1, 1); (32, 4, 64, 2, 1); (64, 2, 64, 1, 1);
+    (32, 16, 32, 1, 32); (32, 16, 32, 2, 32); (64, 8, 64, 1, 64); (64, 8, 64, 2, 64);
+    (128, 4, 128, 1, 128); (16, 8, 16, 1, 16); (32, 4, 32, 1, 32) ]
+
+let t_conv_workload_shapes () =
+  List.iter
+    (fun (ci, hw, co, stride, groups) ->
+      let name =
+        Printf.sprintf "2x%dx%dx%d w%dx%dx3x3 s%d g%d" ci hw hw co (ci / groups) stride groups
+      in
+      let r = Rng.create (ci + hw + co + stride + groups) in
+      let normal shape = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0 in
+      let input = normal [| 2; ci; hw; hw |] and weight = normal [| co; ci / groups; 3; 3 |] in
+      let p = { Ops.stride; pad = 1; groups; dilation = 1 } in
+      let out = Ops.conv2d ~input ~weight ~bias:None p in
+      let gout = normal (Tensor.shape out) in
+      let gin = Ops.conv2d_backward_input ~input ~weight ~gout p in
+      let gin', gw, _ = Ops.conv2d_backward ~input ~weight ~gout p in
+      let check what got want =
+        Alcotest.(check bool) (name ^ " " ^ what) true (same_bits got want)
+      in
+      check "forward" out (naive_conv ~input ~weight ~stride ~pad:1 ~groups ());
+      let want = naive_conv_backward_input ~input ~weight ~gout ~stride ~pad:1 ~groups () in
+      check "input gradient" gin want;
+      check "input gradient of the full backward" gin' want;
+      check "weight gradient" gw
+        (naive_conv_backward_weight ~input ~weight ~gout ~stride ~pad:1 ~groups ()))
+    workload_shapes
+
 let t_linear_backward () =
   let r = rng () in
   let input = Tensor.rand_normal r [| 3; 5 |] ~mean:0.0 ~std:1.0 in
@@ -704,7 +741,8 @@ let () =
           quick "bias" t_conv_bias;
           quick "backward fd" t_conv_backward;
           quick "backward input fd" t_conv_backward_input;
-          quick "non-finite operands" t_conv_non_finite ] );
+          quick "non-finite operands" t_conv_non_finite;
+          quick "workload shapes" t_conv_workload_shapes ] );
       ( "kernels",
         [ quick "linear backward fd" t_linear_backward;
           quick "bn normalizes" t_bn_forward_stats;

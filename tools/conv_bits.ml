@@ -1,0 +1,62 @@
+(* Conv kernel bits, to check the bytecode entry points of the C kernels
+   against the native ones.  Each line names one kernel path and the MD5
+   digest of the bits of its result:
+   - an im2col forward conv (the ordered dot product, with row and column
+     tails);
+   - a depthwise forward conv (the direct loop);
+   - the gathered input gradient of a stride-1 conv (the dot product
+     again);
+   - the direct input gradient of a stride-2 conv;
+   - the input and weight gradients of the full backward (the direct loop
+     with the weight gradient).
+
+   Usage: conv_bits [EXPECTED].  Without an argument the lines are
+   printed; with one they are compared to the lines of the file
+   EXPECTED, and the first difference exits 1. *)
+
+let bits t =
+  let d = Tensor.data t in
+  let b = Bytes.create (8 * Array.length d) in
+  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) d;
+  Digest.to_hex (Digest.bytes b)
+
+let lines () =
+  let r = Rng.create 2026 in
+  let normal shape = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0 in
+  let p ?(stride = 1) ?(groups = 1) () = { Ops.stride; pad = 1; groups; dilation = 1 } in
+  (* Ten output channels and a 5x5 plane: a row tail of two and an odd
+     column count. *)
+  let input = normal [| 2; 8; 5; 5 |] and weight = normal [| 10; 8; 3; 3 |] in
+  let fwd = Ops.conv2d ~input ~weight ~bias:None (p ()) in
+  let gather = Ops.conv2d_backward_input ~input ~weight ~gout:(normal (Tensor.shape fwd)) (p ()) in
+  let dw_input = normal [| 2; 6; 7; 7 |] and dw_weight = normal [| 6; 1; 3; 3 |] in
+  let dw = Ops.conv2d ~input:dw_input ~weight:dw_weight ~bias:None (p ~groups:6 ()) in
+  let s2 = p ~stride:2 () in
+  let s2_input = normal [| 2; 8; 7; 7 |] in
+  let gout = normal (Tensor.shape (Ops.conv2d ~input:s2_input ~weight ~bias:None s2)) in
+  let direct = Ops.conv2d_backward_input ~input:s2_input ~weight ~gout s2 in
+  let gin, gw, _ = Ops.conv2d_backward ~input:s2_input ~weight ~gout s2 in
+  [ ("im2col forward", fwd); ("depthwise forward", dw); ("gathered input gradient", gather);
+    ("stride-2 input gradient", direct); ("backward input gradient", gin);
+    ("backward weight gradient", gw) ]
+  |> List.map (fun (name, t) -> name ^ " " ^ bits t)
+
+let () =
+  let got = lines () in
+  match Sys.argv with
+  | [| _ |] -> List.iter print_endline got
+  | [| _; path |] ->
+      let want = In_channel.with_open_text path In_channel.input_all in
+      let want = List.filter (( <> ) "") (String.split_on_char '\n' want) in
+      if want <> got then begin
+        List.iteri
+          (fun i g ->
+            match List.nth_opt want i with
+            | Some w when w = g -> ()
+            | w -> Printf.eprintf "conv_bits: got %s, expected %s\n" g (Option.value w ~default:"-"))
+          got;
+        exit 1
+      end
+  | _ ->
+      prerr_endline "usage: conv_bits [EXPECTED]";
+      exit 2
