@@ -1,8 +1,8 @@
 (* Bechamel micro-benchmarks of the performance-critical kernels: the
    convolution forward, backward and backward-input (dense, grouped,
-   depthwise and strided), one Fisher Potential
-   pass, the analytic cost model, the autotuner sweep and the loop-nest
-   interpreter. *)
+   depthwise and strided), ReLU and batch norm forward and backward, one
+   Fisher Potential pass, the analytic cost model, the autotuner sweep and
+   the loop-nest interpreter. *)
 
 open Bechamel
 open Toolkit
@@ -64,6 +64,27 @@ let conv_s2_bwd_input_test =
     ~p:{ same_pad with Ops.stride = 2 }
     ~name:"conv2d bwd-input 16x32x8x8 co64 s2 k3" ~seed:8 ~n:16 ~c:32 ~hw:8 ()
 
+(* ReLU and batch norm at mobilenet_small's largest Fisher-pass
+   activation (batch 16, 32 channels, 16x16), on random signs, through a
+   warm arena as in the Fisher pass. *)
+let elementwise_tests =
+  let rng = Rng.create 9 in
+  let shape = [| 16; 32; 16; 16 |] in
+  let x = Tensor.rand_normal rng shape ~mean:0.0 ~std:1.0 in
+  let gout = Tensor.rand_normal rng shape ~mean:0.0 ~std:1.0 in
+  let gamma = Tensor.rand_normal rng [| 32 |] ~mean:1.0 ~std:0.1 in
+  let beta = Tensor.rand_normal rng [| 32 |] ~mean:0.0 ~std:0.1 in
+  let _, cache = Ops.batch_norm ~input:x ~gamma ~beta ~eps:1e-5 () in
+  let arena = Arena.create () in
+  let row name f =
+    Test.make ~name (Staged.stage (fun () -> Arena.scoped arena (fun () -> ignore (f ()))))
+  in
+  [ row "relu fwd 16x32x16x16" (fun () -> Ops.relu ~arena x);
+    row "relu bwd 16x32x16x16" (fun () -> Ops.relu_backward ~arena ~input:x ~gout ());
+    row "batch_norm fwd 16x32x16x16" (fun () ->
+        Ops.batch_norm ~arena ~input:x ~gamma ~beta ~eps:1e-5 ());
+    row "batch_norm bwd 16x32x16x16" (fun () -> Ops.batch_norm_backward ~arena ~gout ~cache ()) ]
+
 let fisher_test =
   let rng = Rng.create 3 in
   let model = Models.build (Models.resnet34 ()) rng in
@@ -96,9 +117,10 @@ let interp_test =
 
 let tests =
   Test.make_grouped ~name:"kernels"
-    [ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; conv_grouped_test;
-      conv_dw_test; conv_dw_bwd_input_test; conv_s2_bwd_input_test; fisher_test; cost_test;
-      tune_test; interp_test ]
+    ([ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; conv_grouped_test;
+       conv_dw_test; conv_dw_bwd_input_test; conv_s2_bwd_input_test ]
+    @ elementwise_tests
+    @ [ fisher_test; cost_test; tune_test; interp_test ])
 
 let run ppf =
   Exp_common.section ppf "Micro-benchmarks (Bechamel)";

@@ -110,9 +110,15 @@ let forward ?arena g input =
 let output run = run.acts.(run.graph.output_id)
 let activation run i = run.acts.(i)
 
-let accumulate arena grads i g =
+(* Adds [g] into the gradient of node [i].  Every backward kernel returns
+   a fresh tensor that nothing else holds, so the first one is stored as
+   it is and later ones are added into it.  Only [Add] (one [gout] sent to
+   every input) and [Identity] (its [gout] passed on) hand out a tensor
+   that another node also holds; they pass [~shared:true], and the first
+   one is copied, so no two nodes ever share a gradient tensor. *)
+let accumulate arena grads ?(shared = false) i g =
   match grads.(i) with
-  | None -> grads.(i) <- Some (copy arena g)
+  | None -> grads.(i) <- Some (if shared then copy arena g else g)
   | Some acc -> Tensor.add_ acc g
 
 (* The one backward sweep: nodes from the output down to [stop], each
@@ -190,14 +196,14 @@ let sweep ?arena g run ~loss_grad ~params ~stop =
               Tensor.add_ l.ln_b.p_grad gb
             end;
             accumulate (one_input node) gin
-        | Add -> List.iter (fun j -> accumulate j gout) node.inputs
+        | Add -> List.iter (fun j -> accumulate ~shared:true j gout) node.inputs
         | Concat ->
             let parts =
               List.map (fun j -> (Tensor.shape run.acts.(j)).(1)) node.inputs
             in
             let gs = Ops.split_channels_backward ?arena ~gout ~parts () in
             List.iter2 (fun j gpart -> accumulate j gpart) node.inputs gs
-        | Identity -> accumulate (one_input node) gout
+        | Identity -> accumulate ~shared:true (one_input node) gout
         | Zero -> ()
         | Upsample f ->
             let input = run.acts.(one_input node) in

@@ -139,25 +139,27 @@ let typed_pool rng model ~candidates =
   let n_typed = max 0 (candidates - List.length seeds) in
   Array.of_list (seeds @ List.init n_typed (fun _ -> Strategy.typed_plans rng model))
 
+(* How far the static analyzer got with a candidate: the merge books the
+   [analysis.*] counters from it. *)
+type vetted = Unchecked | Checked | Static_rejected
+
 (* Evaluate one candidate under guards and [ctx]'s (optional) injected
    faults.  [Some cand] = survivor, [None] = Fisher-rejected (a healthy
    outcome); every failure mode raises a structured {!Nas_error.Fail} for
-   the caller to quarantine. *)
-let eval_candidate ~ctx ~index ~slack ~oracle ~device ~prepared model plans =
+   the caller to quarantine.  [vetted] records the static check's verdict
+   before anything can raise. *)
+let eval_candidate ~ctx ~vetted ~index ~slack ~oracle ~device ~prepared model plans =
   let obs = Eval_ctx.obs ctx in
   let fault = Eval_ctx.fault ctx in
   if Fault.trip fault ~key:index Fault.Plan_gen then
     Nas_error.fail (Nas_error.Injected_fault "plan generation");
   Obs.with_span obs "legality" (fun () ->
-      (* Both counters are per-index integer adds, hence deterministic across
-         worker counts. *)
-      Obs.incr obs "analysis.static_checked";
       match Static_check.candidate model plans with
       | Some (i, _diags) ->
-          Obs.incr obs "analysis.static_reject";
+          vetted := Static_rejected;
           Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
             plans.(i).Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label
-      | None -> ());
+      | None -> vetted := Checked);
   let legal_total =
     Obs.with_span obs "fisher" (fun () ->
         let scores = fisher_scores ~ctx oracle (impls_of plans) in
@@ -196,30 +198,24 @@ let eval_candidate ~ctx ~index ~slack ~oracle ~device ~prepared model plans =
 type outcome =
   | O_survivor of candidate
   | O_rejected
-  | O_failed of string * Nas_error.t
+  | O_failed of string * Nas_error.t * vetted
   | O_skipped
 
-(* Telemetry is recorded on [ctx]'s recorder — the worker's fork in a
-   parallel run — right here, next to the candidate's spans: counters
-   merge exactly (integer adds) and quarantine notes ride between the
-   spans, so the merged trace and the [search.*] counters are identical
-   for every worker count. *)
+(* The quarantine note is recorded on [ctx]'s recorder — the worker's
+   fork in a parallel run — right here, between the candidate's spans, so
+   the merged trace is identical for every worker count.  The counters are
+   booked by the merge, from the outcomes it keeps. *)
 let eval_outcome ~ctx ~slack ~oracle ~device ~prepared model index plans =
-  let obs = Eval_ctx.obs ctx in
+  let vetted = ref Unchecked in
   match
     Nas_error.guard (fun () ->
-        eval_candidate ~ctx ~index ~slack ~oracle ~device ~prepared model plans)
+        eval_candidate ~ctx ~vetted ~index ~slack ~oracle ~device ~prepared model plans)
   with
-  | Ok (Some cand) ->
-      Obs.incr obs "search.cost_ranked";
-      O_survivor cand
-  | Ok None ->
-      Obs.incr obs "search.fisher_rejected";
-      O_rejected
+  | Ok (Some cand) -> O_survivor cand
+  | Ok None -> O_rejected
   | Error e ->
-      Obs.incr obs "search.quarantined";
-      Obs.note obs ~detail:(Nas_error.class_name e) "quarantine";
-      O_failed (plans_signature plans, e)
+      Obs.note (Eval_ctx.obs ctx) ~detail:(Nas_error.class_name e) "quarantine";
+      O_failed (plans_signature plans, e, !vetted)
 
 (* --- checkpoint/resume -------------------------------------------------- *)
 
@@ -409,21 +405,36 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   let limit = match budget with Some b -> min target (max first b) | None -> target in
   (* Outcomes come in index order.  Once one is skipped, the resume point
      is fixed at its index, so later outcomes (a parallel worker may have
-     finished some) are dropped: the resumed run evaluates them again. *)
+     finished some) are dropped: the resumed run evaluates them again.
+     The [search.*] and [analysis.*] counters are booked here, so they
+     count exactly the outcomes the result counts, at any worker count. *)
+  let book_vetted = function
+    | Unchecked -> ()
+    | Checked -> Obs.incr obs "analysis.static_checked"
+    | Static_rejected ->
+        Obs.incr obs "analysis.static_checked";
+        Obs.incr obs "analysis.static_reject"
+  in
   let merge_outcome i o =
     if !first_skip = None then
       match o with
       | O_survivor cand ->
           incr processed;
+          book_vetted Checked;
+          Obs.incr obs "search.cost_ranked";
           survivors_rev := cand :: !survivors_rev;
           (match !best with
           | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
           | _ -> best := Some cand)
       | O_rejected ->
           incr processed;
+          book_vetted Checked;
+          Obs.incr obs "search.fisher_rejected";
           incr rejected
-      | O_failed (label, e) ->
+      | O_failed (label, e, vetted) ->
           incr processed;
+          book_vetted vetted;
+          Obs.incr obs "search.quarantined";
           quarantine_rev := (label, e) :: !quarantine_rev
       | O_skipped -> first_skip := Some i
   in

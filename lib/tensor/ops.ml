@@ -3,22 +3,26 @@ type conv_params = { stride : int; pad : int; groups : int; dilation : int }
 let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
   ((d + (2 * pad) - (dilation * (k - 1)) - 1) / stride) + 1
 
-(* The convolution kernels are the hot path of the whole project (training,
-   Fisher passes and NAS-bench evaluation all funnel through them).  Their
-   inner loops are C (conv_stubs.c): the ordered dot product behind the
-   im2col forward pass and the gathered input gradient ([dot_rows]), and
-   the direct forward and backward loops.  The im2col and gather packing
-   loops stay here.  dune compiles the C with -O3 -ffp-contract=off
-   -fno-fast-math and no -march flag: no multiply-add is fused, no sum is
-   reassociated, and no instruction depends on the host, so every output
-   keeps the bits of the OCaml loops it replaced (the bitwise [naive_conv*]
-   references in test_tensor are the specification).
+(* The convolution, ReLU and batch-norm kernels are the hot path of the
+   whole project (training, Fisher passes and NAS-bench evaluation all
+   funnel through them).  Their inner loops are C.  conv_stubs.c holds
+   the ordered dot product behind the im2col forward pass and the gathered
+   input gradient ([dot_rows]) and the direct forward and backward loops;
+   the im2col and gather packing loops stay here.  elementwise_stubs.c
+   holds ReLU forward and backward and batch norm's statistics, normalize
+   and backward loops; batch norm's [inv_std] stays here.  dune compiles
+   the C with -O3 -ffp-contract=off -fno-fast-math and no -march flag: no
+   multiply-add is fused, no sum is reassociated, and no instruction
+   depends on the host, so every output keeps the bits of the OCaml loops
+   it replaced (the bitwise [naive_conv*], [naive_relu*] and
+   [naive_batch_norm*] references in test_tensor are the specification).
 
    Before every C call an [assert] checks that each index the kernel
    touches lies inside its array; the C code itself checks nothing.  The
-   externals are [@@noalloc] and one call covers at most one (image,
+   externals are [@@noalloc].  A conv call covers at most one (image,
    group), so a stop-the-world collection on another domain never waits
-   for a whole layer.
+   for a whole layer; a ReLU or batch-norm call covers one tensor, which
+   takes far less time than one conv call.
 
    Ordered accumulation (the contract is in ops.mli).  Every output of a
    kernel below is +0.0 plus its terms in one fixed order.  The fast paths
@@ -347,24 +351,57 @@ let conv2d_backward ~input ~weight ~gout params =
     ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (ginput, gweight, gbias)
 
-(* The elementwise kernels are direct loops rather than [Tensor.map]
-   closures, which box every float on the way in and on the way out. *)
+(* ReLU and batch norm (elementwise_stubs.c): one call per tensor, after
+   an [assert] on every length.  The trailing ints of the batch-norm
+   kernels are n, c and the plane size h * w. *)
+external c_relu : float array -> float array -> (int[@untagged]) -> unit
+  = "nas_relu_byte" "nas_relu"
+[@@noalloc]
+
+external c_relu_backward :
+  float array -> float array -> float array -> (int[@untagged]) -> unit
+  = "nas_relu_backward_byte" "nas_relu_backward"
+[@@noalloc]
+
+(* input, mean, var *)
+external c_bn_stats :
+  float array -> float array -> float array -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "nas_bn_stats_byte" "nas_bn_stats"
+[@@noalloc]
+
+(* input, mean, inv_std, gamma, beta, xhat, output *)
+external c_bn_normalize :
+  float array -> float array -> float array -> float array -> float array -> float array ->
+  float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_bn_normalize_byte" "nas_bn_normalize"
+[@@noalloc]
+
+(* output gradient, xhat, gamma, inv_std, input gradient, gamma gradient,
+   beta gradient *)
+external c_bn_backward :
+  float array -> float array -> float array -> float array -> float array -> float array ->
+  float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_bn_backward_byte" "nas_bn_backward"
+[@@noalloc]
+
+(* Each array in [arrays] holds at least [len > 0] floats. *)
+let hold len arrays = List.for_all (in_bounds ~off:0 ~len) arrays
+
 let relu ?arena t =
   let out = Arena.zeros arena (Tensor.shape t) in
   let td = Tensor.data t and od = Tensor.data out in
-  for i = 0 to Array.length td - 1 do
-    let x = Array.unsafe_get td i in
-    Array.unsafe_set od i (if x > 0.0 then x else 0.0)
-  done;
+  let len = Array.length td in
+  assert (hold len [ td; od ]);
+  c_relu td od len;
   out
 
 let relu_backward ?arena ~input ~gout () =
   assert (Tensor.same_shape input gout);
   let gin = Arena.zeros arena (Tensor.shape input) in
   let id = Tensor.data input and god = Tensor.data gout and gd = Tensor.data gin in
-  for i = 0 to Array.length id - 1 do
-    Array.unsafe_set gd i (if Array.unsafe_get id i > 0.0 then Array.unsafe_get god i else 0.0)
-  done;
+  let len = Array.length id in
+  assert (hold len [ id; god; gd ]);
+  c_relu_backward id god gd len;
   gin
 
 let sigmoid ?arena t =
@@ -662,62 +699,28 @@ let linear_backward ?arena ~input ~weight ~gout () =
 type bn_cache = {
   bn_input : Tensor.t;
   bn_gamma : Tensor.t;
-  bn_mean : float array;
   bn_inv_std : float array;
   bn_xhat : Tensor.t;
 }
 
 let batch_norm ?arena ~input ~gamma ~beta ~eps () =
   let s = Tensor.shape input in
-  let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let count = float_of_int (n * h * w) in
+  let n = s.(0) and c = s.(1) and plane = s.(2) * s.(3) in
   let mean = Array.make c 0.0 and var = Array.make c 0.0 in
-  let id = Tensor.data input in
-  for ci = 0 to c - 1 do
-    let acc = ref 0.0 in
-    for ni = 0 to n - 1 do
-      let base = ((ni * c) + ci) * h * w in
-      for i = 0 to (h * w) - 1 do
-        acc := !acc +. Array.unsafe_get id (base + i)
-      done
-    done;
-    mean.(ci) <- !acc /. count
-  done;
-  for ci = 0 to c - 1 do
-    let m = mean.(ci) in
-    let acc = ref 0.0 in
-    for ni = 0 to n - 1 do
-      let base = ((ni * c) + ci) * h * w in
-      for i = 0 to (h * w) - 1 do
-        let d = Array.unsafe_get id (base + i) -. m in
-        acc := !acc +. (d *. d)
-      done
-    done;
-    var.(ci) <- !acc /. count
-  done;
+  let id = Tensor.data input and gd = Tensor.data gamma and bd = Tensor.data beta in
+  assert (hold (n * c * plane) [ id ] && hold c [ mean; var; gd; bd ]);
+  c_bn_stats id mean var n c plane;
   let inv_std = Array.map (fun v -> 1.0 /. sqrt (v +. eps)) var in
   let xhat = Arena.zeros arena s in
   let out = Arena.zeros arena s in
   let xd = Tensor.data xhat and od = Tensor.data out in
-  let gd = Tensor.data gamma and bd = Tensor.data beta in
-  for ni = 0 to n - 1 do
-    for ci = 0 to c - 1 do
-      let base = ((ni * c) + ci) * h * w in
-      let m = mean.(ci) and is = inv_std.(ci) in
-      let g = gd.(ci) and b = bd.(ci) in
-      for i = 0 to (h * w) - 1 do
-        let xh = (Array.unsafe_get id (base + i) -. m) *. is in
-        Array.unsafe_set xd (base + i) xh;
-        Array.unsafe_set od (base + i) ((g *. xh) +. b)
-      done
-    done
-  done;
-  (out, { bn_input = input; bn_gamma = gamma; bn_mean = mean; bn_inv_std = inv_std; bn_xhat = xhat })
+  assert (hold (n * c * plane) [ xd; od ]);
+  c_bn_normalize id mean inv_std gd bd xd od n c plane;
+  (out, { bn_input = input; bn_gamma = gamma; bn_inv_std = inv_std; bn_xhat = xhat })
 
 let batch_norm_backward ?arena ~gout ~cache () =
   let s = Tensor.shape cache.bn_input in
-  let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let count = float_of_int (n * h * w) in
+  let n = s.(0) and c = s.(1) and plane = s.(2) * s.(3) in
   let ginput = Arena.zeros arena s in
   let ggamma = Arena.zeros arena [| c |] in
   let gbeta = Arena.zeros arena [| c |] in
@@ -727,32 +730,8 @@ let batch_norm_backward ?arena ~gout ~cache () =
   and ggd = Tensor.data ggamma
   and gbd = Tensor.data gbeta
   and gd = Tensor.data cache.bn_gamma in
-  (* Standard batch-norm backward: per channel compute sum(g) and
-     sum(g * xhat), then
-     dx = gamma * inv_std / m * (m*g - sum(g) - xhat * sum(g*xhat)). *)
-  for ci = 0 to c - 1 do
-    let sum_g = ref 0.0 and sum_gx = ref 0.0 in
-    for ni = 0 to n - 1 do
-      let base = ((ni * c) + ci) * h * w in
-      for i = 0 to (h * w) - 1 do
-        let g = Array.unsafe_get god (base + i) in
-        sum_g := !sum_g +. g;
-        sum_gx := !sum_gx +. (g *. Array.unsafe_get xd (base + i))
-      done
-    done;
-    ggd.(ci) <- !sum_gx;
-    gbd.(ci) <- !sum_g;
-    let coeff = gd.(ci) *. cache.bn_inv_std.(ci) /. count in
-    for ni = 0 to n - 1 do
-      let base = ((ni * c) + ci) * h * w in
-      for i = 0 to (h * w) - 1 do
-        let g = Array.unsafe_get god (base + i) in
-        let xh = Array.unsafe_get xd (base + i) in
-        Array.unsafe_set gid (base + i)
-          (coeff *. ((count *. g) -. !sum_g -. (xh *. !sum_gx)))
-      done
-    done
-  done;
+  assert (hold (n * c * plane) [ god; xd; gid ] && hold c [ gd; cache.bn_inv_std; ggd; gbd ]);
+  c_bn_backward god xd gd cache.bn_inv_std gid ggd gbd n c plane;
   (ginput, ggamma, gbeta)
 
 let concat_channels ?arena parts =

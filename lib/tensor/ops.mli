@@ -99,13 +99,38 @@ val conv2d_backward :
   Tensor.t * Tensor.t * Tensor.t
 (** Gradients (w.r.t. input, weight, bias) of {!conv2d}. *)
 
-(** {2 Other kernels} *)
+(** {2 ReLU and batch norm}
+
+    {!relu}, {!relu_backward}, {!batch_norm} and {!batch_norm_backward}
+    are C as well ([elementwise_stubs.c], same flags, one call per tensor).
+    Their results keep the bits of plain IEEE arithmetic in the order
+    below.  ReLU and the per-element batch-norm loops may vectorize across
+    elements, which are independent.  Each batch-norm sum is one chain,
+    [+0.0] plus its terms in (image, plane index) order, then divided by
+    the count [N * H * W] where noted:
+    - the mean of channel [c], [sum x / count];
+    - its variance, [sum (x - mean)^2 / count], with [inv_std = 1 /
+      sqrt (var + eps)];
+    - backward, [sum_g = sum gout] (the beta gradient) and [sum_gx = sum
+      gout * xhat] (the gamma gradient).
+    Four channels' chains run side by side, each in its own order.  The
+    input gradient is [coeff * ((count * gout - sum_g) - xhat * sum_gx)]
+    with [coeff = gamma * inv_std / count].
+
+    Where both operands of a product or a sum are NaN, the result carries
+    the payload of the left operand as written above ([gamma] in
+    [gamma * xhat], the running sum in every sum), as the OCaml loops did;
+    the C code picks it explicitly, because a C compiler may swap the
+    operands of a commutative operation. *)
 
 val relu : ?arena:Arena.t -> Tensor.t -> Tensor.t
-(** Elementwise max(x, 0). *)
+(** Elementwise [x > 0 ? x : +0.0] ([+0.0] for [-0.0] and NaN). *)
 
 val relu_backward : ?arena:Arena.t -> input:Tensor.t -> gout:Tensor.t -> unit -> Tensor.t
-(** Gradient of {!relu} w.r.t. its input. *)
+(** Gradient of {!relu} w.r.t. its input: [gout] where [input > 0], [+0.0]
+    elsewhere. *)
+
+(** {2 Other kernels} *)
 
 val sigmoid : ?arena:Arena.t -> Tensor.t -> Tensor.t
 (** Elementwise logistic function, used by squeeze-excite gates. *)
@@ -192,7 +217,8 @@ val batch_norm :
   eps:float ->
   unit ->
   Tensor.t * bn_cache
-(** Per-channel normalization over the N, H, W axes (training statistics). *)
+(** Per-channel normalization over the N, H, W axes (training statistics):
+    [xhat = (x - mean) * inv_std] and [out = gamma * xhat + beta]. *)
 
 val batch_norm_backward :
   ?arena:Arena.t -> gout:Tensor.t -> cache:bn_cache -> unit -> Tensor.t * Tensor.t * Tensor.t

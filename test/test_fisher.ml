@@ -233,19 +233,26 @@ let t_arena_footprint () =
   Alcotest.(check int) "large then small holds the small pass" small_only both
 
 (* Allocation gate: a Fisher pass through a warm arena allocates at most
-   2 MB (the arena-free pass allocates tens of MB).  Allocation counts are
-   deterministic, so this catches a kernel that boxes its floats or takes
-   a fresh buffer again without depending on timing. *)
+   2 MB (the arena-free pass allocates tens of MB) and takes no fresh
+   arena buffer.  Allocation counts are deterministic, so this catches a
+   kernel that boxes its floats or takes a fresh buffer again without
+   depending on timing.  [Gc.allocated_bytes] adds the minor heap's words
+   only at a minor collection, so one runs before and after the pass. *)
 let t_arena_alloc_gate () =
   List.iter
     (fun name ->
       let model, probe = zoo_model name in
       let arena = Arena.create () in
       ignore (Fisher.score ~arena model probe);
+      let fresh = (Arena.stats arena).as_fresh in
+      Gc.minor ();
       let before = Gc.allocated_bytes () in
       ignore (Fisher.score ~arena model probe);
+      Gc.minor ();
       let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
-      if mb > 2.0 then Alcotest.failf "%s: a warm pass allocated %.2f MB" name mb)
+      if mb > 2.0 then Alcotest.failf "%s: a warm pass allocated %.2f MB" name mb;
+      Alcotest.(check int) (name ^ ": fresh arena buffers in a warm pass") fresh
+        (Arena.stats arena).as_fresh)
     [ "resnet18"; "mobilenet_small" ]
 
 (* The activation-only sweep that [Fisher.score] runs gives every node at
@@ -290,6 +297,55 @@ let t_activation_only_backward () =
           done)
         [ model; candidate model 5 ])
     [ "resnet18"; "mobilenet_small"; "densenet161" ]
+
+(* The backward sweep stores each node's first gradient without a copy,
+   so it must never hand one tensor to two nodes: an [Add] or [Identity]
+   that passed its own gradient on uncopied would let a later
+   accumulation change both nodes' scores.  After the Fisher pass (the
+   same sweep [Fisher.score] runs, through one arena) no two nodes'
+   gradients share a data array, on every zoo family and on NAS-bench
+   cells, whose skip edges are the only [Identity] nodes. *)
+let t_no_shared_grads () =
+  let arena = Arena.create () in
+  let check name g ~fisher_nodes (probe : Train.batch) =
+    Arena.scoped arena (fun () ->
+        let run = Graph.forward ~arena g probe.images in
+        let _, loss_grad =
+          Ops.softmax_cross_entropy ~logits:(Graph.output run) ~labels:probe.labels
+        in
+        let earliest = Array.fold_left min max_int fisher_nodes in
+        Graph.backward_activations ~arena g run ~loss_grad ~earliest;
+        let grads =
+          List.filter_map
+            (fun i ->
+              match Graph.activation_grad run i with
+              | t -> Some (i, Tensor.data t)
+              | exception Invalid_argument _ -> None)
+            (List.init (Graph.node_count g) Fun.id)
+        in
+        List.iter
+          (fun (i, a) ->
+            List.iter
+              (fun (j, b) ->
+                if i < j && a == b then Alcotest.failf "%s: nodes %d and %d share a gradient" name i j)
+              grads)
+          grads)
+  in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let model, probe = zoo_model e.ze_name in
+      List.iter
+        (fun m -> check e.ze_name m.Models.graph ~fisher_nodes:m.Models.fisher_node_ids probe)
+        [ model; candidate model 1 ])
+    Zoo.all;
+  let probe = Exp_common.probe_batch (Rng.create 1) ~input_size:8 in
+  List.iter
+    (fun cell ->
+      let net = Nasbench.instantiate (Rng.create 2) cell in
+      check
+        (Format.asprintf "nasbench %a" Nasbench.pp_cell cell)
+        net.Nasbench.nb_graph ~fisher_nodes:net.nb_fisher_nodes probe)
+    [ Nasbench.of_index 12345; Array.make 6 Nasbench.Skip ]
 
 (* --- shared layers --------------------------------------------------------- *)
 
@@ -496,6 +552,7 @@ let () =
           quick "golden score bits through one arena" t_golden_bits_arena;
           quick "every zoo family: arena bits" t_zoo_arena_bits;
           quick "activation-only backward" t_activation_only_backward;
+          quick "no two nodes share a gradient" t_no_shared_grads;
           quick "shared layers match a fresh rebuild" t_shared_layers_match_fresh;
           quick "a search leaves shared layers intact"
             t_search_leaves_shared_layers_intact ] );

@@ -318,6 +318,27 @@ let t_search_stop_mid_batch_resume () =
     full.Unified_search.r_best.Unified_search.cd_latency_s
     resumed.Unified_search.r_best.Unified_search.cd_latency_s
 
+let t_search_stop_mid_batch_counters () =
+  (* The same stop during a parallel batch: a worker may finish candidates
+     past the first skipped one, and the merge drops them.  The [search.*]
+     counters must count exactly the outcomes the result keeps. *)
+  let rng, model, probe = setup () in
+  let obs = Obs.create () in
+  let polls = Atomic.make 0 in
+  let stop () = Atomic.fetch_and_add polls 1 >= 8 in
+  let r =
+    Unified_search.search ~candidates:20 ~stop ~workers:2 ~schedule:Parallel_eval.Static
+      ~ctx:(Eval_ctx.create ~obs ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+  in
+  let counter name = Metrics.counter (Obs.metrics obs) name in
+  Alcotest.(check bool) "stop reported" false r.Unified_search.r_complete;
+  Alcotest.(check int) "search.fisher_rejected = r_rejected" r.Unified_search.r_rejected
+    (counter "search.fisher_rejected");
+  Alcotest.(check int) "ranked + rejected + quarantined = r_evaluated"
+    r.Unified_search.r_evaluated
+    (counter "search.cost_ranked" + counter "search.fisher_rejected"
+   + counter "search.quarantined")
+
 let t_search_checkpoint_other_seed () =
   (* A snapshot left by a seed-7 run must not steer a seed-8 run: the
      seed-8 run starts fresh and equals an uninterrupted seed-8 run. *)
@@ -422,7 +443,8 @@ let () =
           quick "fault-free identity" t_search_fault_free_unchanged;
           quick "checkpoint resume" t_search_checkpoint_resume;
           quick "checkpoint from another seed" t_search_checkpoint_other_seed;
-          quick "stop mid-batch then resume" t_search_stop_mid_batch_resume ] );
+          quick "stop mid-batch then resume" t_search_stop_mid_batch_resume;
+          quick "stop mid-batch counters" t_search_stop_mid_batch_counters ] );
       ( "cache",
         [ quick "bounded" t_cache_bounded; quick "stats" t_cache_stats_counts ] );
       ( "properties",

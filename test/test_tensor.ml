@@ -152,6 +152,98 @@ let naive_conv_backward_weight ?(dilation = 1) ~input ~weight ~gout ~stride ~pad
       done;
       !total)
 
+(* Reference ReLU and batch-norm kernels: the OCaml loops the C kernels
+   replaced.  [Ops] must match them bit for bit. *)
+let naive_relu t =
+  let out = Tensor.zeros (Tensor.shape t) in
+  let td = Tensor.data t and od = Tensor.data out in
+  for i = 0 to Array.length td - 1 do
+    let x = td.(i) in
+    od.(i) <- (if x > 0.0 then x else 0.0)
+  done;
+  out
+
+let naive_relu_backward ~input ~gout =
+  let gin = Tensor.zeros (Tensor.shape input) in
+  let id = Tensor.data input and god = Tensor.data gout and gd = Tensor.data gin in
+  for i = 0 to Array.length id - 1 do
+    gd.(i) <- (if id.(i) > 0.0 then god.(i) else 0.0)
+  done;
+  gin
+
+(* Each channel's mean, then its variance, is +0.0 plus its terms in
+   (image, plane index) order, divided by the count.  Returns the output,
+   [xhat] and the per-channel [inv_std] the backward reference needs. *)
+let naive_batch_norm ~input ~gamma ~beta ~eps =
+  let s = Tensor.shape input in
+  let n = s.(0) and c = s.(1) and plane = s.(2) * s.(3) in
+  let count = float_of_int (n * plane) in
+  let id = Tensor.data input in
+  let channel_sum ci term =
+    let acc = ref 0.0 in
+    for ni = 0 to n - 1 do
+      let base = ((ni * c) + ci) * plane in
+      for i = 0 to plane - 1 do
+        acc := !acc +. term id.(base + i)
+      done
+    done;
+    !acc /. count
+  in
+  let mean = Array.init c (fun ci -> channel_sum ci Fun.id) in
+  let var =
+    Array.init c (fun ci ->
+        channel_sum ci (fun x ->
+            let d = x -. mean.(ci) in
+            d *. d))
+  in
+  let inv_std = Array.map (fun v -> 1.0 /. sqrt (v +. eps)) var in
+  let xhat = Tensor.zeros s and out = Tensor.zeros s in
+  let xd = Tensor.data xhat and od = Tensor.data out in
+  let gd = Tensor.data gamma and bd = Tensor.data beta in
+  for ni = 0 to n - 1 do
+    for ci = 0 to c - 1 do
+      let base = ((ni * c) + ci) * plane in
+      for i = 0 to plane - 1 do
+        let xh = (id.(base + i) -. mean.(ci)) *. inv_std.(ci) in
+        xd.(base + i) <- xh;
+        od.(base + i) <- (gd.(ci) *. xh) +. bd.(ci)
+      done
+    done
+  done;
+  (out, xhat, inv_std)
+
+(* Per channel, [sum_g] and [sum_gx] are +0.0 plus [gout] and [gout *
+   xhat] in (image, plane index) order; they are the beta and gamma
+   gradients, and the input gradient is
+   [gamma * inv_std / count * (count * g - sum_g - xhat * sum_gx)]. *)
+let naive_batch_norm_backward ~gout ~xhat ~gamma ~inv_std =
+  let s = Tensor.shape gout in
+  let n = s.(0) and c = s.(1) and plane = s.(2) * s.(3) in
+  let count = float_of_int (n * plane) in
+  let ginput = Tensor.zeros s and ggamma = Tensor.zeros [| c |] and gbeta = Tensor.zeros [| c |] in
+  let god = Tensor.data gout and xd = Tensor.data xhat and gid = Tensor.data ginput in
+  for ci = 0 to c - 1 do
+    let sum_g = ref 0.0 and sum_gx = ref 0.0 in
+    for ni = 0 to n - 1 do
+      let base = ((ni * c) + ci) * plane in
+      for i = 0 to plane - 1 do
+        let g = god.(base + i) in
+        sum_g := !sum_g +. g;
+        sum_gx := !sum_gx +. (g *. xd.(base + i))
+      done
+    done;
+    Tensor.set1 ggamma ci !sum_gx;
+    Tensor.set1 gbeta ci !sum_g;
+    let coeff = Tensor.get1 gamma ci *. inv_std.(ci) /. count in
+    for ni = 0 to n - 1 do
+      let base = ((ni * c) + ci) * plane in
+      for i = 0 to plane - 1 do
+        gid.(base + i) <- coeff *. ((count *. god.(base + i)) -. !sum_g -. (xd.(base + i) *. !sum_gx))
+      done
+    done
+  done;
+  (ginput, ggamma, gbeta)
+
 let conv_case ~n ~ci ~co ~hw ~k ~stride ~pad ~groups () =
   let r = rng () in
   let input = Tensor.rand_normal r [| n; ci; hw; hw |] ~mean:0.0 ~std:1.0 in
@@ -353,6 +445,80 @@ let t_bn_backward () =
   finite_diff ~loss ~param:input ~grad:gin ~samples:12 ~tol:1e-2 "bn dinput";
   finite_diff ~loss ~param:gamma ~grad:ggamma ~samples:2 ~tol:1e-2 "bn dgamma";
   finite_diff ~loss ~param:beta ~grad:gbeta ~samples:2 ~tol:1e-2 "bn dbeta"
+
+(* Values where a select or a sum could go wrong: signed zeros,
+   infinities, NaNs with different signs and payloads (one signaling),
+   subnormals and the extremes of the normal range. *)
+let specials =
+  [| 0.0; -0.0; infinity; neg_infinity; Float.nan; -.Float.nan;
+     Int64.float_of_bits 0x7FF0_0000_0000_0123L; Int64.float_of_bits 0xFFF8_0000_0000_0042L;
+     4.9e-324; -4.9e-324; 2.2e-308; -1e-310; Float.max_float; -.Float.min_float; 1.0; -1.0 |]
+
+(* A normal tensor of [shape], with [specials] written over every
+   [every]-th cell from [from] (none when [every = 0]). *)
+let with_specials r shape ~every ~from =
+  let t = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0 in
+  if every > 0 then
+    Array.iteri
+      (fun i _ ->
+        if i >= from && (i - from) mod every = 0 then
+          Tensor.set1 t i specials.(((i - from) / every) mod Array.length specials))
+      (Tensor.data t);
+  t
+
+(* ReLU and batch norm against the references, at channel counts that
+   cover the C kernels' 4-channel blocks and their tails, on 1x1, 2x2 and
+   8x8 planes, with finite operands and with [specials] in the input, the
+   output gradient or both. *)
+let t_elementwise_bits () =
+  let check what got want =
+    if not (same_bits got want) then Alcotest.failf "%s: bits differ from the reference" what
+  in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun hw ->
+          List.iter
+            (fun (x_every, g_every, special_params) ->
+              let shape = [| 2; c; hw; hw |] in
+              let name =
+                Printf.sprintf "2x%dx%dx%d specials in x every %d, in gout every %d%s" c hw hw
+                  x_every g_every (if special_params then ", in gamma and beta" else "")
+              in
+              let r = Rng.create ((c * 100) + (hw * 10) + x_every + g_every) in
+              let input = with_specials r shape ~every:x_every ~from:c in
+              let gout = with_specials r shape ~every:g_every ~from:1 in
+              let param k =
+                if special_params then
+                  Tensor.of_array [| c |]
+                    (Array.init c (fun i -> specials.(((k * i) + c + hw) mod Array.length specials)))
+                else Tensor.rand_normal r [| c |] ~mean:(float_of_int (k mod 2)) ~std:0.5
+              in
+              let gamma = param 3 and beta = param 4 in
+              check (name ^ " relu") (Ops.relu input) (naive_relu input);
+              check (name ^ " relu backward")
+                (Ops.relu_backward ~input ~gout ())
+                (naive_relu_backward ~input ~gout);
+              let out, cache = Ops.batch_norm ~input ~gamma ~beta ~eps:1e-5 () in
+              let want_out, xhat, inv_std = naive_batch_norm ~input ~gamma ~beta ~eps:1e-5 in
+              check (name ^ " bn") out want_out;
+              let gin, ggamma, gbeta = Ops.batch_norm_backward ~gout ~cache () in
+              let want_gin, want_ggamma, want_gbeta =
+                naive_batch_norm_backward ~gout ~xhat ~gamma ~inv_std
+              in
+              check (name ^ " bn input gradient") gin want_gin;
+              check (name ^ " bn gamma gradient") ggamma want_ggamma;
+              check (name ^ " bn beta gradient") gbeta want_gbeta)
+            [ (0, 0, false); (7, 0, false); (0, 5, false); (3, 2, false); (3, 2, true); (3, 1, true) ])
+        [ 1; 2; 8 ])
+    [ 1; 3; 4; 5; 7 ];
+  (* Every special value through ReLU, against every sign of input. *)
+  let k = Array.length specials in
+  let x = Tensor.of_array [| 1; 1; k; k |] (Array.init (k * k) (fun i -> specials.(i / k))) in
+  let g = Tensor.of_array [| 1; 1; k; k |] (Array.init (k * k) (fun i -> specials.(i mod k))) in
+  check "specials relu" (Ops.relu x) (naive_relu x);
+  check "specials relu backward" (Ops.relu_backward ~input:x ~gout:g ())
+    (naive_relu_backward ~input:x ~gout:g)
 
 let t_pool () =
   let input =
@@ -747,6 +913,7 @@ let () =
         [ quick "linear backward fd" t_linear_backward;
           quick "bn normalizes" t_bn_forward_stats;
           quick "bn backward fd" t_bn_backward;
+          quick "relu and bn bits" t_elementwise_bits;
           quick "pooling" t_pool;
           quick "pooling backward fd" t_pool_backward;
           quick "global avg pool" t_gap;

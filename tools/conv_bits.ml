@@ -1,4 +1,4 @@
-(* Conv kernel bits, to check the bytecode entry points of the C kernels
+(* Kernel bits, to check the bytecode entry points of the C kernels
    against the native ones.  Each line names one kernel path and the MD5
    digest of the bits of its result:
    - an im2col forward conv (the ordered dot product, with row and column
@@ -8,7 +8,11 @@
      again);
    - the direct input gradient of a stride-2 conv;
    - the input and weight gradients of the full backward (the direct loop
-     with the weight gradient).
+     with the weight gradient);
+   - ReLU forward and backward on random signs;
+   - batch-norm forward and its input, gamma and beta gradients, at seven
+     channels: one block of four side-by-side channel sums and a tail of
+     three.
 
    Usage: conv_bits [EXPECTED].  Without an argument the lines are
    printed; with one they are compared to the lines of the file
@@ -36,9 +40,16 @@ let lines () =
   let gout = normal (Tensor.shape (Ops.conv2d ~input:s2_input ~weight ~bias:None s2)) in
   let direct = Ops.conv2d_backward_input ~input:s2_input ~weight ~gout s2 in
   let gin, gw, _ = Ops.conv2d_backward ~input:s2_input ~weight ~gout s2 in
+  let x = normal [| 2; 7; 5; 5 |] and g = normal [| 2; 7; 5; 5 |] in
+  let gamma = normal [| 7 |] and beta = normal [| 7 |] in
+  let bn, cache = Ops.batch_norm ~input:x ~gamma ~beta ~eps:1e-5 () in
+  let bn_gin, bn_ggamma, bn_gbeta = Ops.batch_norm_backward ~gout:g ~cache () in
   [ ("im2col forward", fwd); ("depthwise forward", dw); ("gathered input gradient", gather);
     ("stride-2 input gradient", direct); ("backward input gradient", gin);
-    ("backward weight gradient", gw) ]
+    ("backward weight gradient", gw); ("relu forward", Ops.relu x);
+    ("relu backward", Ops.relu_backward ~input:x ~gout:g ()); ("batch-norm forward", bn);
+    ("batch-norm input gradient", bn_gin); ("batch-norm gamma gradient", bn_ggamma);
+    ("batch-norm beta gradient", bn_gbeta) ]
   |> List.map (fun (name, t) -> name ^ " " ^ bits t)
 
 let () =
