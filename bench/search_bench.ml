@@ -32,20 +32,14 @@ let candidates =
 let seed = 7
 
 let run_once ~workers ~schedule =
-  let rng = Rng.create seed in
-  let model = Models.build (Models.resnet18 ()) rng in
-  let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
   let obs = Obs.create () in
-  let ctx = Eval_ctx.create ~obs () in
   let sched_stats = ref None in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Unified_search.search ~candidates ~workers ~schedule
+  let _, r =
+    Job.run ~ctx:(Eval_ctx.create ~obs ())
       ~on_sched_stats:(fun s -> sched_stats := Some s)
-      ~ctx ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+      (Job.make ~seed ~workers ~schedule ~candidates ())
   in
-  let dt = Unix.gettimeofday () -. t0 in
-  (r, dt, obs, !sched_stats)
+  (r, r.Unified_search.r_wall_s, obs, !sched_stats)
 
 (* The deterministic counter namespace (see DESIGN.md §7): these must be
    bit-identical for every worker count. *)
@@ -131,13 +125,7 @@ let uneven_section ~items ~base =
    rows differ only in candidate generation.  Survivor fraction counts
    candidates that passed both the Fisher gate and quarantine screening. *)
 let strategy_run ~n strategy =
-  let rng = Rng.create seed in
-  let model = Models.build (Models.resnet18 ()) rng in
-  let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
-  let r =
-    Unified_search.search ~candidates:n ~strategy ~ctx:(Eval_ctx.create ())
-      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
-  in
+  let _, r = Job.run ~ctx:(Eval_ctx.create ()) (Job.make ~seed ~strategy ~candidates:n ()) in
   let survivors =
     r.Unified_search.r_explored - r.r_rejected - List.length r.r_quarantined
   in
@@ -150,14 +138,10 @@ let run_smoke () =
   let runs =
     List.map
       (fun (workers, schedule) ->
-        let rng = Rng.create seed in
-        let model = Models.build (Models.resnet18 ()) rng in
-        let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
         let obs = Obs.create () in
-        let ctx = Eval_ctx.create ~obs () in
-        let r =
-          Unified_search.search ~candidates:n ~workers ~schedule ~ctx
-            ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+        let _, r =
+          Job.run ~ctx:(Eval_ctx.create ~obs ())
+            (Job.make ~seed ~workers ~schedule ~candidates:n ())
         in
         (workers, schedule, r, obs))
       [ (1, Parallel_eval.Dynamic); (2, Parallel_eval.Static); (2, Parallel_eval.Dynamic) ]
@@ -325,15 +309,9 @@ let () =
   let nf = List.length new_entries in
   List.iteri
     (fun i (e : Zoo.entry) ->
-      let rng = Rng.create 42 in
-      let model = Models.build (e.ze_spec `Search) rng in
-      let probe =
-        Exp_common.probe_batch (Rng.split rng)
-          ~input_size:model.Models.input_size
-      in
-      let r =
-        Unified_search.search ~candidates:fam_candidates ~ctx:(Eval_ctx.create ())
-          ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+      let model, r =
+        Job.run ~ctx:(Eval_ctx.create ())
+          (Job.make ~network:e.ze_name ~seed:42 ~candidates:fam_candidates ())
       in
       let survivors =
         r.Unified_search.r_explored - r.r_rejected

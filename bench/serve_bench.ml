@@ -5,8 +5,8 @@
    repeats the same workloads so cross-session cache sharing shows up as
    a hit rate — and reports requests/sec plus the p50/p99 session-time
    percentiles.  Cross-checks the serving determinism contract (a served
-   request is bit-identical to a direct [Unified_search.search] with the
-   same seed) and the warm-restart contract (a second server over the
+   request is bit-identical to a direct [Job.run] of its job on a fresh
+   context) and the warm-restart contract (a second server over the
    snapshot file starts with warm cache entries).  Results land in
    BENCH_serve.json.
 
@@ -52,17 +52,8 @@ let ok_results arr =
        | Some (Protocol.Result r) -> Some r
        | _ -> None)
 
-let direct_signature seed =
-  let rng = Rng.create seed in
-  let model = Models.build (Models.resnet18 ()) rng in
-  let probe =
-    Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size
-  in
-  let ctx = Eval_ctx.create () in
-  let r =
-    Unified_search.search ~candidates ~workers:1 ~ctx ~rng:(Rng.split rng)
-      ~device:Device.i7 ~probe model
-  in
+let direct_signature i =
+  let _, r = Job.run ~ctx:(Eval_ctx.create ()) (request i).Protocol.rq_job in
   ( Unified_search.plans_signature r.Unified_search.r_best.Unified_search.cd_plans,
     1e6 *. r.Unified_search.r_best.Unified_search.cd_latency_s )
 
@@ -86,7 +77,7 @@ let () =
   (* Determinism: every served result equals the one-shot search. *)
   Array.iteri
     (fun i seed ->
-      let sg, lat = direct_signature seed in
+      let sg, lat = direct_signature i in
       List.iteri
         (fun j r ->
           if j mod Array.length seeds = i then

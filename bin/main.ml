@@ -6,8 +6,7 @@
      nas_pte search [opts]        run the unified search on a network
      nas_pte nas [opts]           run the BlockSwap NAS baseline
      nas_pte layers [opts]        per-layer sequence exploration (fig 6 style)
-     nas_pte derive               show the spatial-bottleneck derivation
-     nas_pte bench SECTION...     run evaluation sections (as bench/main.exe) *)
+     nas_pte derive               show the spatial-bottleneck derivation *)
 
 open Cmdliner
 
@@ -279,37 +278,33 @@ let search_cmd =
       | None ->
           die "--strategy must be one of %s (got %s)" Strategy.names_doc strategy
     in
-    let rng = Rng.create seed in
-    let model = Models.build (config_of_name network) rng in
     let dev = device_of_name device in
+    let build_model () = Models.build (config_of_name network) (Rng.create seed) in
     if typecheck then begin
       if analyze then die "--typecheck and --analyze are mutually exclusive";
       match plan with
       | None -> die "--typecheck requires --plan"
       | Some spec ->
+          let model = build_model () in
           Format.fprintf ppf "plan typing: %s for %s@." model.Models.name
             dev.Device.dev_name;
           typecheck_model ppf model spec
     end
     else if analyze then begin
+      let model = build_model () in
       Format.fprintf ppf "static analysis: %s for %s@." model.Models.name
         dev.Device.dev_name;
       analyze_model ppf model plan
     end
     else begin
     if plan <> None then die "--plan requires --analyze or --typecheck";
-    let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
-    if fault_rate < 0.0 || fault_rate > 1.0 || Float.is_nan fault_rate then
-      die "--fault-rate must be a probability in [0,1] (got %g)" fault_rate;
-    Option.iter (fun b -> if b <= 0 then die "--budget must be positive (got %d)" b) budget;
+    let job =
+      Job.make ~network ~device ~candidates ~seed ~strategy ?budget ~workers ~schedule
+        ~fault_rate ?fault_seed ()
+    in
+    (match Job.validate job with Ok () -> () | Error msg -> die "%s" msg);
     if checkpoint_every <= 0 then
       die "--checkpoint-every must be positive (got %d)" checkpoint_every;
-    let fault =
-      if fault_rate <= 0.0 then Fault.none
-      else
-        Fault.make ~seed:(Option.value fault_seed ~default:seed) ~rate:fault_rate ()
-    in
-    if workers <= 0 then die "--workers must be positive";
     if cache_cap < 1 then die "--cache-cap must be >= 1";
     Option.iter (ensure_writable "--trace") trace;
     Option.iter (ensure_writable "--checkpoint") checkpoint;
@@ -317,8 +312,10 @@ let search_cmd =
       if trace <> None || metrics then Obs.create ?trace_file:trace ()
       else Obs.disabled
     in
+    let fault = Job.fault job in
     let ctx = Eval_ctx.create ~cache_capacity:cache_cap ~fault ~obs () in
-    Format.fprintf ppf "unified search: %s on %s, %d candidates@." model.Models.name
+    (* Zoo names are the models' names: the header precedes the build. *)
+    Format.fprintf ppf "unified search: %s on %s, %d candidates@." network
       dev.Device.dev_name candidates;
     if workers > 1 then
       Format.fprintf ppf "parallel evaluation: %d worker domains (%s scheduling)@."
@@ -328,11 +325,7 @@ let search_cmd =
         (100.0 *. fault_rate);
     if strategy <> Strategy.Random then
       Format.fprintf ppf "strategy:  %s@." (Strategy.to_string strategy);
-    let r =
-      Unified_search.search ~candidates ?budget ?checkpoint
-        ~checkpoint_every ~workers ~schedule ~strategy ~ctx ~rng:(Rng.split rng)
-        ~device:dev ~probe model
-    in
+    let model, r = Job.run ~ctx ?checkpoint ~checkpoint_every job in
     (match r.Unified_search.r_checkpoint_error with
     | Some e ->
         Format.eprintf "nas_pte: warning: checkpoint not saved (%a); resume disabled@."
@@ -462,32 +455,7 @@ let derive_cmd =
   Cmd.v (Cmd.info "derive" ~doc:"Show the spatial-bottleneck derivation")
     Term.(const run $ const ())
 
-let bench_cmd =
-  let sections =
-    Arg.(value & pos_all string [] & info [] ~docv:"SECTION")
-  in
-  let run sections =
-    let mode = Exp_common.mode_of_env () in
-    let fig4 = lazy (Fig4.compute mode) in
-    let run_one = function
-      | "table1" -> Exp_table1.run ppf
-      | "fig3" -> ignore (Fig3.run mode ppf)
-      | "fig4" -> Fig4.print ppf (Lazy.force fig4)
-      | "fig5" -> ignore (Fig5.run (Lazy.force fig4) ppf)
-      | "fig6" -> ignore (Fig6.run mode ppf)
-      | "fig7" -> ignore (Fig7.run mode (Lazy.force fig4) ppf)
-      | "fig8" -> ignore (Fig8.run mode ppf)
-      | "fig9" -> ignore (Fig9.run mode ppf)
-      | "analysis" -> ignore (Exp_analysis.run mode (Lazy.force fig4) ppf)
-      | "ablations" -> ignore (Ablations.run mode ppf)
-      | "zoo" -> ignore (Exp_zoo.run mode ppf)
-      | s -> Format.fprintf ppf "unknown section %s@." s
-    in
-    List.iter run_one (if sections = [] then [ "fig4" ] else sections)
-  in
-  Cmd.v (Cmd.info "bench" ~doc:"Run evaluation sections") Term.(const run $ sections)
-
 let () =
   let info = Cmd.info "nas_pte" ~doc:"Neural architecture search as program transformation exploration" in
-  let group = Cmd.group info [ devices_cmd; table1_cmd; search_cmd; nas_cmd; layers_cmd; derive_cmd; roofline_cmd; bench_cmd ] in
+  let group = Cmd.group info [ devices_cmd; table1_cmd; search_cmd; nas_cmd; layers_cmd; derive_cmd; roofline_cmd ] in
   exit (Cmd.eval group)

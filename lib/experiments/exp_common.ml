@@ -18,9 +18,7 @@ let master_seed = 20210419 (* the conference dates *)
 let cifar_configs () =
   [ Models.resnet34 (); Models.resnext29 (); Models.densenet161 () ]
 
-let probe_batch rng ~input_size =
-  let data = Synthetic_data.make rng ~classes:10 ~size:input_size ~n:64 () in
-  Synthetic_data.fixed_batch rng data ~batch_size:16
+let probe_batch = Job.probe_batch
 
 let train_data rng ~input_size ~classes =
   Synthetic_data.make rng ~classes ~size:input_size ~n:256 ()

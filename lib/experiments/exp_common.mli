@@ -41,7 +41,7 @@ val cifar_configs : unit -> Models.config list
 
 val probe_batch : Rng.t -> input_size:int -> Train.batch
 (** The fixed Fisher probe minibatch for a given input size (one per
-    experiment, deterministic). *)
+    experiment, deterministic): {!Job.probe_batch}. *)
 
 val train_data : Rng.t -> input_size:int -> classes:int -> Synthetic_data.t
 

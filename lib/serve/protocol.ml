@@ -47,54 +47,24 @@ let int_field fields key =
 
 type request = {
   rq_id : string;
-  rq_network : string;
-  rq_device : string;
-  rq_candidates : int;
-  rq_seed : int;
-  rq_mutate_prob : float option;
-  rq_budget : int option;
+  rq_job : Job.t;
   rq_deadline_ms : float option;
-  rq_fault_rate : float;
-  rq_fault_seed : int option;
-  rq_workers : int;
-  rq_strategy : Strategy.t option;
 }
 
-let request ?(network = "resnet18") ?(device = "CPU") ?(candidates = 40)
-    ?(seed = 42) ?mutate_prob ?budget ?deadline_ms ?(fault_rate = 0.0) ?fault_seed
-    ?(workers = 1) ?strategy id =
+let request ?network ?device ?candidates ?seed ?mutate_prob ?budget ?deadline_ms
+    ?fault_rate ?fault_seed ?workers ?strategy id =
   { rq_id = id;
-    rq_network = network;
-    rq_device = device;
-    rq_candidates = candidates;
-    rq_seed = seed;
-    rq_mutate_prob = mutate_prob;
-    rq_budget = budget;
-    rq_deadline_ms = deadline_ms;
-    rq_fault_rate = fault_rate;
-    rq_fault_seed = fault_seed;
-    rq_workers = workers;
-    rq_strategy = strategy }
+    rq_job =
+      Job.make ?network ?device ?candidates ?seed ?strategy ?mutate_prob ?budget
+        ?workers ?fault_rate ?fault_seed ();
+    rq_deadline_ms = deadline_ms }
 
 type msg = Search of request | Ping | Stats | Shutdown
 
 let validated rq =
-  (* The registry is the single source of servable networks; a typo'd name
-     is a parse-time error listing the valid ones, same as the CLI. *)
-  if Zoo.find rq.rq_network = None then
-    parse_error "unknown network %s (valid: %s)" rq.rq_network Zoo.names_doc;
-  if rq.rq_candidates < 1 then parse_error "candidates must be >= 1";
-  if rq.rq_workers < 1 then parse_error "workers must be >= 1";
-  if rq.rq_fault_rate < 0.0 || rq.rq_fault_rate > 1.0 then
-    parse_error "fault_rate must be in [0,1]";
+  (match Job.validate rq.rq_job with Ok () -> () | Error m -> parse_error "%s" m);
   (match rq.rq_deadline_ms with
   | Some d when d <= 0.0 -> parse_error "deadline_ms must be positive"
-  | _ -> ());
-  (match rq.rq_budget with
-  | Some b when b < 1 -> parse_error "budget must be >= 1"
-  | _ -> ());
-  (match rq.rq_mutate_prob with
-  | Some p when p < 0.0 || p > 1.0 -> parse_error "mutate_prob must be in [0,1]"
   | _ -> ());
   rq
 
@@ -118,32 +88,23 @@ let parse line =
             if not (List.mem k search_keys) then
               parse_error "unknown field %s in search request" k)
           fields;
-        let dflt = request "" in
-        let get_s key d = Option.value ~default:d (str_field fields key) in
-        let get_i key d = Option.value ~default:d (int_field fields key) in
+        let str = str_field fields and int = int_field fields in
+        let num = num_field fields in
+        let strategy s =
+          match Strategy.of_string s with
+          | Some t -> t
+          | None -> parse_error "unknown strategy %s (valid: %s)" s Strategy.names_doc
+        in
         Ok
           (Search
              (validated
-                { rq_id = get_s "id" "";
-                  rq_network = get_s "network" dflt.rq_network;
-                  rq_device = get_s "device" dflt.rq_device;
-                  rq_candidates = get_i "candidates" dflt.rq_candidates;
-                  rq_seed = get_i "seed" dflt.rq_seed;
-                  rq_mutate_prob = num_field fields "mutate_prob";
-                  rq_budget = int_field fields "budget";
-                  rq_deadline_ms = num_field fields "deadline_ms";
-                  rq_fault_rate = Option.value ~default:0.0 (num_field fields "fault_rate");
-                  rq_fault_seed = int_field fields "fault_seed";
-                  rq_workers = get_i "workers" dflt.rq_workers;
-                  rq_strategy =
-                    (match str_field fields "strategy" with
-                    | None -> None
-                    | Some s -> (
-                        match Strategy.of_string s with
-                        | Some t -> Some t
-                        | None ->
-                            parse_error "unknown strategy %s (valid: %s)" s
-                              Strategy.names_doc)) }))
+                (request ?network:(str "network") ?device:(str "device")
+                   ?candidates:(int "candidates") ?seed:(int "seed")
+                   ?mutate_prob:(num "mutate_prob") ?budget:(int "budget")
+                   ?deadline_ms:(num "deadline_ms") ?fault_rate:(num "fault_rate")
+                   ?fault_seed:(int "fault_seed") ?workers:(int "workers")
+                   ?strategy:(Option.map strategy (str "strategy"))
+                   (Option.value ~default:"" (str "id")))))
     | Some other -> Error (Printf.sprintf "unknown op %s" other)
     | None ->
         (* Defaulting a bare '{}' (or a typo'd "opp" key) into a full
@@ -166,21 +127,22 @@ let int n = Json.Number (float_of_int n)
 let opt key f = function Some x -> [ (key, f x) ] | None -> []
 
 let request_to_json rq =
+  let j = rq.rq_job in
   Json.to_string
     (Json.Obj
        ([ ("op", Json.String "search");
           ("id", Json.String rq.rq_id);
-          ("network", Json.String rq.rq_network);
-          ("device", Json.String rq.rq_device);
-          ("candidates", int rq.rq_candidates);
-          ("seed", int rq.rq_seed) ]
-       @ opt "mutate_prob" num rq.rq_mutate_prob
-       @ opt "budget" int rq.rq_budget
+          ("network", Json.String j.Job.jb_network);
+          ("device", Json.String j.jb_device);
+          ("candidates", int j.jb_candidates);
+          ("seed", int j.jb_seed) ]
+       @ opt "mutate_prob" num j.jb_mutate_prob
+       @ opt "budget" int j.jb_budget
        @ opt "deadline_ms" num rq.rq_deadline_ms
-       @ (if rq.rq_fault_rate > 0.0 then [ ("fault_rate", num rq.rq_fault_rate) ] else [])
-       @ opt "fault_seed" int rq.rq_fault_seed
-       @ (if rq.rq_workers <> 1 then [ ("workers", int rq.rq_workers) ] else [])
-       @ opt "strategy" (fun t -> Json.String (Strategy.to_string t)) rq.rq_strategy))
+       @ (if j.jb_fault_rate > 0.0 then [ ("fault_rate", num j.jb_fault_rate) ] else [])
+       @ opt "fault_seed" int j.jb_fault_seed
+       @ (if j.jb_workers <> 1 then [ ("workers", int j.jb_workers) ] else [])
+       @ opt "strategy" (fun t -> Json.String (Strategy.to_string t)) j.jb_strategy))
 
 (* --- responses ---------------------------------------------------------- *)
 

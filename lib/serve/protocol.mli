@@ -20,41 +20,18 @@
 
 type request = {
   rq_id : string;  (** client-chosen correlation id, echoed in responses *)
-  rq_network : string;
-      (** model-zoo name, e.g. ["resnet18"]; must be registered in {!Zoo}
-          (parsing rejects unknown names, listing the registry) *)
-  rq_device : string;  (** device short name, e.g. ["CPU"] *)
-  rq_candidates : int;  (** candidate pool size *)
-  rq_seed : int;  (** search seed; equal seeds give bit-identical results *)
-  rq_mutate_prob : float option;  (** per-site mutation probability *)
-  rq_budget : int option;  (** cap on candidate evaluations *)
+  rq_job : Job.t;
+      (** the search; parsing rejects what {!Job.validate} rejects.  The
+          server supplies the schedule and a missing [strategy] *)
   rq_deadline_ms : float option;  (** per-request deadline (milliseconds) *)
-  rq_fault_rate : float;  (** search-level fault injection rate, [0,1] *)
-  rq_fault_seed : int option;  (** fault draw seed (default: the seed) *)
-  rq_workers : int;  (** evaluation domains inside this session *)
-  rq_strategy : Strategy.t option;
-      (** candidate-generation strategy; [None] defers to the server's
-          configured default, and parsing rejects names outside
-          {!Strategy.names_doc} *)
 }
 
 val request :
-  ?network:string ->
-  ?device:string ->
-  ?candidates:int ->
-  ?seed:int ->
-  ?mutate_prob:float ->
-  ?budget:int ->
-  ?deadline_ms:float ->
-  ?fault_rate:float ->
-  ?fault_seed:int ->
-  ?workers:int ->
-  ?strategy:Strategy.t ->
-  string ->
-  request
-(** [request id] with defaults: resnet18 on CPU, 40 candidates, seed 42,
-    no budget, no deadline, no faults, 1 worker, the server's default
-    strategy. *)
+  ?network:string -> ?device:string -> ?candidates:int -> ?seed:int ->
+  ?mutate_prob:float -> ?budget:int -> ?deadline_ms:float -> ?fault_rate:float ->
+  ?fault_seed:int -> ?workers:int -> ?strategy:Strategy.t -> string -> request
+(** [request id]: a {!Job.make} job with its defaults (resnet18 on CPU, 40
+    candidates, seed 42, 1 worker, no budget, no faults) and no deadline. *)
 
 type msg =
   | Search of request  (** a search request (["op": "search"]) *)
@@ -87,7 +64,7 @@ type result_payload = {
   rs_degraded : bool;  (** true iff the deadline degraded it to best-so-far *)
   rs_retries : int;  (** transient-failure retries this request consumed *)
   rs_cache_hits : int;  (** memo hits this session (warm-cache benefit) *)
-  rs_wall_ms : float;  (** session wall time *)
+  rs_wall_ms : float;  (** the search's own wall time ([r_wall_s]) *)
 }
 
 type response =

@@ -37,11 +37,11 @@ let default_config =
     cf_schedule = Parallel_eval.Dynamic;
     cf_strategy = Strategy.Random }
 
-type job = {
-  jb_req : Protocol.request;
-  jb_deadline : Deadline.t;
+type queued = {
+  qd_req : Protocol.request;
+  qd_deadline : Deadline.t;
       (* stamped at submit, so queue wait counts against the budget *)
-  jb_reply : Protocol.response -> unit;
+  qd_reply : Protocol.response -> unit;
 }
 
 (* Per-session wall times kept for stats: a bounded ring of the most
@@ -54,7 +54,7 @@ type t = {
   sv_clock : Deadline.clock;
   sv_lock : Mutex.t;
   sv_cond : Condition.t;
-  sv_queue : job Queue.t;
+  sv_queue : queued Queue.t;
   sv_admission : Admission.t;
   sv_breaker : Breaker.t;
   sv_shared : Eval_ctx.t;
@@ -77,11 +77,8 @@ let request_seed id = Hashtbl.hash id land 0x3FFFFFFF
 
 let fault_key ~id ~attempt = (request_seed id * 31) + attempt
 
-let workload_key (rq : Protocol.request) = rq.rq_network ^ "|" ^ rq.rq_device
-
-(* Served networks are exactly the zoo registry, same as the CLI. *)
-let network_of_name name =
-  Option.map (fun e -> e.Zoo.ze_spec `Search) (Zoo.find name)
+let workload_key (rq : Protocol.request) =
+  rq.rq_job.Job.jb_network ^ "|" ^ rq.rq_job.jb_device
 
 (* --- locked helpers ----------------------------------------------------- *)
 
@@ -116,9 +113,16 @@ let sanitize_id id =
    [probe] says this session is its workload's half-open breaker probe:
    an outcome that is neither a success nor a workload failure must then
    hand the key back to Open (see the [Error] branch below). *)
-let run_search_session t (rq : Protocol.request) ~deadline ~probe config device =
+let run_search_session t (rq : Protocol.request) ~deadline ~probe =
   let cfg = t.sv_cfg in
   let seed = request_seed rq.rq_id in
+  let job =
+    { rq.rq_job with
+      Job.jb_candidates = min rq.rq_job.jb_candidates cfg.cf_max_candidates;
+      jb_workers = min rq.rq_job.jb_workers cfg.cf_max_session_workers;
+      jb_schedule = cfg.cf_schedule;
+      jb_strategy = Some (Option.value rq.rq_job.jb_strategy ~default:cfg.cf_strategy) }
+  in
   let attempt_session ~attempt =
     Deadline.guard deadline ~label:("session " ^ rq.rq_id);
     (* Server-level transient fault injection: a tripped draw aborts this
@@ -127,14 +131,6 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe config device 
     let server_fault = Fault.copy cfg.cf_fault in
     if Fault.trip server_fault ~key:(fault_key ~id:rq.rq_id ~attempt) Fault.Plan_gen
     then Nas_error.fail (Nas_error.Injected_fault ("session attempt " ^ string_of_int attempt));
-    (* Replicate the one-shot CLI exactly: same rng threading, same probe
-       — a served request is bit-identical to `nas_pte search` with the
-       same seed (the warm caches only change hit rates, never values). *)
-    let rng = Rng.create rq.rq_seed in
-    let model = Models.build config rng in
-    let probe =
-      Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size
-    in
     let session_obs =
       match cfg.cf_trace_dir with
       | Some dir ->
@@ -143,29 +139,13 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe config device 
             ()
       | None -> Obs.disabled
     in
-    let session_fault =
-      if rq.rq_fault_rate <= 0.0 then Fault.none
-      else
-        Fault.make
-          ~seed:(Option.value rq.rq_fault_seed ~default:rq.rq_seed)
-          ~rate:rq.rq_fault_rate ()
-    in
     let ctx =
       Eval_ctx.create ~cache_capacity:cfg.cf_cache_capacity
-        ~fisher_capacity:cfg.cf_fisher_capacity ~fault:session_fault ~obs:session_obs
+        ~fisher_capacity:cfg.cf_fisher_capacity ~fault:(Job.fault job) ~obs:session_obs
         ()
     in
     ignore (locked t (fun () -> Eval_ctx.warm_from ctx ~src:t.sv_shared));
-    let wall0 = t.sv_clock () in
-    let r =
-      Unified_search.search ~candidates:(min rq.rq_candidates cfg.cf_max_candidates)
-        ?mutate_prob:rq.rq_mutate_prob ?budget:rq.rq_budget
-        ~stop:(fun () -> Deadline.expired deadline)
-        ~workers:(min rq.rq_workers cfg.cf_max_session_workers)
-        ~schedule:cfg.cf_schedule
-        ~strategy:(Option.value rq.rq_strategy ~default:cfg.cf_strategy) ~ctx ~rng:(Rng.split rng) ~device ~probe model
-    in
-    let wall_ms = 1000.0 *. (t.sv_clock () -. wall0) in
+    let _, r = Job.run ~ctx ~stop:(fun () -> Deadline.expired deadline) job in
     let cs = Eval_ctx.cost_stats ctx and fs = Eval_ctx.fisher_stats ctx in
     locked t (fun () -> Eval_ctx.absorb_full t.sv_shared ctx);
     Obs.close session_obs;
@@ -189,7 +169,7 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe config device 
         rs_degraded = degraded;
         rs_retries = 0 (* patched by the caller *);
         rs_cache_hits = cs.Bounded_cache.cs_hits + fs.Bounded_cache.cs_hits;
-        rs_wall_ms = wall_ms }
+        rs_wall_ms = 1000.0 *. r.r_wall_s }
     in
     (payload, storm)
   in
@@ -232,20 +212,16 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe config device 
 
 let run_session t (rq : Protocol.request) ~deadline =
   (* Validate before consulting the breaker, so a malformed request can
-     neither trip a workload's breaker nor consume its half-open probe. *)
-  match network_of_name rq.rq_network, Device.by_name rq.rq_device with
-  | None, _ ->
-      Protocol.Error_resp
-        { er_id = rq.rq_id;
-          er_class = "bad-request";
-          er_message =
-            "unknown network " ^ rq.rq_network ^ " (valid: " ^ Zoo.names_doc ^ ")" }
-  | _, None ->
-      Protocol.Error_resp
-        { er_id = rq.rq_id;
-          er_class = "bad-request";
-          er_message = "unknown device " ^ rq.rq_device }
-  | Some config, Some device ->
+     neither trip a workload's breaker nor consume its half-open probe.
+     Parsed requests passed [Job.validate] already; in-process ones are
+     checked here. *)
+  let bad msg =
+    Protocol.Error_resp { er_id = rq.rq_id; er_class = "bad-request"; er_message = msg }
+  in
+  match Job.validate rq.rq_job, Device.by_name rq.rq_job.jb_device with
+  | Error msg, _ -> bad msg
+  | Ok (), None -> bad ("unknown device " ^ rq.rq_job.jb_device)
+  | Ok (), Some _ ->
       let key = workload_key rq in
       let allowed, probe, retry_after =
         locked t (fun () ->
@@ -261,7 +237,7 @@ let run_session t (rq : Protocol.request) ~deadline =
             un_reason = "breaker_open";
             un_retry_after_ms = 1000.0 *. retry_after }
       else
-        try run_search_session t rq ~deadline ~probe config device
+        try run_search_session t rq ~deadline ~probe
         with e ->
           (* An escape the taxonomy cannot classify gives the probe no
              verdict: hand the key back to Open (fresh cooldown) before
@@ -279,7 +255,7 @@ let rec worker_loop t =
   done;
   if Queue.is_empty t.sv_queue then Mutex.unlock t.sv_lock (* stopping: drain done *)
   else begin
-    let job = Queue.pop t.sv_queue in
+    let qd = Queue.pop t.sv_queue in
     Admission.started t.sv_admission;
     Mutex.unlock t.sv_lock;
     let t0 = t.sv_clock () in
@@ -287,15 +263,15 @@ let rec worker_loop t =
        the taxonomy cannot classify — it answers its own request and the
        daemon keeps serving the others. *)
     let resp =
-      try run_session t job.jb_req ~deadline:job.jb_deadline
+      try run_session t qd.qd_req ~deadline:qd.qd_deadline
       with e ->
         Protocol.Error_resp
-          { er_id = job.jb_req.Protocol.rq_id;
+          { er_id = qd.qd_req.Protocol.rq_id;
             er_class = "internal";
             er_message = Printexc.to_string e }
     in
     let dur = t.sv_clock () -. t0 in
-    (try job.jb_reply resp with _ -> ());
+    (try qd.qd_reply resp with _ -> ());
     Mutex.lock t.sv_lock;
     Admission.finished t.sv_admission ~dur_s:dur;
     t.sv_sessions_done <- t.sv_sessions_done + 1;
@@ -378,7 +354,7 @@ let submit_async t req ~reply =
           | Admission.Admitted ->
               Obs.incr t.sv_obs "serve.admitted";
               Queue.push
-                { jb_req = req; jb_deadline = deadline; jb_reply = reply }
+                { qd_req = req; qd_deadline = deadline; qd_reply = reply }
                 t.sv_queue;
               Condition.signal t.sv_cond;
               `Admitted)

@@ -13,9 +13,10 @@
     atomic {!Checkpoint} writer so a kill -9 restart warm-starts.
 
     Determinism: a served request's search result is bit-identical to the
-    one-shot CLI with the same seed — the warm caches only change hit
-    counts, never values, and retry jitter / fault draws are pure in the
-    request id.  See DESIGN.md §10. *)
+    one-shot CLI with the same seed, because both run the request's
+    {!Job.t} through {!Job.run}.  The warm caches only change hit counts,
+    never values, and retry jitter / fault draws are pure in the request
+    id.  See DESIGN.md §10. *)
 
 type config = {
   cf_workers : int;  (** worker domains = max in-flight sessions *)

@@ -44,6 +44,56 @@ let t_unified_deterministic () =
   in
   Alcotest.(check (float 1e-12)) "same seed, same result" (run ()) (run ())
 
+(* The reference for [Job.run]: the seed -> model -> probe -> search
+   recipe threaded by hand, with the fault plan built by hand too.  Drift
+   in [Job.run]'s rng threading, probe, argument pass-through or
+   [Job.fault] changes the winner, a [search.*] counter or the quarantine
+   list.  The fault-free runs matter: injected faults can mask a swapped
+   probe stream. *)
+let t_job_run_matches_recipe () =
+  let search_counters obs =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"search." k)
+      (Metrics.counters (Obs.metrics obs))
+  in
+  let seed = 7 and candidates = 12 in
+  List.iter
+    (fun (strategy, workers, fault_rate) ->
+      let msg =
+        Printf.sprintf "%s workers=%d fault_rate=%g" (Strategy.to_string strategy)
+          workers fault_rate
+      in
+      let ref_obs = Obs.create () in
+      let reference =
+        let fault =
+          if fault_rate > 0.0 then Fault.make ~seed:11 ~rate:fault_rate () else Fault.none
+        in
+        let ctx = Eval_ctx.create ~fault ~obs:ref_obs () in
+        let rng = Rng.create seed in
+        let model = Models.build (Models.resnet18 ()) rng in
+        let probe =
+          Exp_common.probe_batch (Rng.split rng) ~input_size:model.Models.input_size
+        in
+        Unified_search.search ~candidates ~workers ~strategy ~ctx ~rng:(Rng.split rng)
+          ~device:Device.i7 ~probe model
+      in
+      let job =
+        Job.make ~network:"resnet18" ~device:"CPU" ~seed ~candidates ~strategy ~workers
+          ~fault_rate ~fault_seed:11 ()
+      in
+      let obs = Obs.create () in
+      let _, r = Job.run ~ctx:(Eval_ctx.create ~fault:(Job.fault job) ~obs ()) job in
+      check_same_result msg reference r;
+      Alcotest.(check bool) (msg ^ ": quarantine only under faults") (fault_rate > 0.0)
+        (reference.Unified_search.r_quarantined <> []);
+      Alcotest.(check (list (pair string int))) (msg ^ ": search counters")
+        (search_counters ref_obs) (search_counters obs))
+    (List.concat_map
+       (fun fault_rate ->
+         [ (Strategy.Random, 1, fault_rate); (Strategy.Random, 2, fault_rate);
+           (Strategy.Guided, 1, fault_rate); (Strategy.Guided, 2, fault_rate) ])
+       [ 0.0; 0.3 ])
+
 let t_unified_multi_matches_single_pool () =
   let rng, model, probe = setup () in
   let results =
@@ -342,6 +392,7 @@ let () =
         [ quick "improves baseline" t_unified_improves_or_equals_baseline;
           quick "deterministic" t_unified_deterministic;
           quick "multi-device" t_unified_multi_matches_single_pool;
+          quick "job = hand-threaded recipe" t_job_run_matches_recipe;
           quick "winner legality" t_winning_plans_are_legal ] );
       ( "strategy",
         [ quick "random bit-identical" t_strategy_random_bit_identical;

@@ -31,9 +31,10 @@ let t_request_roundtrip () =
 let t_request_defaults () =
   match Protocol.parse {|{"op":"search","id":"d"}|} with
   | Ok (Protocol.Search rq) ->
-      Alcotest.(check string) "network" "resnet18" rq.Protocol.rq_network;
-      Alcotest.(check string) "device" "CPU" rq.Protocol.rq_device;
-      Alcotest.(check int) "seed" 42 rq.Protocol.rq_seed;
+      let job = rq.Protocol.rq_job in
+      Alcotest.(check string) "network" "resnet18" job.Job.jb_network;
+      Alcotest.(check string) "device" "CPU" job.jb_device;
+      Alcotest.(check int) "seed" 42 job.jb_seed;
       Alcotest.(check bool) "no deadline" true (rq.Protocol.rq_deadline_ms = None)
   | _ -> Alcotest.fail "defaults did not parse"
 
@@ -237,7 +238,8 @@ let check_reads what parse expected floats line =
 let t_parent_requests () =
   let floats = function
     | Protocol.Search rq ->
-        [ rq.Protocol.rq_mutate_prob; rq.rq_deadline_ms; Some rq.rq_fault_rate ]
+        [ rq.Protocol.rq_job.Job.jb_mutate_prob; rq.rq_deadline_ms;
+          Some rq.rq_job.jb_fault_rate ]
     | _ -> []
   in
   check_reads "request" Protocol.parse
@@ -630,21 +632,15 @@ let submit_all srv reqs =
   Array.to_list (Array.map Option.get replies)
 
 (* The acceptance bar: >= 8 concurrent sessions, each bit-identical to a
-   one-shot search with the same seed. *)
+   one-shot [Job.run] of the request's job on a fresh context. *)
 let t_server_concurrent_identical () =
   let seeds = [ 21; 22; 23; 24 ] in
   let direct =
     List.map
       (fun seed ->
-        let rng = Rng.create seed in
-        let model = Models.build (Models.resnet18 ()) rng in
-        let probe =
-          Exp_common.probe_batch (Rng.split rng)
-            ~input_size:model.Models.input_size
-        in
-        let r =
-          Unified_search.search ~candidates:6 ~ctx:(Eval_ctx.create ())
-            ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+        let _, r =
+          Job.run ~ctx:(Eval_ctx.create ())
+            (Protocol.request ~candidates:6 ~seed "direct").Protocol.rq_job
         in
         ( seed,
           Unified_search.plans_signature
@@ -671,7 +667,7 @@ let t_server_concurrent_identical () =
       match resp with
       | Protocol.Result r ->
           let _, sg, lat =
-            List.find (fun (s, _, _) -> s = rq.Protocol.rq_seed) direct
+            List.find (fun (s, _, _) -> s = rq.Protocol.rq_job.Job.jb_seed) direct
           in
           Alcotest.(check string)
             (rq.Protocol.rq_id ^ " plan matches one-shot") sg

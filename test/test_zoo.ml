@@ -170,7 +170,8 @@ let t_protocol_network_validation () =
           (Printf.sprintf "{\"op\": \"search\", \"id\": \"t\", \"network\": %S}" name)
       with
       | Ok (Protocol.Search rq) ->
-          Alcotest.(check string) (name ^ " accepted") name rq.Protocol.rq_network
+          Alcotest.(check string) (name ^ " accepted") name
+            rq.Protocol.rq_job.Job.jb_network
       | Ok _ -> Alcotest.fail (name ^ ": wrong message kind")
       | Error m -> Alcotest.fail (name ^ ": rejected: " ^ m))
     Zoo.names;
