@@ -80,7 +80,7 @@ let trace_dir_arg =
   Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR" ~doc)
 
 let max_candidates_arg =
-  let doc = "Per-request candidate-pool cap (larger requests are clamped)." in
+  let doc = "Per-request candidate-pool cap (larger requests are answered bad-request)." in
   Arg.(value & opt int 512 & info [ "max-candidates" ] ~docv:"N" ~doc)
 
 let schedule_arg =

@@ -1,5 +1,3 @@
-let available_workers () = Domain.recommended_domain_count ()
-
 let max_workers = 64
 
 type schedule = Static | Dynamic
@@ -23,13 +21,6 @@ type run_stats = {
   rs_wall_s : float;
   rs_worker : worker_stat array;
 }
-
-let utilization stats =
-  Array.map
-    (fun w ->
-      if stats.rs_wall_s <= 0.0 then 1.0
-      else Float.min 1.0 (w.ws_busy_s /. stats.rs_wall_s))
-    stats.rs_worker
 
 (* The parallel path.  Results land in slot [i - first] no matter which
    domain computed them, so the caller's sequential merge replays index

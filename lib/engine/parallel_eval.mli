@@ -20,16 +20,12 @@
     (e.g. an outcome variant) — an exception escaping a worker is
     re-raised at the join. *)
 
-val available_workers : unit -> int
-(** The runtime's recommended domain count for this machine. *)
-
 type schedule =
   | Static   (** fixed contiguous chunks, one per worker *)
   | Dynamic  (** idle workers pull the next index from a shared atomic counter *)
 
 val schedule_name : schedule -> string
-(** ["static"] or ["dynamic"] — the spelling used by CLI flags and
-    BENCH_search.json. *)
+(** ["static"] or ["dynamic"] — the spelling used by CLI flags. *)
 
 val schedule_of_string : string -> schedule option
 (** Inverse of {!schedule_name}; [None] on anything else. *)
@@ -49,11 +45,6 @@ type run_stats = {
   rs_wall_s : float;  (** wall time of the whole map *)
   rs_worker : worker_stat array;  (** one entry per worker, in worker order *)
 }
-
-val utilization : run_stats -> float array
-(** Per-worker busy fraction ([ws_busy_s / rs_wall_s], clamped to 1.0) —
-    the number BENCH_search.json records per worker.  Scheduling works
-    when the minimum stays near 1.0 under skewed item costs. *)
 
 val map_range :
   ?schedule:schedule ->

@@ -84,28 +84,3 @@ let pp ppf r =
   if r.rp_wall_s > 0.0 then Format.fprintf ppf "  wall: %.3fs@." r.rp_wall_s;
   Format.fprintf ppf "  counters:@.";
   List.iter (fun (k, n) -> Format.fprintf ppf "    %-28s %d@." k n) r.rp_counters
-
-let to_json r =
-  let int n = Json.Number (float_of_int n) in
-  Json.to_string
-    (Json.Obj
-       [ ("generated", int r.rp_generated);
-         ("static_checked", int r.rp_static_checked);
-         ("static_rejected", int r.rp_static_rejected);
-         ("fisher_rejected", int r.rp_fisher_rejected);
-         ("quarantined", int r.rp_quarantined);
-         ("cost_ranked", int r.rp_cost_ranked);
-         ("rejection_fraction", Json.Number r.rp_rejection_fraction);
-         ("paper_rejection_fraction", Json.Number r.rp_paper_fraction);
-         ("wall_s", Json.Number r.rp_wall_s);
-         ( "phases",
-           Json.List
-             (List.map
-                (fun p ->
-                  Json.Obj
-                    [ ("name", Json.String p.ph_name);
-                      ("count", int p.ph_count);
-                      ("total_s", Json.Number p.ph_total_s);
-                      ("mean_s", Json.Number p.ph_mean_s) ])
-                r.rp_phases) );
-         ("counters", Json.Obj (List.map (fun (k, n) -> (k, int n)) r.rp_counters)) ])

@@ -3,8 +3,7 @@
     Renders the telemetry a traced search accumulated — the Fisher
     rejection fraction next to the paper's ~90% claim, the per-phase time
     breakdown derived from the ["span.*"] histograms, and the full counter
-    dump — as text (the CLI's [--metrics] output) and as JSON (embedded in
-    [BENCH_search.json]). *)
+    dump — as text (the CLI's [--metrics] output). *)
 
 type phase = {
   ph_name : string;  (** span name, e.g. ["fisher"] *)
@@ -42,6 +41,3 @@ val of_metrics : ?wall_s:float -> Metrics.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report. *)
-
-val to_json : t -> string
-(** The summary as one JSON object. *)

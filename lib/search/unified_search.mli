@@ -144,8 +144,8 @@ val search :
 
     [on_sched_stats] receives the scheduler's per-worker item/steal/busy
     accounting once per batch, at any worker count — timing-dependent
-    telemetry, deliberately outside the deterministic result;
-    BENCH_search.json records it as per-worker utilization.
+    telemetry, deliberately outside the deterministic result; perfbench
+    reads per-worker utilization from it.
 
     [budget] caps cumulative candidate evaluations.  When it caps the run
     below its target (the pool size, or [candidates] for [Guided]), the

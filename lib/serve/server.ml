@@ -118,8 +118,7 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe =
   let seed = request_seed rq.rq_id in
   let job =
     { rq.rq_job with
-      Job.jb_candidates = min rq.rq_job.jb_candidates cfg.cf_max_candidates;
-      jb_workers = min rq.rq_job.jb_workers cfg.cf_max_session_workers;
+      Job.jb_workers = min rq.rq_job.jb_workers cfg.cf_max_session_workers;
       jb_schedule = cfg.cf_schedule;
       jb_strategy = Some (Option.value rq.rq_job.jb_strategy ~default:cfg.cf_strategy) }
   in
@@ -184,8 +183,10 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe =
   | Ok (payload, storm) ->
       locked t (fun () ->
           Obs.incr t.sv_obs "serve.completed";
-          if payload.Protocol.rs_degraded then
+          if payload.Protocol.rs_degraded then begin
             Obs.incr t.sv_obs "serve.deadline_expired";
+            Obs.incr t.sv_obs "serve.degraded"
+          end;
           if storm then begin
             Obs.incr t.sv_obs "serve.quarantine_storms";
             Breaker.failure t.sv_breaker ~key
@@ -214,13 +215,18 @@ let run_session t (rq : Protocol.request) ~deadline =
   (* Validate before consulting the breaker, so a malformed request can
      neither trip a workload's breaker nor consume its half-open probe.
      Parsed requests passed [Job.validate] already; in-process ones are
-     checked here. *)
+     checked here.  The candidate cap is this server's own bound, so it is
+     checked here for both. *)
   let bad msg =
     Protocol.Error_resp { er_id = rq.rq_id; er_class = "bad-request"; er_message = msg }
   in
   match Job.validate rq.rq_job, Device.by_name rq.rq_job.jb_device with
   | Error msg, _ -> bad msg
   | Ok (), None -> bad ("unknown device " ^ rq.rq_job.jb_device)
+  | Ok (), Some _ when rq.rq_job.jb_candidates > t.sv_cfg.cf_max_candidates ->
+      bad
+        (Printf.sprintf "candidates must be <= %d (this server's cap)"
+           t.sv_cfg.cf_max_candidates)
   | Ok (), Some _ ->
       let key = workload_key rq in
       let allowed, probe, retry_after =
@@ -417,7 +423,7 @@ let stats t =
         st_rejected = Admission.rejected_total t.sv_admission;
         st_completed = c "serve.completed";
         st_errors = c "serve.errors";
-        st_degraded = c "serve.deadline_expired";
+        st_degraded = c "serve.degraded";
         st_deadline_expired = c "serve.deadline_expired";
         st_retried = c "serve.retried";
         st_breaker_open = c "serve.breaker_open";

@@ -35,8 +35,13 @@ type config = {
   cf_fisher_capacity : int;  (** shared Fisher memo bound *)
   cf_fault : Fault.t;  (** server-level transient fault injection *)
   cf_trace_dir : string option;  (** per-session JSONL trace directory *)
-  cf_max_candidates : int;  (** per-request candidate-pool cap *)
-  cf_max_session_workers : int;  (** per-request worker-domain cap *)
+  cf_max_candidates : int;
+      (** per-request candidate-pool cap: a request asking for more is
+          answered [bad-request], naming the cap *)
+  cf_max_session_workers : int;
+      (** per-request worker-domain cap: a request asking for more runs on
+          this many, which changes only its wall time — the determinism
+          contract makes results independent of the worker count *)
   cf_schedule : Parallel_eval.schedule;
       (** how multi-worker sessions assign candidates to their domains
           (results are bit-identical either way) *)

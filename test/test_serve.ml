@@ -310,9 +310,10 @@ let t_parent_events () =
         {|{"kind":"span_end","name":"wall","depth":0,"t":-0,"dur_s":1.7976931348623157e+308}|}
       ) ]
 
-(* Nothing in the library reads a report back; the line pins what any
-   JSON reader of [BENCH_search.json] sees.  The writer is canonical and
-   lossless, so equal renderings mean bit-equal values. *)
+(* A summary report as the hand-built writer wrote it.  Nothing in the
+   library writes or reads a report as JSON any more; the line pins that
+   the one codec still reads an old report file.  [Json]'s writer is
+   canonical and lossless, so equal renderings mean bit-equal values. *)
 let t_parent_report () =
   let line =
     {|{"generated":40,"static_checked":0,"static_rejected":0,"fisher_rejected":36,"quarantined":0,"cost_ranked":4,"rejection_fraction":0.90000000000000002,"paper_rejection_fraction":0.90000000000000002,"wall_s":1.5,"phases":[{"name":"fisher","count":2,"total_s":0.75,"mean_s":0.375},{"name":"cost","count":1,"total_s":0.10000000000000001,"mean_s":0.10000000000000001}],"counters":{"search.cost_ranked":4,"search.fisher_rejected":36,"search.generated":40}}|}
@@ -632,7 +633,9 @@ let submit_all srv reqs =
   Array.to_list (Array.map Option.get replies)
 
 (* The acceptance bar: >= 8 concurrent sessions, each bit-identical to a
-   one-shot [Job.run] of the request's job on a fresh context. *)
+   one-shot [Job.run] of the request's job on a fresh context — both on a
+   cold server and when the same eight are asked again of the warm one,
+   whose repeat must hit the shared Fisher cache. *)
 let t_server_concurrent_identical () =
   let seeds = [ 21; 22; 23; 24 ] in
   let direct =
@@ -661,26 +664,33 @@ let t_server_concurrent_identical () =
       seeds
   in
   Alcotest.(check int) "eight concurrent sessions" 8 (List.length reqs);
-  let replies = submit_all srv reqs in
-  List.iter2
-    (fun rq resp ->
-      match resp with
-      | Protocol.Result r ->
-          let _, sg, lat =
-            List.find (fun (s, _, _) -> s = rq.Protocol.rq_job.Job.jb_seed) direct
-          in
-          Alcotest.(check string)
-            (rq.Protocol.rq_id ^ " plan matches one-shot") sg
-            r.Protocol.rs_best_plan;
-          Alcotest.(check (float 0.0))
-            (rq.Protocol.rq_id ^ " latency matches one-shot")
-            (1e6 *. lat) r.Protocol.rs_best_latency_us
-      | _ -> Alcotest.failf "%s was not served" rq.Protocol.rq_id)
-    reqs replies;
-  let st = Server.shutdown srv in
-  Alcotest.(check int) "all sessions completed" 8 st.Server.st_completed;
+  let round name =
+    List.iter2
+      (fun rq resp ->
+        let what m = Printf.sprintf "%s %s: %s" name rq.Protocol.rq_id m in
+        match resp with
+        | Protocol.Result r ->
+            let _, sg, lat =
+              List.find (fun (s, _, _) -> s = rq.Protocol.rq_job.Job.jb_seed) direct
+            in
+            Alcotest.(check string) (what "plan matches one-shot") sg
+              r.Protocol.rs_best_plan;
+            Alcotest.(check int64) (what "latency bits match one-shot")
+              (Int64.bits_of_float (1e6 *. lat))
+              (Int64.bits_of_float r.Protocol.rs_best_latency_us)
+        | _ -> Alcotest.failf "%s was not served" (what "reply"))
+      reqs (submit_all srv reqs)
+  in
+  round "cold";
   Alcotest.(check bool) "cross-session cache hits accrued" true
-    (Server.cache_hit_rate st > 0.0)
+    (Server.cache_hit_rate (Server.stats srv) > 0.0);
+  let fisher_hits () = (Server.stats srv).Server.st_fisher.Bounded_cache.cs_hits in
+  let cold_hits = fisher_hits () in
+  round "warm";
+  Alcotest.(check bool) "the warm repeat hit the shared Fisher cache" true
+    (fisher_hits () > cold_hits);
+  let st = Server.shutdown srv in
+  Alcotest.(check int) "all sessions completed" 16 st.Server.st_completed
 
 let t_server_overload_rejects () =
   let srv =
@@ -722,16 +732,21 @@ let t_server_deadline_expired () =
     Server.submit srv
       (Protocol.request ~candidates:6 ~seed:1 ~deadline_ms:1e-6 "late")
   in
-  (match resp with
-  | Protocol.Error_resp { er_class; _ } ->
-      Alcotest.(check string) "classified timed-out" "timed-out" er_class
-  | Protocol.Result r ->
-      Alcotest.(check bool) "or degraded best-so-far" true
-        r.Protocol.rs_degraded
-  | _ -> Alcotest.fail "deadline produced neither error nor degraded result");
+  let degraded =
+    match resp with
+    | Protocol.Error_resp { er_class; _ } ->
+        Alcotest.(check string) "classified timed-out" "timed-out" er_class;
+        0
+    | Protocol.Result r ->
+        Alcotest.(check bool) "or degraded best-so-far" true
+          r.Protocol.rs_degraded;
+        1
+    | _ -> Alcotest.fail "deadline produced neither error nor degraded result"
+  in
   let st = Server.shutdown srv in
-  Alcotest.(check bool) "deadline expiry counted" true
-    (st.Server.st_deadline_expired >= 1)
+  Alcotest.(check int) "deadline expiry counted" 1 st.Server.st_deadline_expired;
+  Alcotest.(check int) "degraded only for a degraded result" degraded
+    st.Server.st_degraded
 
 (* Fault draws are pure in (request id, attempt), so scanning ids finds one
    that fails its first attempt and recovers on retry — deterministically. *)
@@ -910,6 +925,23 @@ let t_server_bad_requests () =
   Alcotest.(check bool) "bad requests never trip breakers" true
     (st.Server.st_breaker_trips = 0)
 
+(* A request over the server's candidate cap is refused outright, naming
+   the cap, rather than run on a smaller pool and answered complete. *)
+let t_server_candidate_cap () =
+  let srv =
+    Server.create
+      ~config:{ Server.default_config with cf_workers = 1; cf_max_candidates = 8 }
+      ()
+  in
+  (match Server.submit srv (Protocol.request ~candidates:9 ~seed:1 "over-cap") with
+  | Protocol.Error_resp { er_class; er_message; _ } ->
+      Alcotest.(check string) "over the cap is bad-request" "bad-request" er_class;
+      Alcotest.(check string) "the message names the cap"
+        "candidates must be <= 8 (this server's cap)" er_message
+  | _ -> Alcotest.fail "a request over the candidate cap was served");
+  let st = Server.shutdown srv in
+  Alcotest.(check int) "nothing ran" 0 st.Server.st_completed
+
 let t_server_cold_start_on_corrupt_snapshot () =
   let path = tmp_path "nas_pte_test_serve_corrupt.bin" in
   Out_channel.with_open_bin path (fun oc ->
@@ -1025,6 +1057,7 @@ let () =
           quick "stuck probe recovers" t_server_stuck_probe_recovers;
           quick "queue wait expires deadline" t_server_queue_wait_expires_deadline;
           quick "bad requests" t_server_bad_requests;
+          quick "candidate cap" t_server_candidate_cap;
           quick "cold start on corrupt snapshot"
             t_server_cold_start_on_corrupt_snapshot;
           quick "refuses a v1 snapshot" t_server_refuses_v1_snapshot ] ) ]
