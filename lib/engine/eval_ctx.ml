@@ -32,22 +32,19 @@ let fork t =
     ec_obs = Obs.fork t.ec_obs;
     ec_tune_configs = ref 0 }
 
-let absorb parent worker =
-  Bounded_cache.absorb parent.ec_cost_cache (Bounded_cache.stats worker.ec_cost_cache);
-  Bounded_cache.absorb parent.ec_fisher_cache
-    (Bounded_cache.stats worker.ec_fisher_cache);
-  Arena.absorb parent.ec_arena (Arena.stats worker.ec_arena);
-  parent.ec_tune_configs := !(parent.ec_tune_configs) + !(worker.ec_tune_configs);
-  Fault.add_injected parent.ec_fault (Fault.injected worker.ec_fault);
-  Obs.absorb parent.ec_obs worker.ec_obs
-
 let warm_from t ~src =
   Bounded_cache.merge_entries t.ec_cost_cache (Bounded_cache.entries src.ec_cost_cache)
   + Bounded_cache.merge_entries t.ec_fisher_cache
       (Bounded_cache.entries src.ec_fisher_cache)
 
 let absorb_full parent worker =
-  absorb parent worker;
+  Bounded_cache.absorb parent.ec_cost_cache (Bounded_cache.stats worker.ec_cost_cache);
+  Bounded_cache.absorb parent.ec_fisher_cache
+    (Bounded_cache.stats worker.ec_fisher_cache);
+  Arena.absorb parent.ec_arena (Arena.stats worker.ec_arena);
+  parent.ec_tune_configs := !(parent.ec_tune_configs) + !(worker.ec_tune_configs);
+  Fault.add_injected parent.ec_fault (Fault.injected worker.ec_fault);
+  Obs.absorb parent.ec_obs worker.ec_obs;
   ignore (warm_from parent ~src:worker)
 
 (* --- crash-safe cache persistence -------------------------------------- *)

@@ -9,8 +9,9 @@
     [Fbnet], [Interpolate]) takes a required [~ctx], so whoever starts the
     work decides which caches it shares.  Because a context owns all of
     that state, evaluation is reentrant: two contexts never observe each
-    other's cache hits, and a worker pool can evaluate candidate chunks
-    against per-domain forks of one parent context.  The target device is
+    other's cache hits, and a search's worker pool evaluates its batches
+    against per-domain forks of one parent context, forked once per search
+    and merged back into the parent at its end.  The target device is
     not part of the context — it is an explicit argument of every
     evaluation, and every memo key embeds its name. *)
 
@@ -42,32 +43,32 @@ val with_obs : t -> Obs.t -> t
 val fork : t -> t
 (** A per-domain worker context: same capacities, fresh empty caches
     (the layer cache and the tensor arena included, so no layer or buffer
-    is shared across domains) and counters, an independent copy of the
-    fault plan (fault draws are pure in (seed, key, target), so a fork
-    trips exactly the faults the parent would), and a forked
-    observability recorder whose spans open at the parent's current
-    depth.  Use {!absorb} after joining to fold the worker's telemetry
-    back into the parent. *)
-
-val absorb : t -> t -> unit
-(** [absorb parent worker] adds the worker's cache hit/miss/eviction
-    counters, its arena's take counters, autotuner accounting and
-    injected-fault count into the parent's, and merges the worker's
-    observability recorder (metrics added, trace events appended after
-    the parent's). *)
+    is shared across domains) and zeroed counters, an independent copy of
+    the fault plan with a zero injected count (fault draws are pure in
+    (seed, key, target), so a fork trips exactly the faults the parent
+    would), and a forked observability recorder whose spans open at the
+    parent's current depth.  {!Parallel_eval.with_workers} forks each of a
+    search's workers once, warms it with {!warm_from}, and merges it back
+    with {!absorb_full} when the search ends. *)
 
 val warm_from : t -> src:t -> int
 (** Copy [src]'s cached cost and Fisher entries into this context's memos
     (existing keys win; FIFO eviction applies); returns the number of
     entries inserted.  Entries are deterministic functions of their keys,
     so warming a context can only add hits, never change a result — this
-    is how daemon sessions start hot from the shared parent context. *)
+    is how daemon sessions start hot from the shared parent context, and
+    how a search's forked workers start with the parent's entries. *)
 
 val absorb_full : t -> t -> unit
-(** {!absorb} plus {!warm_from}: fold the worker's telemetry {e and} its
-    freshly computed cache entries back into the parent, so the next
-    session forked from the parent reuses them (cross-session cache
-    sharing). *)
+(** [absorb_full parent worker] merges a finished worker into its parent,
+    once, at the end of its life: the worker's cache hit/miss/eviction
+    counters, its arena's take counters, autotuner accounting and
+    injected-fault count are added to the parent's; its observability
+    recorder is merged (metrics added, trace events appended after the
+    parent's); and its cache entries are copied in as by {!warm_from}, so
+    later work through the parent — the next search, or the next daemon
+    session forked from it — reuses them.  A worker's counters start at
+    zero, so absorbing it twice would count its work twice. *)
 
 val save_caches : path:string -> t -> (unit, Nas_error.t) result
 (** Persist both memo caches through the atomic {!Checkpoint} writer (a

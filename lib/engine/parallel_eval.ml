@@ -22,6 +22,29 @@ type run_stats = {
   rs_worker : worker_stat array;
 }
 
+(* A search's worker contexts.  Worker 0 is the caller's context itself;
+   workers 1..n-1 are forked once, warm with its memo entries, and live
+   until the scope closes, so every batch of the search reuses their
+   caches, layer caches and arenas. *)
+type pool = Eval_ctx.t array
+
+let with_workers ~workers ~ctx f =
+  let n = max 1 (min workers max_workers) in
+  let pool =
+    Array.init n (fun d ->
+        if d = 0 then ctx
+        else begin
+          let w = Eval_ctx.fork ctx in
+          ignore (Eval_ctx.warm_from w ~src:ctx);
+          w
+        end)
+  in
+  (* Each fork started with zeroed counters and a fresh fault count, so
+     absorbing it once, at the end, books every statistic exactly once. *)
+  Fun.protect
+    ~finally:(fun () -> for d = 1 to n - 1 do Eval_ctx.absorb_full ctx pool.(d) done)
+    (fun () -> f pool)
+
 (* The parallel path.  Results land in slot [i - first] no matter which
    domain computed them, so the caller's sequential merge replays index
    order exactly — the merge-by-index contract is schedule-independent.
@@ -32,11 +55,8 @@ type run_stats = {
    into the parent in index order after the join.  Which worker evaluated
    an item is timing-dependent under [Dynamic], but the merged trace
    content never is. *)
-let run_parallel ~schedule ~on_stats ~workers ~ctx ~first ~limit ~total f =
-  (* Per-worker setup is hoisted out of the item loop: one context fork
-     (caches, fault plan, recorder) per domain for the whole run. *)
-  let worker_ctxs = Array.init workers (fun _ -> Eval_ctx.fork ctx) in
-  let parent_obs = Eval_ctx.obs ctx in
+let run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f =
+  let parent_obs = Eval_ctx.obs pool.(0) in
   let obs_enabled = Obs.enabled parent_obs in
   let results = Array.make total None in
   let item_obs = if obs_enabled then Array.make total None else [||] in
@@ -66,7 +86,7 @@ let run_parallel ~schedule ~on_stats ~workers ~ctx ~first ~limit ~total f =
   in
   let next = Atomic.make first in
   let run d =
-    let wctx = worker_ctxs.(d) in
+    let wctx = pool.(d) in
     match schedule with
     | Static ->
         let lo = first + (d * chunk) in
@@ -93,13 +113,12 @@ let run_parallel ~schedule ~on_stats ~workers ~ctx ~first ~limit ~total f =
   in
   (match head_exn, tail_exn with Some e, _ | None, Some e -> raise e | None, None -> ());
   let wall = Obs_clock.wall () -. t0 in
-  (* Deterministic merge: per-item telemetry in index order first, then
-     each worker's cache/fault accounting in worker order. *)
+  (* Deterministic merge: per-item telemetry in index order.  The
+     workers' caches and counters reach the parent when the pool closes. *)
   if obs_enabled then
     Array.iter
       (function Some o -> Obs.absorb parent_obs o | None -> ())
       item_obs;
-  Array.iter (fun w -> Eval_ctx.absorb ctx w) worker_ctxs;
   (match on_stats with
   | None -> ()
   | Some k ->
@@ -112,7 +131,7 @@ let run_parallel ~schedule ~on_stats ~workers ~ctx ~first ~limit ~total f =
                 { ws_items = items.(d); ws_steals = steals.(d); ws_busy_s = busy.(d) }) });
   Array.map (function Some v -> v | None -> assert false) results
 
-let map_range ?(schedule = Dynamic) ?on_stats ~workers ~ctx ~first ~limit f =
+let map_range ?(schedule = Dynamic) ?on_stats pool ~first ~limit f =
   let total = max 0 (limit - first) in
   if total = 0 then begin
     (match on_stats with
@@ -122,15 +141,15 @@ let map_range ?(schedule = Dynamic) ?on_stats ~workers ~ctx ~first ~limit f =
     [||]
   end
   else
-    let workers = max 1 (min (min workers total) max_workers) in
+    let workers = min (Array.length pool) total in
     match workers, on_stats with
     | 1, None ->
         (* Scheduling-overhead guard: one worker is the plain sequential
-           map over [ctx] itself — no fork, no atomics, no timing. *)
-        Array.init total (fun i -> f ctx (first + i))
+           map over the parent context itself — no atomics, no timing. *)
+        Array.init total (fun i -> f pool.(0) (first + i))
     | 1, Some k ->
         let t0 = Obs_clock.wall () in
-        let out = Array.init total (fun i -> f ctx (first + i)) in
+        let out = Array.init total (fun i -> f pool.(0) (first + i)) in
         let wall = Obs_clock.wall () -. t0 in
         k
           { rs_schedule = schedule;
@@ -138,4 +157,4 @@ let map_range ?(schedule = Dynamic) ?on_stats ~workers ~ctx ~first ~limit f =
             rs_wall_s = wall;
             rs_worker = [| { ws_items = total; ws_steals = 0; ws_busy_s = wall } |] };
         out
-    | _ -> run_parallel ~schedule ~on_stats ~workers ~ctx ~first ~limit ~total f
+    | _ -> run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f

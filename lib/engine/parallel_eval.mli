@@ -1,14 +1,19 @@
 (** Domain-parallel candidate evaluation.
 
-    A pool of OCaml 5 domains maps an evaluation function over a
-    contiguous index range.  Each worker runs against its own {!Eval_ctx}
-    fork (fresh caches, an independent copy of the fault plan), built once
-    per worker and reused for every item the worker evaluates.  Per-index
-    results land in their index's slot regardless of which domain computed
-    them, which makes the merge deterministic — the same best candidate,
-    rejection count and quarantine set for any worker count and either
-    schedule, because every per-index value is a pure function of the
-    index and the caller replays the slots in order.
+    A search opens one worker set with {!with_workers} and maps an
+    evaluation function over a contiguous index range once per batch
+    with {!map_range}.  Worker 0 is the search's own {!Eval_ctx}; the
+    other workers are forked from it once per search (warm with its memo
+    entries, with their own layer cache, arena, counters and copy of the
+    fault plan) and reused for every batch, so a worker's caches stay
+    warm across batches.  When the scope closes, each fork is merged into
+    the parent in worker order: its cache entries and, exactly once, its
+    statistics.  Per-index results land in their index's slot regardless
+    of which domain computed them, which makes the merge deterministic —
+    the same best candidate, rejection count and quarantine set for any
+    worker count and either schedule, because every per-index value is a
+    pure function of the index and the caller replays the slots in
+    order.
 
     Two schedules are available: {!Static} assigns each worker one
     contiguous chunk up front (predictable, but one expensive chunk
@@ -46,30 +51,45 @@ type run_stats = {
   rs_worker : worker_stat array;  (** one entry per worker, in worker order *)
 }
 
+type pool
+(** A search's worker contexts: the parent context as worker 0 and the
+    forks opened by {!with_workers}. *)
+
+val with_workers : workers:int -> ctx:Eval_ctx.t -> (pool -> 'a) -> 'a
+(** [with_workers ~workers ~ctx f] runs [f] on a pool of [workers]
+    contexts (clamped to [1, 64]).  Worker 0 is [ctx] itself; workers
+    1..n-1 are {!Eval_ctx.fork}s of [ctx], warmed with its memo entries,
+    made once here.  When [f] returns or raises, each fork is merged into
+    [ctx] with {!Eval_ctx.absorb_full}, in worker order, so its cache
+    entries outlive the search and its statistics are counted once.  With
+    [workers <= 1] nothing is forked.  Open the pool inside the span that
+    item spans should nest under: a fork's recorder opens its spans at
+    the parent's depth when it is forked. *)
+
 val map_range :
   ?schedule:schedule ->
   ?on_stats:(run_stats -> unit) ->
-  workers:int ->
-  ctx:Eval_ctx.t ->
+  pool ->
   first:int ->
   limit:int ->
   (Eval_ctx.t -> int -> 'a) ->
   'a array
-(** [map_range ~workers ~ctx ~first ~limit f] evaluates
-    [f worker_ctx i] for every [i] in [first, limit) and returns the
-    results in index order.  [workers] is clamped to the range size and at
-    most 64; worker 0 runs on the calling domain.  [schedule] (default
-    {!Dynamic}) picks how indices are assigned to workers; the results,
-    counters and trace content are bit-identical either way.
+(** [map_range pool ~first ~limit f] evaluates [f worker_ctx i] for every
+    [i] in [first, limit) on the first [min workers (limit - first)]
+    members of [pool] and returns the results in index order.  Worker 0
+    runs on the calling domain.  [schedule] (default {!Dynamic}) picks how
+    indices are assigned to workers; the results, counters and trace
+    content are bit-identical either way.  The pool's contexts must not
+    be used by anything else while the map runs.
 
-    With [workers <= 1] this degenerates to a sequential map over [ctx]
-    itself — no fork, no atomics, no per-item timing — so a serial run
-    pays strictly zero scheduling overhead (and, when [on_stats] is
-    given, one clock pair for the whole map).
+    With one worker this degenerates to a sequential map over the parent
+    context — no atomics, no per-item timing — so a serial run pays
+    strictly zero scheduling overhead (and, when [on_stats] is given, one
+    clock pair for the whole map).
 
-    After the join, every worker's cache/fault telemetry is absorbed into
-    [ctx]; per-item trace events and counters are absorbed in index
-    order, so the merged trace is identical to the serial run's.
-    [on_stats] (if given) then receives the per-worker item/steal/busy
-    accounting — timing-dependent numbers, deliberately outside the
-    deterministic result. *)
+    After the join, per-item trace events and counters are absorbed into
+    the parent's recorder in index order, so the merged trace is
+    identical to the serial run's; the workers' caches and counters reach
+    the parent when the pool closes.  [on_stats] (if given) then receives
+    the per-worker item/steal/busy accounting — timing-dependent numbers,
+    deliberately outside the deterministic result. *)

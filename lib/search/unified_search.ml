@@ -245,9 +245,11 @@ let load_checkpoint path key =
 
 (* End-of-search snapshots of the engine's own accumulators.  These are
    [set], not [incr]: a context reused across searches reports its
-   cumulative state.  The [cache.*] values depend on how workers split the
-   pool (each fork starts with cold caches), so they are deliberately
-   outside the deterministic [search.*] namespace. *)
+   cumulative state.  The workers forked for the search have merged into
+   [ctx] by now, but the [cache.*] hit and miss counts still depend on
+   which worker evaluated which candidate (each worker has its own memos
+   until the search ends), so they are deliberately outside the
+   deterministic [search.*] namespace. *)
 let snapshot_engine_counters ctx =
   let obs = Eval_ctx.obs ctx in
   if Obs.enabled obs then begin
@@ -464,17 +466,21 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   let stop () = Atomic.get halted || (stop () && (Atomic.set halted true; true)) in
   let explored = ref first in
   Obs.with_span obs "evaluate" (fun () ->
-      (* Each batch runs on [workers] domains, each against its own context
-         fork ([workers = 1] is a plain map over [ctx]); outcomes come back
-         in index order, so the merge reproduces the serial result for any
-         worker count and schedule. *)
+      (* Each batch runs on up to [workers] domains, worker 0 on [ctx] and
+         the rest on contexts forked once for the whole search and merged
+         back into [ctx] when it ends ([workers = 1] is a plain map over
+         [ctx]).  The pool opens inside this span, so the workers'
+         recorders fork at its depth.  Outcomes come back in index order,
+         so the merge reproduces the serial result for any worker count
+         and schedule. *)
+      Parallel_eval.with_workers ~workers ~ctx @@ fun pool ->
       let rec loop batch =
         if Array.length batch > 0 then begin
           let base = !explored in
           Array.iteri
             (fun k o -> merge_outcome (base + k) o)
-            (Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats ~workers ~ctx
-               ~first:0 ~limit:(Array.length batch) (fun wctx k ->
+            (Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats pool ~first:0
+               ~limit:(Array.length batch) (fun wctx k ->
                  if stop () then O_skipped
                  else
                    eval_outcome ~ctx:wctx ~slack ~oracle ~device ~prepared model (base + k)

@@ -129,12 +129,14 @@ val search :
     Every strategy runs one loop: take the next batch of candidates,
     evaluate it with {!Parallel_eval.map_range}, merge the outcomes in
     candidate-index order, save a checkpoint if one is due, repeat.
-    [workers] (default 1) evaluates each batch on that many OCaml 5
-    domains, each against its own context fork made for that batch;
-    per-worker cache and fault telemetry is folded back into [ctx].  Any
-    worker count returns the identical best candidate, rejection count
-    and (sorted) quarantine list.  [workers = 1] maps the batch over
-    [ctx] itself with zero scheduling overhead.
+    [workers] (default 1) evaluates each batch on up to that many OCaml 5
+    domains ({!Parallel_eval.with_workers}): worker 0 runs on [ctx], the
+    others on contexts forked once per search and reused for every batch.
+    When the search ends their cache entries and their cache and fault
+    telemetry are merged into [ctx].  Any worker count returns the
+    identical best candidate, rejection count and (sorted) quarantine
+    list.  [workers = 1] maps the batch over [ctx] itself with zero
+    scheduling overhead.
 
     [schedule] (default {!Parallel_eval.Dynamic}) picks how candidates are
     assigned to worker domains: [Dynamic] has idle domains pull the next

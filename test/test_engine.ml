@@ -93,18 +93,20 @@ let t_ctx_fork () =
     (Fault.trip (Eval_ctx.fault worker) ~key:9 Fault.Cost_oracle);
   let parent_injected = Fault.injected (Eval_ctx.fault parent) in
   ignore (Pipeline.workload_cost ~ctx:worker Device.i7 (test_workload 7));
-  Eval_ctx.absorb parent worker;
-  Alcotest.(check int) "worker telemetry folded into parent" 2
+  ignore (Pipeline.workload_cost ~ctx:worker Device.i7 (test_workload 8));
+  Eval_ctx.absorb_full parent worker;
+  Alcotest.(check int) "worker telemetry folded into parent" 3
     (Eval_ctx.cost_stats parent).Bounded_cache.cs_misses;
+  Alcotest.(check int) "worker's new entry merged into parent" 2
+    (Eval_ctx.cost_stats parent).Bounded_cache.cs_size;
   Alcotest.(check int) "worker fault trips folded into parent"
     (parent_injected + Fault.injected (Eval_ctx.fault worker))
     (Fault.injected (Eval_ctx.fault parent))
 
 (* Every Fisher pass runs in its context's arena.  A fork starts with an
-   empty arena of its own, and the workers' buffer takes reach the
-   parent's [cache.arena.*] counters: the parent itself runs only the
-   reference pass, which can reuse nothing, so every reused buffer was a
-   worker's. *)
+   empty arena of its own; the parent's arena serves the reference pass
+   and worker 0's candidates, and the forked worker's buffer takes reach
+   the parent's [cache.arena.*] counters when the search ends. *)
 let t_ctx_arena () =
   let rng = Rng.create 5 in
   let model = Models.build (Models.resnet18 ()) rng in
@@ -175,12 +177,17 @@ let t_fisher_key_names_network () =
 
 let t_map_range_order () =
   let ctx = Eval_ctx.create () in
-  let out = Parallel_eval.map_range ~workers:3 ~ctx ~first:10 ~limit:23 (fun _ i -> i) in
+  let out =
+    Parallel_eval.with_workers ~workers:3 ~ctx (fun pool ->
+        Parallel_eval.map_range pool ~first:10 ~limit:23 (fun _ i -> i))
+  in
   Alcotest.(check (list int)) "index order preserved"
     (List.init 13 (fun i -> 10 + i))
     (Array.to_list out);
   Alcotest.(check int) "empty range" 0
-    (Array.length (Parallel_eval.map_range ~workers:4 ~ctx ~first:5 ~limit:5 (fun _ i -> i)))
+    (Array.length
+       (Parallel_eval.with_workers ~workers:4 ~ctx (fun pool ->
+            Parallel_eval.map_range pool ~first:5 ~limit:5 (fun _ i -> i))))
 
 let quarantine_fingerprint r =
   List.map
@@ -251,6 +258,46 @@ let t_quarantine_sorted () =
   let sigs = List.map fst r.Unified_search.r_quarantined in
   Alcotest.(check (list string)) "quarantine sorted by signature"
     (List.sort compare sigs) sigs
+
+(* A search forks its workers once and merges them into its context when
+   it ends.  Under either schedule a [workers:2] run leaves the parent
+   holding every Fisher entry the serial run holds, a repeat of the
+   search on that context computes no Fisher score, and each injected
+   fault is counted once. *)
+let t_worker_entries_reach_parent () =
+  let search ?schedule ~workers ctx =
+    let rng, model, probe = setup () in
+    ignore
+      (Unified_search.search ~candidates:16 ?schedule ~workers ~ctx ~rng:(Rng.split rng)
+         ~device:Device.i7 ~probe model)
+  in
+  let fisher ctx = Eval_ctx.fisher_stats ctx in
+  let serial = Eval_ctx.create () in
+  search ~workers:1 serial;
+  let serial_size = (fisher serial).Bounded_cache.cs_size in
+  Alcotest.(check bool) "the serial run memoized candidates" true (serial_size > 1);
+  let faults_injected ?schedule ~workers () =
+    let obs = Obs.create () in
+    let ctx = Eval_ctx.create ~fault:(Fault.make ~seed:11 ~rate:0.3 ()) ~obs () in
+    search ?schedule ~workers ctx;
+    Metrics.counter (Obs.metrics obs) "engine.faults_injected"
+  in
+  let serial_faults = faults_injected ~workers:1 () in
+  Alcotest.(check bool) "faults were injected" true (serial_faults > 0);
+  List.iter
+    (fun schedule ->
+      let msg m = Printf.sprintf "%s: %s" (Parallel_eval.schedule_name schedule) m in
+      let ctx = Eval_ctx.create () in
+      search ~schedule ~workers:2 ctx;
+      Alcotest.(check int) (msg "parent holds the serial run's Fisher entries")
+        serial_size (fisher ctx).cs_size;
+      let misses = (fisher ctx).cs_misses in
+      search ~schedule ~workers:2 ctx;
+      Alcotest.(check int) (msg "a repeated search adds no Fisher miss") misses
+        (fisher ctx).cs_misses;
+      Alcotest.(check int) (msg "faults injected counted once") serial_faults
+        (faults_injected ~schedule ~workers:2 ()))
+    [ Parallel_eval.Static; Parallel_eval.Dynamic ]
 
 (* --- cache warmth ---------------------------------------------------------- *)
 
@@ -325,8 +372,9 @@ let skewed_burn i =
 
 let map_skewed ?on_stats ~schedule ~workers ~n () =
   let ctx = Eval_ctx.create () in
-  Parallel_eval.map_range ~schedule ?on_stats ~workers ~ctx ~first:0 ~limit:n
-    (fun _ i -> skewed_burn i)
+  Parallel_eval.with_workers ~workers ~ctx (fun pool ->
+      Parallel_eval.map_range ~schedule ?on_stats pool ~first:0 ~limit:n (fun _ i ->
+          skewed_burn i))
 
 let t_sched_skewed_costs () =
   let serial = map_skewed ~schedule:Parallel_eval.Dynamic ~workers:1 ~n:30 () in
@@ -448,7 +496,8 @@ let () =
           quick "determinism" t_parallel_determinism;
           quick "determinism under faults" t_parallel_determinism_faulted;
           quick "determinism under budget" t_parallel_budget;
-          quick "quarantine sorted" t_quarantine_sorted ] );
+          quick "quarantine sorted" t_quarantine_sorted;
+          quick "worker entries reach the parent" t_worker_entries_reach_parent ] );
       ( "scheduler",
         [ quick "skewed costs stay deterministic" t_sched_skewed_costs;
           quick "workers exceed items" t_sched_workers_exceed_items;

@@ -692,6 +692,31 @@ let t_server_concurrent_identical () =
   let st = Server.shutdown srv in
   Alcotest.(check int) "all sessions completed" 16 st.Server.st_completed
 
+(* A session's forked workers merge into the session context, and the
+   session into the shared one, so a repeated [workers:2] request is all
+   Fisher hits: its answer adds no Fisher miss to the shared context and
+   equals the first answer. *)
+let t_server_parallel_session_warms_shared () =
+  let srv = Server.create ~config:{ Server.default_config with cf_workers = 1 } () in
+  let ask id =
+    match Server.submit srv (Protocol.request ~candidates:8 ~seed:5 ~workers:2 id) with
+    | Protocol.Result r -> r
+    | _ -> Alcotest.failf "%s was not served" id
+  in
+  let fisher_misses () =
+    (Server.stats srv).Server.st_fisher.Bounded_cache.cs_misses
+  in
+  let first = ask "w2-a" in
+  let misses = fisher_misses () in
+  Alcotest.(check bool) "the first answer computed Fisher scores" true (misses > 0);
+  let second = ask "w2-b" in
+  Alcotest.(check int) "the repeat added no Fisher miss" misses (fisher_misses ());
+  let same r = { r with Protocol.rs_id = ""; rs_cache_hits = 0; rs_wall_ms = 0.0 } in
+  Alcotest.(check string) "same answer"
+    (Protocol.response_to_json (Protocol.Result (same first)))
+    (Protocol.response_to_json (Protocol.Result (same second)));
+  ignore (Server.shutdown srv)
+
 let t_server_overload_rejects () =
   let srv =
     Server.create
@@ -1050,6 +1075,8 @@ let () =
       ("cancellation", [ quick "stop hook" t_search_stop_hook ]);
       ( "server",
         [ quick "8 concurrent sessions = one-shot" t_server_concurrent_identical;
+          quick "workers:2 repeat adds no Fisher miss"
+            t_server_parallel_session_warms_shared;
           quick "overload load-sheds" t_server_overload_rejects;
           quick "deadline expiry" t_server_deadline_expired;
           quick "retries transients" t_server_retries_transient;
