@@ -84,20 +84,6 @@ let workers_arg =
   in
   Arg.(value & opt int 1 & info [ "w"; "workers" ] ~docv:"N" ~doc)
 
-let schedule_arg =
-  let doc =
-    "How parallel workers claim candidates: $(b,dynamic) (idle domains pull \
-     the next unclaimed index — skewed candidate costs rebalance \
-     automatically) or $(b,static) (fixed contiguous chunks).  Results are \
-     bit-identical either way; only wall-clock differs.  Ignored when \
-     --workers is 1.  See PERFORMANCE.md."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("dynamic", Parallel_eval.Dynamic); ("static", Parallel_eval.Static) ])
-        Parallel_eval.Dynamic
-    & info [ "schedule" ] ~docv:"SCHED" ~doc)
-
 let cache_cap_arg =
   let doc =
     "Capacity of the workload-cost memo cache (FIFO eviction; default 8192)."
@@ -270,7 +256,7 @@ let typecheck_model ppf model plan_spec =
 
 let search_cmd =
   let run network device candidates seed resilient fault_rate fault_seed checkpoint
-      checkpoint_every budget workers schedule cache_cap trace metrics analyze plan
+      checkpoint_every budget workers cache_cap trace metrics analyze plan
       typecheck strategy =
     let strategy =
       match Strategy.of_string strategy with
@@ -299,7 +285,7 @@ let search_cmd =
     else begin
     if plan <> None then die "--plan requires --analyze or --typecheck";
     let job =
-      Job.make ~network ~device ~candidates ~seed ~strategy ?budget ~workers ~schedule
+      Job.make ~network ~device ~candidates ~seed ~strategy ?budget ~workers
         ~fault_rate ?fault_seed ()
     in
     (match Job.validate job with Ok () -> () | Error msg -> die "%s" msg);
@@ -318,8 +304,7 @@ let search_cmd =
     Format.fprintf ppf "unified search: %s on %s, %d candidates@." network
       dev.Device.dev_name candidates;
     if workers > 1 then
-      Format.fprintf ppf "parallel evaluation: %d worker domains (%s scheduling)@."
-        workers (Parallel_eval.schedule_name schedule);
+      Format.fprintf ppf "parallel evaluation: %d worker domains@." workers;
     if Fault.enabled fault then
       Format.fprintf ppf "fault injection: rate %.0f%% per oracle per candidate@."
         (100.0 *. fault_rate);
@@ -387,7 +372,7 @@ let search_cmd =
   Cmd.v (Cmd.info "search" ~doc:"Run the unified transformation search")
     Term.(const run $ network_arg $ device_arg $ candidates_arg $ seed_arg
           $ resilient_arg $ fault_rate_arg $ fault_seed_arg $ checkpoint_arg
-          $ checkpoint_every_arg $ budget_arg $ workers_arg $ schedule_arg
+          $ checkpoint_every_arg $ budget_arg $ workers_arg
           $ cache_cap_arg $ trace_arg $ metrics_arg $ analyze_arg
           $ plan_arg $ typecheck_arg $ strategy_arg)
 

@@ -83,19 +83,6 @@ let max_candidates_arg =
   let doc = "Per-request candidate-pool cap (larger requests are answered bad-request)." in
   Arg.(value & opt int 512 & info [ "max-candidates" ] ~docv:"N" ~doc)
 
-let schedule_arg =
-  let doc =
-    "How multi-worker sessions assign candidates to their domains: \
-     $(b,dynamic) (idle domains pull the next unclaimed index) or \
-     $(b,static) (fixed contiguous chunks).  Results are bit-identical \
-     either way; see PERFORMANCE.md."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("dynamic", Parallel_eval.Dynamic); ("static", Parallel_eval.Static) ])
-        Parallel_eval.Dynamic
-    & info [ "schedule" ] ~docv:"SCHED" ~doc)
-
 let strategy_arg =
   let doc =
     "Default candidate-generation strategy for requests that do not name \
@@ -117,7 +104,7 @@ let smoke_arg =
 
 let config_of workers max_queue deadline_ms cache_file cache_save_every fault_rate
     fault_seed retries backoff_ms breaker_threshold breaker_cooldown_ms trace_dir
-    max_candidates schedule strategy =
+    max_candidates strategy =
   let strategy =
     match Strategy.of_string strategy with
     | Some t -> t
@@ -162,7 +149,6 @@ let config_of workers max_queue deadline_ms cache_file cache_save_every fault_ra
        else Fault.make ~targets:[ Fault.Plan_gen ] ~seed:fault_seed ~rate:fault_rate ());
     cf_trace_dir = trace_dir;
     cf_max_candidates = max_candidates;
-    cf_schedule = schedule;
     cf_strategy = strategy }
 
 (* --- stdio serving ------------------------------------------------------ *)
@@ -346,11 +332,11 @@ let smoke () =
 let () =
   let run workers max_queue deadline_ms cache_file cache_save_every fault_rate
       fault_seed retries backoff_ms breaker_threshold breaker_cooldown_ms trace_dir
-      max_candidates schedule strategy do_smoke =
+      max_candidates strategy do_smoke =
     let config =
       config_of workers max_queue deadline_ms cache_file cache_save_every fault_rate
         fault_seed retries backoff_ms breaker_threshold breaker_cooldown_ms trace_dir
-        max_candidates schedule strategy
+        max_candidates strategy
     in
     if do_smoke then smoke () else serve_stdio config
   in
@@ -358,7 +344,7 @@ let () =
     Term.(const run $ workers_arg $ max_queue_arg $ deadline_arg $ cache_file_arg
           $ cache_save_every_arg $ fault_rate_arg $ fault_seed_arg $ retries_arg
           $ backoff_ms_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-          $ trace_dir_arg $ max_candidates_arg $ schedule_arg $ strategy_arg
+          $ trace_dir_arg $ max_candidates_arg $ strategy_arg
           $ smoke_arg)
   in
   let info =

@@ -77,19 +77,23 @@ let report_of_schedule ~site ~label ~subject nest s =
     sr_verdict = Direction.check s conv_dependences;
     sr_diags = shape @ bounds }
 
-let analyze_plan ~site ~label nest steps =
-  let baseline = Loop_nest.baseline_schedule nest in
-  let subject = "plan " ^ Plan_lint.plan_to_string steps in
-  match Plan_types.lint baseline steps with
+(* Lint a chain over its base schedule and analyze the schedule it
+   reaches, or report [on_fail] of the lint findings when it does not
+   apply: the one path for [--plan] and the menu sequences. *)
+let analyze_chain ~site ~label ~subject ~on_fail nest base steps =
+  match Plan_types.lint base steps with
   | Some s, diags ->
       let r = report_of_schedule ~site ~label ~subject nest s in
       { r with sr_diags = diags @ r.sr_diags }
   | None, diags ->
-      { sr_site = site;
-        sr_label = label;
-        sr_subject = subject;
-        sr_verdict = Direction.Unknown "plan did not apply cleanly";
+      let verdict, diags = on_fail diags in
+      { sr_site = site; sr_label = label; sr_subject = subject; sr_verdict = verdict;
         sr_diags = diags }
+
+let analyze_plan ~site ~label nest steps =
+  analyze_chain ~site ~label ~subject:("plan " ^ Plan_lint.plan_to_string steps)
+    ~on_fail:(fun diags -> (Direction.Unknown "plan did not apply cleanly", diags))
+    nest (Loop_nest.baseline_schedule nest) steps
 
 let analyze_sequences ~site ~label nest =
   let plain_site =
@@ -103,39 +107,31 @@ let analyze_sequences ~site ~label nest =
       spatial_in = nest.Loop_nest.nc_oh * nest.Loop_nest.nc_stride;
       site_label = label }
   in
-  let inapplicable name msg =
-    [ { sr_site = site;
-        sr_label = label;
-        sr_subject = name;
-        sr_verdict = Direction.Unknown "sequence did not apply to this nest";
-        sr_diags =
-          [ Diagnostic.warn ~code:"inapplicable-sequence"
-              "sequence %s does not apply: %s" name msg ] } ]
+  (* A chain that does not type at the nest is one inapplicable-sequence
+     warning naming the violated rule (a failed lint always holds an
+     error), not an analysis failure. *)
+  let inapplicable name diags =
+    let reason = (List.find Diagnostic.is_error diags).Diagnostic.d_msg in
+    ( Direction.Unknown "sequence did not apply to this nest",
+      [ Diagnostic.warn ~code:"inapplicable-sequence" "sequence %s does not apply: %s" name
+          reason ] )
   in
   (* Chains are derived over the ungrouped nest: the menu above is already
-     filtered by the site's real grouping, but the literal §7.3 schedule
-     derivations hardcode the ungrouped baseline's loop layout.  The
-     legality of the transformation chain itself is unaffected. *)
+     filtered by the site's real grouping, but the §7.3 chains' loop
+     positions are those of the ungrouped baseline.  The legality of the
+     transformation chain itself is unaffected. *)
   let derive_nest = { nest with Loop_nest.nc_groups = 1 } in
   List.concat_map
     (fun seq ->
       let name = Sequences.name seq in
-      match Sequences.schedules seq derive_nest with
-      | schedules ->
-          List.mapi
-            (fun k s ->
-              let subject =
-                if List.length schedules > 1 then Printf.sprintf "%s[%d]" name k
-                else name
-              in
-              report_of_schedule ~site ~label ~subject nest s)
-            schedules
-      | exception Poly.Illegal msg -> inapplicable name msg
-      | exception Invalid_argument msg ->
-          (* Some sequence chains hardcode the ungrouped baseline's loop
-             positions and trip on a pre-grouped nest; that is an
-             inapplicable derivation, not an analysis failure. *)
-          inapplicable name msg)
+      let chains = Sequences.plans seq derive_nest in
+      List.mapi
+        (fun k (base, steps) ->
+          let subject =
+            if List.length chains > 1 then Printf.sprintf "%s[%d]" name k else name
+          in
+          analyze_chain ~site ~label ~subject ~on_fail:(inapplicable name) nest base steps)
+        chains)
     (Sequences.standard_menu plain_site)
 
 let analyze_model ?plan (model : Models.t) =

@@ -37,7 +37,10 @@ val analyze_plan :
 
 val analyze_model : ?plan:Plan_lint.step list -> Models.t -> site_report list
 (** Analyze every site of a model: with [?plan], that plan per site;
-    otherwise every schedule of the site's standard sequence menu. *)
+    otherwise every chain ({!Sequences.plans}) of the site's standard
+    sequence menu.  Both go through {!Plan_types.lint}; a menu chain that
+    does not type at the site is one [inapplicable-sequence] warning with
+    an [Unknown] verdict. *)
 
 val report_errors : site_report list -> Diagnostic.t list
 (** All error findings in a report, including the diagnostics of

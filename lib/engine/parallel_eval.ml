@@ -1,13 +1,6 @@
 let max_workers = 64
 
-type schedule = Static | Dynamic
-
-let schedule_name = function Static -> "static" | Dynamic -> "dynamic"
-
-let schedule_of_string = function
-  | "static" -> Some Static
-  | "dynamic" -> Some Dynamic
-  | _ -> None
+type schedule = Dynamic
 
 type worker_stat = {
   ws_items : int;
@@ -16,7 +9,6 @@ type worker_stat = {
 }
 
 type run_stats = {
-  rs_schedule : schedule;
   rs_workers : int;
   rs_wall_s : float;
   rs_worker : worker_stat array;
@@ -45,17 +37,17 @@ let with_workers ~workers ~ctx f =
     ~finally:(fun () -> for d = 1 to n - 1 do Eval_ctx.absorb_full ctx pool.(d) done)
     (fun () -> f pool)
 
-(* The parallel path.  Results land in slot [i - first] no matter which
-   domain computed them, so the caller's sequential merge replays index
-   order exactly — the merge-by-index contract is schedule-independent.
+(* The parallel path.  Idle domains pull the next unclaimed index from a
+   shared atomic counter, and results land in slot [i - first] no matter
+   which domain computed them, so the caller's sequential merge replays
+   index order exactly.
 
    Trace determinism: when the parent recorder is live, each item runs
    against a per-item [Obs] fork (sharing the worker's caches and fault
    plan through [Eval_ctx.with_obs]) and the item recorders are absorbed
    into the parent in index order after the join.  Which worker evaluated
-   an item is timing-dependent under [Dynamic], but the merged trace
-   content never is. *)
-let run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f =
+   an item is timing-dependent, but the merged trace content never is. *)
+let run_parallel ~on_stats ~workers ~pool ~first ~limit ~total f =
   let parent_obs = Eval_ctx.obs pool.(0) in
   let obs_enabled = Obs.enabled parent_obs in
   let results = Array.make total None in
@@ -77,8 +69,8 @@ let run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f =
     in
     results.(i - first) <- Some v;
     items.(d) <- items.(d) + 1;
-    (* A steal = an item outside the worker's static fair-share chunk:
-       the work the dynamic scheduler moved to keep this domain busy. *)
+    (* A steal = an item outside the worker's fair-share contiguous chunk:
+       the work the scheduler moved to keep this domain busy. *)
     let off = i - first in
     if off < d * chunk || off >= (d + 1) * chunk then
       steals.(d) <- steals.(d) + 1;
@@ -87,19 +79,11 @@ let run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f =
   let next = Atomic.make first in
   let run d =
     let wctx = pool.(d) in
-    match schedule with
-    | Static ->
-        let lo = first + (d * chunk) in
-        let hi = min limit (lo + chunk) in
-        for i = lo to hi - 1 do
-          eval d wctx i
-        done
-    | Dynamic ->
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i < limit then eval d wctx i else continue := false
-        done
+    let continue = ref true in
+    while !continue do
+      let i = Atomic.fetch_and_add next 1 in
+      if i < limit then eval d wctx i else continue := false
+    done
   in
   let t0 = Obs_clock.wall () in
   let domains =
@@ -123,21 +107,20 @@ let run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f =
   | None -> ()
   | Some k ->
       k
-        { rs_schedule = schedule;
-          rs_workers = workers;
+        { rs_workers = workers;
           rs_wall_s = wall;
           rs_worker =
             Array.init workers (fun d ->
                 { ws_items = items.(d); ws_steals = steals.(d); ws_busy_s = busy.(d) }) });
   Array.map (function Some v -> v | None -> assert false) results
 
-let map_range ?(schedule = Dynamic) ?on_stats pool ~first ~limit f =
+let map_range ?on_stats pool ~first ~limit f =
   let total = max 0 (limit - first) in
   if total = 0 then begin
     (match on_stats with
     | None -> ()
     | Some k ->
-        k { rs_schedule = schedule; rs_workers = 0; rs_wall_s = 0.0; rs_worker = [||] });
+        k { rs_workers = 0; rs_wall_s = 0.0; rs_worker = [||] });
     [||]
   end
   else
@@ -152,9 +135,8 @@ let map_range ?(schedule = Dynamic) ?on_stats pool ~first ~limit f =
         let out = Array.init total (fun i -> f pool.(0) (first + i)) in
         let wall = Obs_clock.wall () -. t0 in
         k
-          { rs_schedule = schedule;
-            rs_workers = 1;
+          { rs_workers = 1;
             rs_wall_s = wall;
             rs_worker = [| { ws_items = total; ws_steals = 0; ws_busy_s = wall } |] };
         out
-    | _ -> run_parallel ~schedule ~on_stats ~workers ~pool ~first ~limit ~total f
+    | _ -> run_parallel ~on_stats ~workers ~pool ~first ~limit ~total f

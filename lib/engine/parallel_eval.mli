@@ -11,41 +11,31 @@
     statistics.  Per-index results land in their index's slot regardless
     of which domain computed them, which makes the merge deterministic —
     the same best candidate, rejection count and quarantine set for any
-    worker count and either schedule, because every per-index value is a
-    pure function of the index and the caller replays the slots in
-    order.
+    worker count, because every per-index value is a pure function of the
+    index and the caller replays the slots in order.
 
-    Two schedules are available: {!Static} assigns each worker one
-    contiguous chunk up front (predictable, but one expensive chunk
-    serializes the run), and {!Dynamic} (the default) has idle domains
-    pull the next unclaimed index from a shared atomic counter, so skewed
-    per-item costs rebalance automatically.
+    Idle domains pull the next unclaimed index from a shared atomic
+    counter, so skewed per-item costs rebalance automatically.
 
     The evaluation function must confine failures to its result type
     (e.g. an outcome variant) — an exception escaping a worker is
     re-raised at the join. *)
 
-type schedule =
-  | Static   (** fixed contiguous chunks, one per worker *)
-  | Dynamic  (** idle workers pull the next index from a shared atomic counter *)
-
-val schedule_name : schedule -> string
-(** ["static"] or ["dynamic"] — the spelling used by CLI flags. *)
-
-val schedule_of_string : string -> schedule option
-(** Inverse of {!schedule_name}; [None] on anything else. *)
+type schedule = Dynamic
+(** The one schedule: idle workers pull the next index from a shared
+    atomic counter.  The type remains only because the benchmark harness
+    still passes [~schedule:Dynamic] to {!Unified_search.search}, which
+    ignores it. *)
 
 type worker_stat = {
   ws_items : int;  (** items this worker evaluated *)
   ws_steals : int;
-      (** items evaluated outside the worker's static fair-share chunk —
-          the work the dynamic scheduler moved between domains (always 0
-          under {!Static}) *)
+      (** items evaluated outside the worker's fair-share contiguous chunk
+          — the work the scheduler moved between domains *)
   ws_busy_s : float;  (** wall time spent inside the evaluation function *)
 }
 
 type run_stats = {
-  rs_schedule : schedule;  (** schedule this run used *)
   rs_workers : int;  (** workers actually spawned (after clamping) *)
   rs_wall_s : float;  (** wall time of the whole map *)
   rs_worker : worker_stat array;  (** one entry per worker, in worker order *)
@@ -67,7 +57,6 @@ val with_workers : workers:int -> ctx:Eval_ctx.t -> (pool -> 'a) -> 'a
     the parent's depth when it is forked. *)
 
 val map_range :
-  ?schedule:schedule ->
   ?on_stats:(run_stats -> unit) ->
   pool ->
   first:int ->
@@ -77,10 +66,10 @@ val map_range :
 (** [map_range pool ~first ~limit f] evaluates [f worker_ctx i] for every
     [i] in [first, limit) on the first [min workers (limit - first)]
     members of [pool] and returns the results in index order.  Worker 0
-    runs on the calling domain.  [schedule] (default {!Dynamic}) picks how
-    indices are assigned to workers; the results, counters and trace
-    content are bit-identical either way.  The pool's contexts must not
-    be used by anything else while the map runs.
+    runs on the calling domain.  Which worker evaluates which index is
+    timing-dependent; the results, counters and trace content are not.
+    The pool's contexts must not be used by anything else while the map
+    runs.
 
     With one worker this degenerates to a sequential map over the parent
     context — no atomics, no per-item timing — so a serial run pays

@@ -75,60 +75,34 @@ let is_dominant = function
   | Seq1 _ | Seq2 _ | Seq3 _ -> true
   | Plain_group _ | Plain_bottleneck _ | Plain_depthwise | Spatial_bneck _ -> false
 
-(* The literal §7.3 / §5.3 transformation chains over the loop nest. *)
-let schedules seq nest =
-  let base = Loop_nest.baseline_schedule nest in
+(* The literal §7.3 / §5.3 transformation chains, in the plan language.
+   Loop positions are those of the ungrouped baseline [co; ci; oh; ow; kh;
+   kw]; after [group] on it, loop 0 is the group slice, the first loop that
+   carries [co]. *)
+let plans seq nest =
+  let open Plan_lint in
+  let on nest steps = (Loop_nest.baseline_schedule nest, steps) in
   match seq with
-  | Plain_group g -> [ Poly.group base ~co:"co" ~ci:"ci" ~factor:g ]
-  | Plain_bottleneck b -> [ Poly.bottleneck base ~iter:"co" ~factor:b ]
-  | Plain_depthwise -> [ Poly.depthwise base ~co:"co" ~ci:"ci" ]
+  | Plain_group g -> [ on nest [ Group g ] ]
+  | Plain_bottleneck b -> [ on nest [ Bottleneck ("co", b) ] ]
+  | Plain_depthwise -> [ on nest [ Depthwise ] ]
   | Seq1 { g; split } ->
-      (* split the spatial domain, rotate the chunk loop outermost, group the
-         channels, rotate back, fuse the spatial remainder. *)
-      let s = Poly.split base ~pos:2 ~factor:split in
-      let n = Poly.loop_count s in
-      let to_front = Array.init n (fun i -> if i = 0 then 2 else if i <= 2 then i - 1 else i) in
-      let s = Poly.reorder s to_front in
-      let s = Poly.group s ~co:"co" ~ci:"ci" ~factor:g in
-      (* after grouping the loop list may have changed length *)
-      let n = Poly.loop_count s in
-      let back = Array.init n (fun i -> if i = 0 then 1 else if i = 1 then 0 else i) in
-      let s = Poly.reorder s back in
-      (* fuse the split spatial chunk with its remainder when adjacent *)
-      [ s ]
-  | Seq2 { g; unroll } ->
-      let s = Poly.group base ~co:"co" ~ci:"ci" ~factor:g in
-      let s =
-        match
-          List.mapi (fun i l -> (i, l)) s.Poly.loops
-          |> List.find_opt (fun (_, (l : Poly.loop)) ->
-                 Poly.loop_extent l > 1
-                 && List.exists
-                      (fun (d : Poly.digit) ->
-                        List.exists (fun (c : Poly.contrib) -> c.Poly.src = "co") d.Poly.contribs)
-                      l.Poly.digits)
-        with
-        | Some (pos, _) -> Poly.unroll s ~pos ~factor:unroll
-        | None -> s
-      in
-      [ Poly.interchange s 0 1 ]
+      (* split the spatial domain, rotate the chunk loop outermost, group
+         the channels, rotate back *)
+      [ on nest
+          [ Split (2, split); Interchange (1, 2); Interchange (0, 1); Group g;
+            Interchange (0, 1) ] ]
+  | Seq2 { g; unroll } -> [ on nest [ Group g; Unroll (0, unroll); Interchange (0, 1) ] ]
   | Seq3 { g1; g2 } ->
       (* The output-channel domain is split in two halves, each grouped with
          its own factor; the halves are separate nests over co/2 filters. *)
-      let half_nest = { nest with Loop_nest.nc_co = nest.Loop_nest.nc_co / 2 } in
-      let half = Loop_nest.baseline_schedule half_nest in
-      [ Poly.group half ~co:"co" ~ci:"ci" ~factor:g1;
-        Poly.group half ~co:"co" ~ci:"ci" ~factor:g2 ]
+      let half = { nest with Loop_nest.nc_co = nest.Loop_nest.nc_co / 2 } in
+      [ on half [ Group g1 ]; on half [ Group g2 ] ]
   | Spatial_bneck b ->
       (* §5.3: [int -> B(b) -> int -> B(b) -> int]. *)
-      let n0 = Poly.loop_count base in
-      let spatial_first =
-        (* move oh, ow outermost: [oh; ow; rest] *)
-        let order = Array.init n0 (fun i -> [| 2; 3; 0; 1; 4; 5 |].(i)) in
-        Poly.reorder base order
-      in
-      let s = Poly.bottleneck spatial_first ~iter:"oh" ~factor:b in
-      let s = Poly.interchange s 0 1 in
-      let s = Poly.bottleneck s ~iter:"ow" ~factor:b in
-      let back = Array.init n0 (fun i -> [| 2; 3; 1; 0; 4; 5 |].(i)) in
-      [ Poly.reorder s back ]
+      [ on nest
+          [ Reorder [ 2; 3; 0; 1; 4; 5 ]; Bottleneck ("oh", b); Interchange (0, 1);
+            Bottleneck ("ow", b); Reorder [ 2; 3; 1; 0; 4; 5 ] ] ]
+
+let schedules seq nest =
+  List.map (fun (base, steps) -> List.fold_left Plan_lint.apply base steps) (plans seq nest)

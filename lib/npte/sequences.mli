@@ -2,13 +2,15 @@
 
     §7.3 identifies three interleaved sequences that dominate the best
     networks, and §5.3 derives the spatial bottleneck from primitive
-    transformations.  Each sequence is given here twice over:
+    transformations.  Each sequence is written once, as a chain of
+    {!Plan_lint.step}s ({!plans}), the same plan language the analyzer
+    types with [Plan_types].  Everything else is derived:
 
     - [plan] — the {!Site_plan.t} the search and the compile pipeline use
       (structural rewrite + schedule hints);
-    - [schedules] — the literal chain of {!Poly} transformations applied to
-      a convolution's loop nest, so the derivation itself is executable and
-      testable (the loop-IR test-suite checks the semantics of each). *)
+    - [schedules] — the chain applied to a convolution's loop nest, so the
+      derivation itself is executable and testable (the loop-IR test-suite
+      checks the semantics of each); [--analyze] types the same chain. *)
 
 type t =
   | Plain_group of int  (** the NAS grouping operation *)
@@ -16,10 +18,13 @@ type t =
   | Plain_depthwise
   | Seq1 of { g : int; split : int }
       (** [split -> interchange -> group -> interchange -> fuse]: grouping
-          over a split spatial domain *)
+          over a split spatial domain (the chain in {!plans} stops before
+          the fuse) *)
   | Seq2 of { g : int; unroll : int }
       (** [unroll -> group -> interchange]: output channels unrolled, the
-          remaining domain grouped *)
+          remaining domain grouped (the chain in {!plans} groups first and
+          unrolls the group slice, so an unroll above [g] is clamped to
+          [g]) *)
   | Seq3 of { g1 : int; g2 : int }
       (** [split -> group -> interchange -> group]: different grouping
           factors on the two halves of the output-channel domain *)
@@ -60,10 +65,17 @@ val typed_menu : Conv_impl.site -> t list
     [Seq1 { split = 2; _ }] on odd output planes, which {!valid} accepts
     but this menu leaves out. *)
 
+val plans : t -> Loop_nest.conv_nest -> (Poly.t * Plan_lint.step list) list
+(** The literal transformation chain over an ungrouped nest: a base
+    schedule and the steps to apply to it.  [Seq3] returns two chains, one
+    per output-channel half, each over the half nest's baseline; every
+    other sequence returns one over the nest's baseline.  Loop positions
+    assume the ungrouped baseline, so on another nest a chain may not
+    type. *)
+
 val schedules : t -> Loop_nest.conv_nest -> Poly.t list
-(** The literal transformation chain applied to the nest's baseline
-    schedule.  [Seq3] returns two schedules (one per output-channel half);
-    every other sequence returns one. *)
+(** Each of {!plans} folded through {!Plan_lint.apply}.  Raises
+    {!Poly.Illegal} where a step does not apply. *)
 
 val is_dominant : t -> bool
 (** True for the three §7.3 sequences. *)

@@ -5,9 +5,11 @@
     ["split@1:2;interchange@1,2;unroll@5:4"], applied left to right to a
     baseline schedule.  This module holds the step type, the parser and
     printer, and {!apply}, which runs a step through the real {!Poly}
-    transformation.  Which steps are legal is decided in one place, the
-    typing judgment {!Plan_types.infer}; the linter {!Plan_types.lint} is
-    its projection onto concrete schedules. *)
+    transformation.  The named NAS sequences ([Sequences.plans]) are
+    written in it, as are the analyzer's [--plan] arguments.  Which steps
+    are legal is decided in one place, the typing judgment
+    [Plan_types.infer] (in [lib/analysis]); the linter [Plan_types.lint]
+    is its projection onto concrete schedules. *)
 
 type step =
   | Interchange of int * int  (** [interchange@I,J] — swap dimensions *)

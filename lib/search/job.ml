@@ -7,18 +7,16 @@ type t = {
   jb_mutate_prob : float option;
   jb_budget : int option;
   jb_workers : int;
-  jb_schedule : Parallel_eval.schedule;
   jb_fault_rate : float;
   jb_fault_seed : int option;
 }
 
 let make ?(network = "resnet18") ?(device = "CPU") ?(candidates = 40) ?(seed = 42)
-    ?strategy ?mutate_prob ?budget ?(workers = 1) ?(schedule = Parallel_eval.Dynamic)
-    ?(fault_rate = 0.0) ?fault_seed () =
+    ?strategy ?mutate_prob ?budget ?(workers = 1) ?(fault_rate = 0.0) ?fault_seed () =
   { jb_network = network; jb_device = device; jb_seed = seed;
     jb_candidates = candidates; jb_strategy = strategy; jb_mutate_prob = mutate_prob;
-    jb_budget = budget; jb_workers = workers; jb_schedule = schedule;
-    jb_fault_rate = fault_rate; jb_fault_seed = fault_seed }
+    jb_budget = budget; jb_workers = workers; jb_fault_rate = fault_rate;
+    jb_fault_seed = fault_seed }
 
 (* Written so that NaN fails too. *)
 let probability p = p >= 0.0 && p <= 1.0
@@ -57,5 +55,5 @@ let run ~ctx ?stop ?checkpoint ?checkpoint_every ?on_sched_stats j =
   ( model,
     Unified_search.search ~candidates:j.jb_candidates ?mutate_prob:j.jb_mutate_prob
       ?stop ?budget:j.jb_budget ?checkpoint ?checkpoint_every ~workers:j.jb_workers
-      ~schedule:j.jb_schedule ?on_sched_stats ?strategy:j.jb_strategy ~ctx
+      ?on_sched_stats ?strategy:j.jb_strategy ~ctx
       ~rng:(Rng.split rng) ~device ~probe model )

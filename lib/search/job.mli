@@ -12,7 +12,6 @@ type t = {
   jb_mutate_prob : float option;  (** per-site mutation probability *)
   jb_budget : int option;  (** cap on candidate evaluations *)
   jb_workers : int;  (** evaluation domains *)
-  jb_schedule : Parallel_eval.schedule;  (** never changes the result *)
   jb_fault_rate : float;  (** injected fault rate, [0,1] *)
   jb_fault_seed : int option;  (** fault draw seed (default: [jb_seed]) *)
 }
@@ -20,11 +19,11 @@ type t = {
 val make :
   ?network:string -> ?device:string -> ?candidates:int -> ?seed:int ->
   ?strategy:Strategy.t -> ?mutate_prob:float -> ?budget:int -> ?workers:int ->
-  ?schedule:Parallel_eval.schedule -> ?fault_rate:float -> ?fault_seed:int ->
+  ?fault_rate:float -> ?fault_seed:int ->
   unit -> t
-(** Defaults: resnet18 on CPU, 40 candidates, seed 42, 1 worker, dynamic
-    scheduling, no budget, no faults, the search's default strategy and
-    mutation probability. *)
+(** Defaults: resnet18 on CPU, 40 candidates, seed 42, 1 worker, no
+    budget, no faults, the search's default strategy and mutation
+    probability. *)
 
 val validate : t -> (unit, string) result
 (** The one range check of a job: a {!Zoo} network, [candidates],

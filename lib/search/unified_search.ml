@@ -332,7 +332,7 @@ let guided_next_round rng model ~seen ~survivors ~room =
 
 let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
     ?(stop = fun () -> false) ?budget ?checkpoint ?(checkpoint_every = 25)
-    ?(workers = 1) ?(schedule = Parallel_eval.Dynamic) ?on_sched_stats
+    ?(workers = 1) ?schedule:_ ?on_sched_stats
     ?(strategy = Strategy.Random) ~ctx ~rng ~device ~probe model =
   let start = Unix.gettimeofday () in
   let obs = Eval_ctx.obs ctx in
@@ -471,15 +471,14 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
          back into [ctx] when it ends ([workers = 1] is a plain map over
          [ctx]).  The pool opens inside this span, so the workers'
          recorders fork at its depth.  Outcomes come back in index order,
-         so the merge reproduces the serial result for any worker count
-         and schedule. *)
+         so the merge reproduces the serial result for any worker count. *)
       Parallel_eval.with_workers ~workers ~ctx @@ fun pool ->
       let rec loop batch =
         if Array.length batch > 0 then begin
           let base = !explored in
           Array.iteri
             (fun k o -> merge_outcome (base + k) o)
-            (Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats pool ~first:0
+            (Parallel_eval.map_range ?on_stats:on_sched_stats pool ~first:0
                ~limit:(Array.length batch) (fun wctx k ->
                  if stop () then O_skipped
                  else

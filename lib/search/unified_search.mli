@@ -138,11 +138,9 @@ val search :
     list.  [workers = 1] maps the batch over [ctx] itself with zero
     scheduling overhead.
 
-    [schedule] (default {!Parallel_eval.Dynamic}) picks how candidates are
-    assigned to worker domains: [Dynamic] has idle domains pull the next
-    unclaimed index (skewed per-candidate costs rebalance automatically),
-    [Static] assigns fixed contiguous chunks.  Results, [search.*]
-    counters and trace content are bit-identical for either schedule.
+    [schedule] is ignored: idle worker domains always pull the next
+    unclaimed candidate.  It remains only for perfbench, which passes
+    {!Parallel_eval.Dynamic}.
 
     [on_sched_stats] receives the scheduler's per-worker item/steal/busy
     accounting once per batch, at any worker count — timing-dependent

@@ -14,7 +14,6 @@ type config = {
   cf_trace_dir : string option;
   cf_max_candidates : int;
   cf_max_session_workers : int;
-  cf_schedule : Parallel_eval.schedule;
   cf_strategy : Strategy.t;
 }
 
@@ -34,7 +33,6 @@ let default_config =
     cf_trace_dir = None;
     cf_max_candidates = 512;
     cf_max_session_workers = 4;
-    cf_schedule = Parallel_eval.Dynamic;
     cf_strategy = Strategy.Random }
 
 type queued = {
@@ -119,7 +117,6 @@ let run_search_session t (rq : Protocol.request) ~deadline ~probe =
   let job =
     { rq.rq_job with
       Job.jb_workers = min rq.rq_job.jb_workers cfg.cf_max_session_workers;
-      jb_schedule = cfg.cf_schedule;
       jb_strategy = Some (Option.value rq.rq_job.jb_strategy ~default:cfg.cf_strategy) }
   in
   let attempt_session ~attempt =

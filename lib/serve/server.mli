@@ -42,9 +42,6 @@ type config = {
       (** per-request worker-domain cap: a request asking for more runs on
           this many, which changes only its wall time — the determinism
           contract makes results independent of the worker count *)
-  cf_schedule : Parallel_eval.schedule;
-      (** how multi-worker sessions assign candidates to their domains
-          (results are bit-identical either way) *)
   cf_strategy : Strategy.t;
       (** candidate-generation strategy for requests that do not pick one
           themselves (the request's [strategy] field wins) *)
@@ -53,8 +50,7 @@ type config = {
 val default_config : config
 (** 4 workers, queue 16, no default deadline, {!Retry.default}, breaker
     5/30s, storm fraction 0.5, no persistence, no faults, no traces,
-    candidate cap 512, session-worker cap 4, dynamic scheduling, random
-    strategy. *)
+    candidate cap 512, session-worker cap 4, random strategy. *)
 
 type t
 (** A running server (the worker domains are live). *)

@@ -195,7 +195,7 @@ let quarantine_fingerprint r =
     r.Unified_search.r_quarantined
 
 (* The deterministic counter namespace (DESIGN.md §7): bit-identical for
-   every worker count and schedule. *)
+   every worker count. *)
 let search_counters obs =
   List.filter
     (fun (k, _) -> String.starts_with ~prefix:"search." k)
@@ -260,15 +260,14 @@ let t_quarantine_sorted () =
     (List.sort compare sigs) sigs
 
 (* A search forks its workers once and merges them into its context when
-   it ends.  Under either schedule a [workers:2] run leaves the parent
-   holding every Fisher entry the serial run holds, a repeat of the
-   search on that context computes no Fisher score, and each injected
-   fault is counted once. *)
+   it ends.  A [workers:2] run leaves the parent holding every Fisher entry
+   the serial run holds, a repeat of the search on that context computes
+   no Fisher score, and each injected fault is counted once. *)
 let t_worker_entries_reach_parent () =
-  let search ?schedule ~workers ctx =
+  let search ~workers ctx =
     let rng, model, probe = setup () in
     ignore
-      (Unified_search.search ~candidates:16 ?schedule ~workers ~ctx ~rng:(Rng.split rng)
+      (Unified_search.search ~candidates:16 ~workers ~ctx ~rng:(Rng.split rng)
          ~device:Device.i7 ~probe model)
   in
   let fisher ctx = Eval_ctx.fisher_stats ctx in
@@ -276,28 +275,23 @@ let t_worker_entries_reach_parent () =
   search ~workers:1 serial;
   let serial_size = (fisher serial).Bounded_cache.cs_size in
   Alcotest.(check bool) "the serial run memoized candidates" true (serial_size > 1);
-  let faults_injected ?schedule ~workers () =
+  let faults_injected ~workers () =
     let obs = Obs.create () in
     let ctx = Eval_ctx.create ~fault:(Fault.make ~seed:11 ~rate:0.3 ()) ~obs () in
-    search ?schedule ~workers ctx;
+    search ~workers ctx;
     Metrics.counter (Obs.metrics obs) "engine.faults_injected"
   in
   let serial_faults = faults_injected ~workers:1 () in
   Alcotest.(check bool) "faults were injected" true (serial_faults > 0);
-  List.iter
-    (fun schedule ->
-      let msg m = Printf.sprintf "%s: %s" (Parallel_eval.schedule_name schedule) m in
-      let ctx = Eval_ctx.create () in
-      search ~schedule ~workers:2 ctx;
-      Alcotest.(check int) (msg "parent holds the serial run's Fisher entries")
-        serial_size (fisher ctx).cs_size;
-      let misses = (fisher ctx).cs_misses in
-      search ~schedule ~workers:2 ctx;
-      Alcotest.(check int) (msg "a repeated search adds no Fisher miss") misses
-        (fisher ctx).cs_misses;
-      Alcotest.(check int) (msg "faults injected counted once") serial_faults
-        (faults_injected ~schedule ~workers:2 ()))
-    [ Parallel_eval.Static; Parallel_eval.Dynamic ]
+  let ctx = Eval_ctx.create () in
+  search ~workers:2 ctx;
+  Alcotest.(check int) "parent holds the serial run's Fisher entries" serial_size
+    (fisher ctx).cs_size;
+  let misses = (fisher ctx).cs_misses in
+  search ~workers:2 ctx;
+  Alcotest.(check int) "a repeated search adds no Fisher miss" misses (fisher ctx).cs_misses;
+  Alcotest.(check int) "faults injected counted once" serial_faults
+    (faults_injected ~workers:2 ())
 
 (* --- cache warmth ---------------------------------------------------------- *)
 
@@ -357,7 +351,7 @@ let t_warmth_never_changes_result () =
       check_same "after another seed" s (List.assoc s cold) after_other)
     seeds
 
-(* --- dynamic scheduler --------------------------------------------------- *)
+(* --- scheduler ----------------------------------------------------------- *)
 
 (* Deterministic skewed per-item cost: every 3rd item burns ~20x longer.
    Whatever the timing does to the worker->item assignment, the result
@@ -370,31 +364,28 @@ let skewed_burn i =
   done;
   !x
 
-let map_skewed ?on_stats ~schedule ~workers ~n () =
+let map_skewed ?on_stats ~workers ~n () =
   let ctx = Eval_ctx.create () in
   Parallel_eval.with_workers ~workers ~ctx (fun pool ->
-      Parallel_eval.map_range ~schedule ?on_stats pool ~first:0 ~limit:n (fun _ i ->
+      Parallel_eval.map_range ?on_stats pool ~first:0 ~limit:n (fun _ i ->
           skewed_burn i))
 
 let t_sched_skewed_costs () =
-  let serial = map_skewed ~schedule:Parallel_eval.Dynamic ~workers:1 ~n:30 () in
+  let serial = map_skewed ~workers:1 ~n:30 () in
   List.iter
-    (fun (schedule, workers) ->
-      let out = map_skewed ~schedule ~workers ~n:30 () in
+    (fun workers ->
+      let out = map_skewed ~workers ~n:30 () in
       Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "%s workers=%d bit-identical to serial"
-           (Parallel_eval.schedule_name schedule) workers)
+        (Printf.sprintf "workers=%d bit-identical to serial" workers)
         serial out)
-    [ (Parallel_eval.Static, 2); (Parallel_eval.Static, 4);
-      (Parallel_eval.Dynamic, 2); (Parallel_eval.Dynamic, 4) ]
+    [ 2; 4 ]
 
 let t_sched_workers_exceed_items () =
   (* 8 workers over 3 items: the pool is clamped to the item count and
      every item still lands in its slot. *)
   let stats = ref None in
   let out =
-    map_skewed ~on_stats:(fun s -> stats := Some s)
-      ~schedule:Parallel_eval.Dynamic ~workers:8 ~n:3 ()
+    map_skewed ~on_stats:(fun s -> stats := Some s) ~workers:8 ~n:3 ()
   in
   Alcotest.(check (array (float 0.0))) "3 items despite 8 workers"
     (Array.init 3 skewed_burn) out;
@@ -409,12 +400,9 @@ let t_sched_workers_exceed_items () =
            0 s.rs_worker)
 
 let t_sched_items_exceed_workers () =
-  let serial = map_skewed ~schedule:Parallel_eval.Static ~workers:1 ~n:64 () in
+  let serial = map_skewed ~workers:1 ~n:64 () in
   let stats = ref None in
-  let out =
-    map_skewed ~on_stats:(fun s -> stats := Some s)
-      ~schedule:Parallel_eval.Dynamic ~workers:2 ~n:64 ()
-  in
+  let out = map_skewed ~on_stats:(fun s -> stats := Some s) ~workers:2 ~n:64 () in
   Alcotest.(check (array (float 0.0))) "64 items on 2 workers" serial out;
   match !stats with
   | None -> Alcotest.fail "scheduler stats not delivered"
@@ -427,14 +415,11 @@ let t_sched_items_exceed_workers () =
 let t_sched_stats_sanity () =
   let stats = ref None in
   ignore
-    (map_skewed ~on_stats:(fun s -> stats := Some s)
-       ~schedule:Parallel_eval.Dynamic ~workers:4 ~n:24 ());
+    (map_skewed ~on_stats:(fun s -> stats := Some s) ~workers:4 ~n:24 ());
   (match !stats with
   | None -> Alcotest.fail "scheduler stats not delivered"
   | Some s ->
-      Alcotest.(check string) "schedule recorded" "dynamic"
-        (Parallel_eval.schedule_name s.Parallel_eval.rs_schedule);
-      Alcotest.(check int) "one stat row per worker" s.rs_workers
+      Alcotest.(check int) "one stat row per worker" s.Parallel_eval.rs_workers
         (Array.length s.rs_worker);
       Alcotest.(check bool) "wall time measured" true (s.rs_wall_s >= 0.0);
       Array.iter
@@ -446,8 +431,7 @@ let t_sched_stats_sanity () =
      no steals). *)
   let solo = ref None in
   ignore
-    (map_skewed ~on_stats:(fun s -> solo := Some s)
-       ~schedule:Parallel_eval.Static ~workers:1 ~n:5 ());
+    (map_skewed ~on_stats:(fun s -> solo := Some s) ~workers:1 ~n:5 ());
   match !solo with
   | None -> Alcotest.fail "workers=1 stats not delivered"
   | Some s ->
@@ -457,25 +441,22 @@ let t_sched_stats_sanity () =
       Alcotest.(check int) "serial path did every item" 5
         s.rs_worker.(0).Parallel_eval.ws_items
 
+(* The serial search visits candidates in their static order; a 4-worker
+   search given [~schedule:Dynamic], as the benchmark harness passes it,
+   lets idle workers pull the next index.  The result must not differ. *)
 let t_sched_search_static_dynamic () =
   let serial = run_search ~workers:1 () in
-  let static = run_search ~schedule:Parallel_eval.Static ~workers:4 () in
   let dynamic = run_search ~schedule:Parallel_eval.Dynamic ~workers:4 () in
-  check_identical serial static;
   check_identical serial dynamic
 
 let t_sched_faulted_budget () =
-  (* Fault injection and a budget cap compose with either schedule: the
-     quarantine set and stop point stay bit-identical to serial. *)
+  (* Fault injection and a budget cap compose on 4 workers: the quarantine
+     set and stop point stay bit-identical to serial. *)
   let fault () = Fault.make ~seed:11 ~rate:0.3 () in
   let serial = run_search ~fault:(fault ()) ~budget:9 ~workers:1 () in
   Alcotest.(check bool) "budget stop reported" false
     (fst serial).Unified_search.r_complete;
-  List.iter
-    (fun schedule ->
-      let r = run_search ~fault:(fault ()) ~budget:9 ~schedule ~workers:4 () in
-      check_identical serial r)
-    [ Parallel_eval.Static; Parallel_eval.Dynamic ]
+  check_identical serial (run_search ~fault:(fault ()) ~budget:9 ~workers:4 ())
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -146,15 +146,91 @@ let golden_menus =
 
 let scales = [ (`Search, "search"); (`Train, "train"); (`Imagenet, "imagenet") ]
 
-let t_golden_menus () =
+(* Check a table of per-family, per-scale digests against [digest]. *)
+let check_golden what table digest =
   Alcotest.(check int) "every family and scale pinned"
-    (3 * List.length Zoo.all) (List.length golden_menus);
+    (3 * List.length Zoo.all) (List.length table);
   List.iter
-    (fun (name, sname, digest) ->
+    (fun (name, sname, expected) ->
       let e = Option.get (Zoo.find name) in
       let scale = fst (List.find (fun (_, n) -> n = sname) scales) in
-      Alcotest.(check string) (name ^ "/" ^ sname ^ " menus") digest (menu_digest e scale))
-    golden_menus
+      Alcotest.(check string) (name ^ "/" ^ sname ^ " " ^ what) expected (digest e scale))
+    table
+
+let t_golden_menus () = check_golden "menus" golden_menus menu_digest
+
+(* Every derivation [Sequences.schedules] makes, pinned as one MD5 per
+   family and scale (build seed 42): for each site, in site order, each
+   entry of [standard_menu] followed by the [typed_menu] entries not already
+   in it, derived over the site's ungrouped nest (the nest [--analyze]
+   derives over), contributes the [Poly.pp] of every schedule it returns, or
+   the [Poly.Illegal] message where it raises.  Recorded while the chains
+   were still hand-written [Poly] calls. *)
+let derivation_digest (e : Zoo.entry) scale =
+  let m = Models.build (e.Zoo.ze_spec scale) (Rng.create 42) in
+  let buf = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer buf in
+  Array.iter
+    (fun (site : Conv_impl.site) ->
+      let so = Conv_impl.spatial_out site in
+      let nest =
+        Loop_nest.conv_nest_of_dims ~co:site.Conv_impl.out_channels
+          ~ci:site.Conv_impl.in_channels ~oh:so ~ow:so ~k:site.Conv_impl.kernel
+          ~stride:site.Conv_impl.stride ~groups:1
+      in
+      let standard = Sequences.standard_menu site in
+      let typed =
+        List.filter (fun s -> not (List.mem s standard)) (Sequences.typed_menu site)
+      in
+      List.iter
+        (fun seq ->
+          Format.fprintf ppf "%s:@." (Sequences.name seq);
+          match Sequences.schedules seq nest with
+          | ss -> List.iter (fun s -> Format.fprintf ppf "%a@." Poly.pp s) ss
+          | exception Poly.Illegal msg -> Format.fprintf ppf "illegal: %s@." msg)
+        (standard @ typed))
+    m.Models.sites;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_derivations =
+  [
+    ("resnet18", "search", "020ec60ffa328fe9a96c00a197381cff");
+    ("resnet18", "train", "09ed6f6cacdb9ae8dbf059ec542a4b1a");
+    ("resnet18", "imagenet", "020ec60ffa328fe9a96c00a197381cff");
+    ("resnet34", "search", "fb62586c6051dfef201cd7111085b7d7");
+    ("resnet34", "train", "d2ae77b6cb2451768561dc0c1dc34887");
+    ("resnet34", "imagenet", "fb62586c6051dfef201cd7111085b7d7");
+    ("resnext29", "search", "69c828c39ec3b2c234507ac941b816d7");
+    ("resnext29", "train", "0d6997e7c0bf482f2717cb84fe0c8dc8");
+    ("resnext29", "imagenet", "431c87821fc5854fbac60b60ac7a9802");
+    ("densenet161", "search", "8d1005ecc4e89c0d4338396d59ec2f39");
+    ("densenet161", "train", "7f3e088830712a8a3b2f281727f5408e");
+    ("densenet161", "imagenet", "d9ea3182d03da66fdaecd85060d794a0");
+    ("densenet169", "search", "92ce192fee3cae70ce4050dd0b636e54");
+    ("densenet169", "train", "9b9dd22d7d7cfb79d60a492de7430dcd");
+    ("densenet169", "imagenet", "8c7f6d49def12b4de172e224b8df1ea4");
+    ("densenet201", "search", "8ebc29f32729d27284ea76cfe6bf1be7");
+    ("densenet201", "train", "b5cec913e1ca3bf9ac3695741af6b108");
+    ("densenet201", "imagenet", "33cdb8e7e0a44d9c376f5a39c6f52df6");
+    ("wideresnet16_4", "search", "dd15f93b5e1c9dc16da1c4e5b0df12a0");
+    ("wideresnet16_4", "train", "97d3ac935c41abec01aa34386686eedd");
+    ("wideresnet16_4", "imagenet", "d63ce52fb8ffcb4e0df13120d67d7e84");
+    ("mobilenet_small", "search", "15d9d92dbf2c99df61a560e9a836c420");
+    ("mobilenet_small", "train", "741b1408ca375326d877aa5a904de256");
+    ("mobilenet_small", "imagenet", "611a91c3cfab3ab0baa5142eb1afc134");
+    ("resnext29_c4", "search", "99a5e7004caaec82cba2cacaa3cbea04");
+    ("resnext29_c4", "train", "e0335fed719445533ba6715e4548ba98");
+    ("resnext29_c4", "imagenet", "9c796faa003e750441bdfcda28b86bc1");
+    ("se_resnet14", "search", "12c0c21126e81594a5ac8c30ac7dcb17");
+    ("se_resnet14", "train", "e89f74bbfe1679ff5b9c56bdf6bdf584");
+    ("se_resnet14", "imagenet", "b392ecb2e0b73ca67c43cfc0d8e7ced4");
+    ("resnet14_dil2", "search", "ec78b4d6c30879e31e1f6ab4d4352cd6");
+    ("resnet14_dil2", "train", "5a5aeab75e2e5a0533ce49221485237c");
+    ("resnet14_dil2", "imagenet", "081d5f904678b68f14f4f3f4f9285b5f") ]
+
+let t_golden_derivations () =
+  check_golden "derivations" golden_derivations derivation_digest
 
 (* --- Pipeline ---------------------------------------------------------- *)
 
@@ -252,7 +328,8 @@ let () =
       ( "sequences",
         [ quick "schedule MACs = plan MACs" t_schedules_match_mac_accounting;
           quick "spatial bottleneck chain" t_spatial_bneck_chain_is_semantic_changing;
-          quick "golden menus" t_golden_menus ] );
+          quick "golden menus" t_golden_menus;
+          quick "golden derivations" t_golden_derivations ] );
       ( "pipeline",
         [ quick "baseline positive" t_pipeline_baseline_positive;
           quick "grouping faster+smaller" t_pipeline_grouping_faster_and_smaller;

@@ -287,23 +287,26 @@ let t_search_checkpoint_resume () =
     [ 1; 2 ];
   Checkpoint.remove ~path
 
+(* A stop hook for two workers that fires at its 9th poll, after a pause:
+   workers claim indices in turn, so while the polling worker waits, the
+   other one finishes candidates past the one this poll skips. *)
+let stop_mid_batch () =
+  let polls = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add polls 1 = 8 && (Unix.sleepf 0.2; true)
+
 let t_search_stop_mid_batch_resume () =
-  (* Two static workers, and a stop hook that fires from its 9th poll: the
-     other worker may already have finished candidates past the first
-     skipped one.  Stopping and resuming must add up to the uninterrupted
-     run, with no candidate counted twice. *)
+  (* Two workers stop mid-batch ([stop_mid_batch]).  Stopping and resuming
+     must add up to the uninterrupted run, with no candidate counted
+     twice. *)
   let path = tmp_path "nas_pte_search_ckpt_stop.bin" in
   Checkpoint.remove ~path;
   let run ?checkpoint ?stop () =
     let rng, model, probe = setup () in
     Unified_search.search ~candidates:20 ?checkpoint ?stop ~workers:2
-      ~schedule:Parallel_eval.Static ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng)
-      ~device:Device.i7 ~probe model
+      ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   let full = run () in
-  let polls = Atomic.make 0 in
-  let stop () = Atomic.fetch_and_add polls 1 >= 8 in
-  let partial = run ~checkpoint:path ~stop () in
+  let partial = run ~checkpoint:path ~stop:(stop_mid_batch ()) () in
   Alcotest.(check bool) "stop reported" false partial.Unified_search.r_complete;
   let resumed = run ~checkpoint:path () in
   Checkpoint.remove ~path;
@@ -319,15 +322,14 @@ let t_search_stop_mid_batch_resume () =
     resumed.Unified_search.r_best.Unified_search.cd_latency_s
 
 let t_search_stop_mid_batch_counters () =
-  (* The same stop during a parallel batch: a worker may finish candidates
-     past the first skipped one, and the merge drops them.  The [search.*]
-     counters must count exactly the outcomes the result keeps. *)
+  (* The same stop during a parallel batch: the other worker finishes
+     candidates past the first skipped one, and the merge drops them.  The
+     [search.*] counters must count exactly the outcomes the result
+     keeps. *)
   let rng, model, probe = setup () in
   let obs = Obs.create () in
-  let polls = Atomic.make 0 in
-  let stop () = Atomic.fetch_and_add polls 1 >= 8 in
   let r =
-    Unified_search.search ~candidates:20 ~stop ~workers:2 ~schedule:Parallel_eval.Static
+    Unified_search.search ~candidates:20 ~stop:(stop_mid_batch ()) ~workers:2
       ~ctx:(Eval_ctx.create ~obs ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
   let counter name = Metrics.counter (Obs.metrics obs) name in

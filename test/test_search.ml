@@ -174,61 +174,34 @@ let t_blockswap_menu_excludes_sequences () =
 
 (* --- strategies --------------------------------------------------------- *)
 
-let run_strategy ?strategy ~workers ~schedule ~candidates () =
+let run_strategy ?strategy ~workers ~candidates () =
   let rng, model, probe = setup () in
-  Unified_search.search ?strategy ~candidates ~workers ~schedule
+  Unified_search.search ?strategy ~candidates ~workers
     ~ctx:(Eval_ctx.create ()) ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
 
 let t_strategy_random_bit_identical () =
   (* The contract behind Strategy.Random: passing it explicitly changes
-     nothing relative to the pre-strategy default, for any worker count or
-     schedule. *)
-  let reference =
-    run_strategy ~workers:1 ~schedule:Parallel_eval.Dynamic ~candidates:25 ()
-  in
+     nothing relative to the pre-strategy default, for any worker count. *)
+  let reference = run_strategy ~workers:1 ~candidates:25 () in
   List.iter
-    (fun (workers, schedule) ->
-      let r =
-        run_strategy ~strategy:Strategy.Random ~workers ~schedule
-          ~candidates:25 ()
-      in
-      check_same_result
-        (Printf.sprintf "workers=%d" workers)
-        reference r)
-    [ (1, Parallel_eval.Dynamic); (2, Parallel_eval.Static);
-      (2, Parallel_eval.Dynamic) ]
+    (fun workers ->
+      let r = run_strategy ~strategy:Strategy.Random ~workers ~candidates:25 () in
+      check_same_result (Printf.sprintf "workers=%d" workers) reference r)
+    [ 1; 2 ]
 
 let t_strategy_typed_parallel_identical () =
-  let serial =
-    run_strategy ~strategy:Strategy.Typed ~workers:1
-      ~schedule:Parallel_eval.Dynamic ~candidates:25 ()
-  in
-  List.iter
-    (fun schedule ->
-      let r =
-        run_strategy ~strategy:Strategy.Typed ~workers:2 ~schedule
-          ~candidates:25 ()
-      in
-      check_same_result "typed parallel" serial r)
-    [ Parallel_eval.Static; Parallel_eval.Dynamic ]
+  let serial = run_strategy ~strategy:Strategy.Typed ~workers:1 ~candidates:25 () in
+  check_same_result "typed parallel" serial
+    (run_strategy ~strategy:Strategy.Typed ~workers:2 ~candidates:25 ())
 
 let t_strategy_guided_parallel_identical () =
-  let serial =
-    run_strategy ~strategy:Strategy.Guided ~workers:1
-      ~schedule:Parallel_eval.Dynamic ~candidates:20 ()
-  in
+  let serial = run_strategy ~strategy:Strategy.Guided ~workers:1 ~candidates:20 () in
   Alcotest.(check bool) "guided run completes" true
     serial.Unified_search.r_complete;
   Alcotest.(check bool) "no checkpoint error" true
     (serial.Unified_search.r_checkpoint_error = None);
-  List.iter
-    (fun schedule ->
-      let r =
-        run_strategy ~strategy:Strategy.Guided ~workers:2 ~schedule
-          ~candidates:20 ()
-      in
-      check_same_result "guided parallel" serial r)
-    [ Parallel_eval.Static; Parallel_eval.Dynamic ]
+  check_same_result "guided parallel" serial
+    (run_strategy ~strategy:Strategy.Guided ~workers:2 ~candidates:20 ())
 
 let t_guided_budget_incomplete () =
   (* A budget below [candidates] caps the run short of its target, so the
