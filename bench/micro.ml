@@ -9,15 +9,15 @@ open Toolkit
 
 let same_pad = { Ops.stride = 1; pad = 1; groups = 1; dilation = 1 }
 
-(* A k3 convolution with padding 1 on an [n; c; hw; hw] input and [co]
-   output channels ([c] by default): its input, weight and an output
+(* A [k]x[k] convolution (k3 by default) on an [n; c; hw; hw] input and
+   [co] output channels ([c] by default): its input, weight and an output
    gradient. *)
-let conv_operands ?co ?(p = same_pad) ~seed ~n ~c ~hw () =
+let conv_operands ?co ?(k = 3) ?(p = same_pad) ~seed ~n ~c ~hw () =
   let co = Option.value co ~default:c in
   let rng = Rng.create seed in
-  let ho = Ops.conv_out_dim hw ~k:3 ~stride:p.Ops.stride ~pad:p.pad in
+  let ho = Ops.conv_out_dim hw ~k ~stride:p.Ops.stride ~pad:p.pad in
   let input = Tensor.rand_normal rng [| n; c; hw; hw |] ~mean:0.0 ~std:1.0 in
-  let weight = Tensor.rand_normal rng [| co; c / p.groups; 3; 3 |] ~mean:0.0 ~std:0.1 in
+  let weight = Tensor.rand_normal rng [| co; c / p.groups; k; k |] ~mean:0.0 ~std:0.1 in
   let gout = Tensor.rand_normal rng [| n; co; ho; ho |] ~mean:0.0 ~std:1.0 in
   (input, weight, gout)
 
@@ -25,8 +25,8 @@ let fwd_test ?co ?(p = same_pad) ~name ~seed ~n ~c ~hw () =
   let input, weight, _ = conv_operands ?co ~p ~seed ~n ~c ~hw () in
   Test.make ~name (Staged.stage (fun () -> ignore (Ops.conv2d ~input ~weight ~bias:None p)))
 
-let bwd_input_test ?co ?(p = same_pad) ~name ~seed ~n ~c ~hw () =
-  let input, weight, gout = conv_operands ?co ~p ~seed ~n ~c ~hw () in
+let bwd_input_test ?co ?k ?(p = same_pad) ~name ~seed ~n ~c ~hw () =
+  let input, weight, gout = conv_operands ?co ?k ~p ~seed ~n ~c ~hw () in
   Test.make ~name
     (Staged.stage (fun () -> ignore (Ops.conv2d_backward_input ~input ~weight ~gout p)))
 
@@ -44,8 +44,10 @@ let conv_bwd_test =
 let conv_bwd_input_test =
   bwd_input_test ~name:"conv2d bwd-input 4x16x16x16 k3" ~seed:2 ~n:4 ~c:16 ~hw:16 ()
 
-(* Grouped (im2col per group), depthwise (the direct loops) and a
-   stride-2 input gradient (the direct loop). *)
+(* Grouped (im2col per group), depthwise (the direct loops) and two
+   stride-2 input gradients (the phased gather): a k3 one, whose four
+   phases meet four, two, two and one taps, and the 1x1 of a downsampling
+   shortcut, where three phases of four meet no tap. *)
 let grouped = { same_pad with Ops.groups = 4 }
 let depthwise = { same_pad with Ops.groups = 32 }
 
@@ -63,6 +65,11 @@ let conv_s2_bwd_input_test =
   bwd_input_test ~co:64
     ~p:{ same_pad with Ops.stride = 2 }
     ~name:"conv2d bwd-input 16x32x8x8 co64 s2 k3" ~seed:8 ~n:16 ~c:32 ~hw:8 ()
+
+let conv_s2_k1_bwd_input_test =
+  bwd_input_test ~co:128 ~k:1
+    ~p:{ same_pad with Ops.stride = 2; pad = 0 }
+    ~name:"conv2d bwd-input 16x64x8x8 co128 s2 k1" ~seed:10 ~n:16 ~c:64 ~hw:8 ()
 
 (* ReLU and batch norm at mobilenet_small's largest Fisher-pass
    activation (batch 16, 32 channels, 16x16), on random signs, through a
@@ -118,7 +125,7 @@ let interp_test =
 let tests =
   Test.make_grouped ~name:"kernels"
     ([ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; conv_grouped_test;
-       conv_dw_test; conv_dw_bwd_input_test; conv_s2_bwd_input_test ]
+       conv_dw_test; conv_dw_bwd_input_test; conv_s2_bwd_input_test; conv_s2_k1_bwd_input_test ]
     @ elementwise_tests
     @ [ fisher_test; cost_test; tune_test; interp_test ])
 

@@ -46,7 +46,7 @@ let one_input n =
 
 (* A copy of [t], from [arena] when there is one. *)
 let copy arena t =
-  let c = Arena.zeros arena (Tensor.shape t) in
+  let c = Arena.uninit arena (Tensor.shape t) in
   Tensor.blit ~src:t ~dst:c;
   c
 

@@ -49,6 +49,10 @@ let floats arena n =
   | None -> Array.create_float n
   | Some t -> take t n ~refill:ignore ~make:Array.create_float
 
+let uninit arena shape =
+  assert (Array.for_all (fun d -> d > 0) shape);
+  Tensor.of_array shape (floats arena (Array.fold_left ( * ) 1 shape))
+
 (* The buffers this scope took become the whole free list. *)
 let reset t =
   Hashtbl.clear t.free;

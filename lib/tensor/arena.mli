@@ -13,7 +13,7 @@
     exactly the buffers the scope handed out and drops every other free
     buffer, so its footprint is bounded by one pass's working set.
 
-    {!zeros} and {!floats} take a [t option], the binding of a kernel's
+    {!zeros}, {!uninit} and {!floats} take a [t option], the binding of a kernel's
     [?arena] argument: with [None] they allocate a fresh buffer.
 
     Not domain-safe: a scope owns the arena, and a second scope on a busy
@@ -27,7 +27,16 @@ val create : unit -> t
 val zeros : t option -> int array -> Tensor.t
 (** [zeros arena shape] is a zero-filled tensor of [shape]: a buffer from
     [arena] refilled with [+0.0] (or a new one if none of that length is
-    free), or [Tensor.zeros shape] without an arena.  Raises
+    free), or [Tensor.zeros shape] without an arena.  It is for kernels
+    that add into their output (scatters); a kernel that writes every cell
+    takes {!uninit} and skips the fill.  Raises [Invalid_argument] if
+    [arena] is not inside {!scoped}. *)
+
+val uninit : t option -> int array -> Tensor.t
+(** [uninit arena shape] is an uninitialized tensor of [shape], for an
+    output whose every cell the kernel writes before anyone reads it: a
+    buffer from [arena] as the last pass left it (or a new one), or a
+    tensor over [Array.create_float] without an arena.  Raises
     [Invalid_argument] if [arena] is not inside {!scoped}. *)
 
 val floats : t option -> int -> float array

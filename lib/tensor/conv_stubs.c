@@ -1,4 +1,7 @@
-/* Exact convolution kernels for Ops (ops.ml).
+/* Exact convolution kernels for Ops (ops.ml): the im2col forward pass
+   and the phased gather of the input gradient (each packs its operands
+   and runs the one ordered dot product, [dot_rows]), the direct forward
+   and backward loops, and the finiteness scan that picks between them.
 
    Each kernel adds the same IEEE double terms in the same order as the
    ordered-accumulation contract in ops.mli: every sum is its own scalar
@@ -16,8 +19,27 @@
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
+#include <stdint.h>
+#include <string.h>
 
 #define FLOATS(v) ((double *) (v))
+
+/* Whether no element of the float array [a] is an infinity or a NaN, that
+   is, no exponent field is all ones.  Adding 2^52 to the masked exponent
+   sets bit 63 exactly when the field is all ones, so the scan is 64-bit
+   ands, adds and ors, which vectorize on baseline x86-64. */
+value nas_all_finite(value a)
+{
+  const double *p = FLOATS(a);
+  const intnat len = Wosize_val(a) / Double_wosize;
+  uint64_t acc = 0;
+  for (intnat i = 0; i < len; i++) {
+    uint64_t u;
+    memcpy(&u, p + i, sizeof u);
+    acc |= (u & UINT64_C(0x7ff0000000000000)) + UINT64_C(0x0010000000000000);
+  }
+  return Val_bool(acc >> 63 == 0);
+}
 
 /* The output indices o in [0, out) whose tap o * stride + off lies in
    [0, extent) run from tap_first to tap_last (empty when first > last). */
@@ -101,13 +123,6 @@ static void dot_rows(const double *a, const double *b, intnat len, intnat rows, 
       o0[q] = s;
     }
   }
-}
-
-value nas_dot_rows(value a, intnat a_off, value b, intnat len, intnat rows, intnat cols,
-                   value out, intnat out_off, intnat out_stride)
-{
-  dot_rows(FLOATS(a) + a_off, FLOATS(b), len, rows, cols, FLOATS(out) + out_off, out_stride);
-  return Val_unit;
 }
 
 /* The geometry of one (image, group): [cig] input channels of [h] x [w]
@@ -201,6 +216,209 @@ static void conv_backward_direct(const double *in, const double *gout, const dou
   }
 }
 
+/* im2col forward for one (image, group): col[q * kk + k], with kk the
+   cig * kh * kw taps, is the input tap k = (ci, kh, kw) of output
+   position q, or 0.0 for a padded tap; then out[co * ho * wo + q] is one ordered dot
+   product of weight row co with col row q.  Outputs whose window lies
+   inside the input copy their taps through the offsets [off] without a
+   bounds check; only border outputs check. */
+static void conv_im2col(const double *in, const double *wt, double *col, double *out,
+                        const struct geom *g)
+{
+  const intnat hw = g->h * g->w, taps = g->kh * g->kw, kk = g->cig * taps;
+  intnat off[taps];
+  for (intnat t = 0; t < taps; t++)
+    off[t] = (t / g->kw) * g->dilation * g->w + (t % g->kw) * g->dilation;
+  const intnat h_lo = tap_first(-g->pad, g->stride);
+  const intnat h_hi = tap_last((g->kh - 1) * g->dilation - g->pad, g->stride, g->h, g->ho);
+  const intnat w_lo = tap_first(-g->pad, g->stride);
+  const intnat w_hi = tap_last((g->kw - 1) * g->dilation - g->pad, g->stride, g->w, g->wo);
+  double *c = col;
+  for (intnat hoi = 0; hoi < g->ho; hoi++) {
+    const intnat h0 = hoi * g->stride - g->pad;
+    const int h_in = hoi >= h_lo && hoi <= h_hi;
+    for (intnat woi = 0; woi < g->wo; woi++) {
+      const intnat w0 = woi * g->stride - g->pad;
+      if (h_in && woi >= w_lo && woi <= w_hi) {
+        const double *p = in + h0 * g->w + w0;
+        for (intnat ci = 0; ci < g->cig; ci++, p += hw)
+          for (intnat t = 0; t < taps; t++) *c++ = p[off[t]];
+      } else {
+        for (intnat ci = 0; ci < g->cig; ci++)
+          for (intnat khi = 0; khi < g->kh; khi++) {
+            const intnat hi = h0 + khi * g->dilation;
+            if (hi < 0 || hi >= g->h) {
+              for (intnat kwi = 0; kwi < g->kw; kwi++) *c++ = 0.0;
+              continue;
+            }
+            const double *row = in + ci * hw + hi * g->w;
+            for (intnat kwi = 0; kwi < g->kw; kwi++) {
+              const intnat wi = w0 + kwi * g->dilation;
+              *c++ = wi >= 0 && wi < g->w ? row[wi] : 0.0;
+            }
+          }
+      }
+    }
+  }
+  dot_rows(wt, col, kk, g->cog, g->ho * g->wo, out, g->ho * g->wo);
+}
+
+/* Phases of the input gradient along one axis of [extent] inputs.  Phase
+   [ph] holds the inputs i with (i + pad) mod stride = ph: i = first + m *
+   stride for m < count.  It meets the taps t with t * dilation = ph (mod
+   stride), and only those: input i reads output (i + pad - t * dilation)
+   / stride = m + base, with base = (first + pad - t * dilation) / stride.
+   [phase_taps] stores those taps in ascending order in [tap] and returns
+   how many there are. */
+static intnat phase_taps(intnat ph, intnat k, intnat stride, intnat dilation, intnat *tap)
+{
+  intnat n = 0;
+  for (intnat t = 0; t < k; t++)
+    if (t * dilation % stride == ph) tap[n++] = t;
+  return n;
+}
+
+static intnat phase_first(intnat ph, intnat stride, intnat pad)
+{
+  return ((ph - pad) % stride + stride) % stride;
+}
+
+static intnat phase_count(intnat first, intnat stride, intnat extent)
+{
+  return first < extent ? (extent - 1 - first) / stride + 1 : 0;
+}
+
+/* The weights of one group, packed for the phased gather: phase (ph, pw)
+   in row-major order, and within it, for each input channel ci, the taps
+   (co, kh, kw) that phase meets in ascending order.  Each tap lands in
+   exactly one phase, so the packing has as many floats as the weights. */
+static void gather_weights(const double *wt, double *wtp, const struct geom *g)
+{
+  intnat th[g->kh], tw[g->kw];
+  for (intnat ph = 0; ph < g->stride; ph++) {
+    const intnat nth = phase_taps(ph, g->kh, g->stride, g->dilation, th);
+    for (intnat pw = 0; pw < g->stride; pw++) {
+      const intnat ntw = phase_taps(pw, g->kw, g->stride, g->dilation, tw);
+      for (intnat ci = 0; ci < g->cig; ci++)
+        for (intnat co = 0; co < g->cog; co++) {
+          const double *w = wt + (co * g->cig + ci) * g->kh * g->kw;
+          for (intnat a = 0; a < nth; a++)
+            for (intnat b = 0; b < ntw; b++) *wtp++ = w[th[a] * g->kw + tw[b]];
+        }
+    }
+  }
+}
+
+/* Gathered input gradient for one (image, group), phase by phase.  For
+   the inputs of phase (ph, pw), gcol[p * jj + j] is the output gradient
+   that reaches input position p through tap j = (co, kh, kw) of the
+   phase (0.0 where the output lies outside the plane), and each input
+   gradient is one ordered dot product of its row of the packed weights
+   [wtp] with gcol row p.  At stride 1 the one phase is the whole plane
+   and the products land in [gin] directly; otherwise they land in [tmp]
+   and are scattered to the phase's inputs.  A phase that meets no tap
+   writes +0.0.  Inputs all of whose taps land inside the output copy
+   them through the offsets [off]; only border inputs check bounds. */
+static void conv_gather(const double *gout, const double *wtp, double *gcol, double *tmp,
+                        double *gin, const struct geom *g)
+{
+  const intnat s = g->stride, hw = g->h * g->w, howo = g->ho * g->wo;
+  intnat th[g->kh], tw[g->kw], bh[g->kh], bw[g->kw], off[g->kh * g->kw];
+  for (intnat ph = 0; ph < s; ph++) {
+    const intnat nth = phase_taps(ph, g->kh, s, g->dilation, th);
+    const intnat h0 = phase_first(ph, s, g->pad), nh = phase_count(h0, s, g->h);
+    for (intnat a = 0; a < nth; a++) bh[a] = (h0 + g->pad - th[a] * g->dilation) / s;
+    for (intnat pw = 0; pw < s; pw++) {
+      const intnat ntw = phase_taps(pw, g->kw, s, g->dilation, tw);
+      const intnat w0 = phase_first(pw, s, g->pad), nw = phase_count(w0, s, g->w);
+      const intnat taps = nth * ntw, jj = g->cog * taps, npos = nh * nw;
+      const double *w = wtp;
+      wtp += g->cig * jj;
+      if (npos == 0) continue;
+      if (taps == 0) {
+        for (intnat ci = 0; ci < g->cig; ci++)
+          for (intnat m = 0; m < nh; m++) {
+            double *row = gin + ci * hw + (h0 + m * s) * g->w + w0;
+            for (intnat q = 0; q < nw; q++) row[q * s] = 0.0;
+          }
+        continue;
+      }
+      for (intnat b = 0; b < ntw; b++) bw[b] = (w0 + g->pad - tw[b] * g->dilation) / s;
+      for (intnat a = 0; a < nth; a++)
+        for (intnat b = 0; b < ntw; b++) off[a * ntw + b] = bh[a] * g->wo + bw[b];
+      /* The bases fall as the tap rises, so the interior runs from the
+         first input whose last tap is inside to the last whose first is. */
+      const intnat mh_lo = -bh[nth - 1], mh_hi = g->ho - 1 - bh[0];
+      const intnat mw_lo = -bw[ntw - 1], mw_hi = g->wo - 1 - bw[0];
+      double *c = gcol;
+      for (intnat m = 0; m < nh; m++) {
+        const int h_in = m >= mh_lo && m <= mh_hi;
+        for (intnat q = 0; q < nw; q++) {
+          if (h_in && q >= mw_lo && q <= mw_hi) {
+            intnat i = m * g->wo + q;
+            for (intnat co = 0; co < g->cog; co++, i += howo)
+              for (intnat t = 0; t < taps; t++) *c++ = gout[i + off[t]];
+          } else {
+            for (intnat co = 0; co < g->cog; co++)
+              for (intnat a = 0; a < nth; a++) {
+                const intnat hoi = m + bh[a];
+                if (hoi < 0 || hoi >= g->ho) {
+                  for (intnat b = 0; b < ntw; b++) *c++ = 0.0;
+                  continue;
+                }
+                const double *row = gout + co * howo + hoi * g->wo;
+                for (intnat b = 0; b < ntw; b++) {
+                  const intnat woi = q + bw[b];
+                  *c++ = woi >= 0 && woi < g->wo ? row[woi] : 0.0;
+                }
+              }
+          }
+        }
+      }
+      if (s == 1) {
+        dot_rows(w, gcol, jj, g->cig, npos, gin, hw);
+      } else {
+        dot_rows(w, gcol, jj, g->cig, npos, tmp, npos);
+        for (intnat ci = 0; ci < g->cig; ci++)
+          for (intnat m = 0; m < nh; m++) {
+            double *row = gin + ci * hw + (h0 + m * s) * g->w + w0;
+            const double *src = tmp + ci * npos + m * nw;
+            for (intnat q = 0; q < nw; q++) row[q * s] = src[q];
+          }
+      }
+    }
+  }
+}
+
+value nas_conv_im2col(value in, intnat in_off, value wt, intnat wt_off, value col, value out,
+                      intnat out_off, intnat cig, intnat cog, intnat h, intnat w, intnat kh,
+                      intnat kw, intnat ho, intnat wo, intnat stride, intnat pad,
+                      intnat dilation)
+{
+  struct geom g = { cig, cog, h, w, kh, kw, ho, wo, stride, pad, dilation };
+  conv_im2col(FLOATS(in) + in_off, FLOATS(wt) + wt_off, FLOATS(col), FLOATS(out) + out_off, &g);
+  return Val_unit;
+}
+
+value nas_gather_weights(value wt, value wtp, intnat off, intnat cig, intnat cog, intnat kh,
+                         intnat kw, intnat stride, intnat dilation)
+{
+  struct geom g = { cig, cog, 0, 0, kh, kw, 0, 0, stride, 0, dilation };
+  gather_weights(FLOATS(wt) + off, FLOATS(wtp) + off, &g);
+  return Val_unit;
+}
+
+value nas_conv_gather(value gout, intnat gout_off, value wtp, intnat wtp_off, value gcol,
+                      value tmp, value gin, intnat gin_off, intnat cig, intnat cog, intnat h,
+                      intnat w, intnat kh, intnat kw, intnat ho, intnat wo, intnat stride,
+                      intnat pad, intnat dilation)
+{
+  struct geom g = { cig, cog, h, w, kh, kw, ho, wo, stride, pad, dilation };
+  conv_gather(FLOATS(gout) + gout_off, FLOATS(wtp) + wtp_off, FLOATS(gcol), FLOATS(tmp),
+              FLOATS(gin) + gin_off, &g);
+  return Val_unit;
+}
+
 value nas_conv_direct(value in, intnat in_off, value wt, intnat wt_off, value out,
                       intnat out_off, intnat cig, intnat cog, intnat h, intnat w, intnat kh,
                       intnat kw, intnat ho, intnat wo, intnat stride, intnat pad,
@@ -239,10 +457,24 @@ value nas_conv_backward_direct(value in, value gin, intnat in_off, value gout,
 
 #define I(k) Long_val(argv[k])
 
-value nas_dot_rows_byte(value *argv, int argn)
+value nas_conv_im2col_byte(value *argv, int argn)
 {
   (void) argn;
-  return nas_dot_rows(argv[0], I(1), argv[2], I(3), I(4), I(5), argv[6], I(7), I(8));
+  return nas_conv_im2col(argv[0], I(1), argv[2], I(3), argv[4], argv[5], I(6), I(7), I(8),
+                         I(9), I(10), I(11), I(12), I(13), I(14), I(15), I(16), I(17));
+}
+
+value nas_gather_weights_byte(value *argv, int argn)
+{
+  (void) argn;
+  return nas_gather_weights(argv[0], argv[1], I(2), I(3), I(4), I(5), I(6), I(7), I(8));
+}
+
+value nas_conv_gather_byte(value *argv, int argn)
+{
+  (void) argn;
+  return nas_conv_gather(argv[0], I(1), argv[2], I(3), argv[4], argv[5], argv[6], I(7), I(8),
+                         I(9), I(10), I(11), I(12), I(13), I(14), I(15), I(16), I(17), I(18));
 }
 
 value nas_conv_direct_byte(value *argv, int argn)

@@ -6,9 +6,10 @@ let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
 (* The convolution, ReLU and batch-norm kernels are the hot path of the
    whole project (training, Fisher passes and NAS-bench evaluation all
    funnel through them).  Their inner loops are C.  conv_stubs.c holds
-   the ordered dot product behind the im2col forward pass and the gathered
-   input gradient ([dot_rows]) and the direct forward and backward loops;
-   the im2col and gather packing loops stay here.  elementwise_stubs.c
+   the im2col forward pass and the phased gather of the input gradient
+   (packing and the one ordered dot product, [dot_rows]), the direct
+   forward and backward loops and the [all_finite] scan; this file picks
+   the path, takes the buffers and checks the bounds.  elementwise_stubs.c
    holds ReLU forward and backward and batch norm's statistics, normalize
    and backward loops; batch norm's [inv_std] stays here.  dune compiles
    the C with -O3 -ffp-contract=off -fno-fast-math and no -march flag: no
@@ -24,6 +25,12 @@ let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
    for a whole layer; a ReLU or batch-norm call covers one tensor, which
    takes far less time than one conv call.
 
+   Outputs.  A kernel that writes every cell of a result (the im2col
+   forward, the gathered input gradient, ReLU, batch norm and the other
+   full writers below) takes it from [Arena.uninit]; one that adds into it
+   (the direct conv loops and the pooling, upsampling and linear
+   backwards) takes it from [Arena.zeros].
+
    Ordered accumulation (the contract is in ops.mli).  Every output of a
    kernel below is +0.0 plus its terms in one fixed order.  The fast paths
    add the same terms in the same order, plus a term [x *. 0.0] for each
@@ -33,33 +40,39 @@ let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
    NaN [x] it is NaN, so the fast paths run only after [all_finite] has
    checked every operand that can meet one of those zeros. *)
 
-let all_finite (a : float array) =
-  (* [x -. x] is 0.0 for a finite [x] and NaN for an infinity or a NaN. *)
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    let x = Array.unsafe_get a i in
-    acc := !acc +. (x -. x)
-  done;
-  !acc = 0.0
-
-(* The output indices [o] in [0, out) whose tap [o * stride + off] lies in
-   [0, extent) run from [tap_first] to [tap_last] (empty when first > last).
-   Two functions rather than one returning a pair, so that hoisting the
-   bounds out of a loop allocates nothing. *)
-let tap_first ~off ~stride = if off >= 0 then 0 else (stride - 1 - off) / stride
-
-let tap_last ~off ~stride ~extent ~out =
-  let room = extent - 1 - off in
-  if room < 0 then -1 else if room / stride < out - 1 then room / stride else out - 1
+(* Whether no element is an infinity or a NaN (an exponent-bits scan). *)
+external all_finite : float array -> bool = "nas_all_finite" [@@noalloc]
 
 (* The C kernels (conv_stubs.c).  Arrays come with the offset of the slab
    the call works on; the eleven trailing ints of the conv kernels are the
    geometry of one (image, group): cig cog h w kh kw ho wo stride pad
    dilation. *)
-external c_dot_rows :
-  float array -> (int[@untagged]) -> float array -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> float array -> (int[@untagged]) -> (int[@untagged]) -> unit
-  = "nas_dot_rows_byte" "nas_dot_rows"
+
+(* input, weight, im2col scratch, output *)
+external c_conv_im2col :
+  float array -> (int[@untagged]) -> float array -> (int[@untagged]) -> float array ->
+  float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_conv_im2col_byte" "nas_conv_im2col"
+[@@noalloc]
+
+(* weight and its phase packing, at the same offset; cig cog kh kw stride
+   dilation *)
+external c_gather_weights :
+  float array -> float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_gather_weights_byte" "nas_gather_weights"
+[@@noalloc]
+
+(* output gradient, packed weight, gather scratch, product scratch, input
+   gradient *)
+external c_conv_gather :
+  float array -> (int[@untagged]) -> float array -> (int[@untagged]) -> float array ->
+  float array -> float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "nas_conv_gather_byte" "nas_conv_gather"
 [@@noalloc]
 
 (* input, weight, output *)
@@ -93,24 +106,13 @@ external c_conv_backward_direct :
    a C kernel never sees an empty array). *)
 let in_bounds ~off ~len a = off >= 0 && len > 0 && off + len <= Array.length a
 
-(* [dot_rows a ~a_off b ~len ~rows ~cols out ~out_off ~out_stride] sets
-   [out.(out_off + r * out_stride + q)], for [r < rows] and [q < cols], to
-   +0.0 plus [b.(q * len + j) *. a.(a_off + r * len + j)] for [j] ascending
-   from 0 to [len - 1]. *)
-let dot_rows a ~a_off b ~len ~rows ~cols out ~out_off ~out_stride =
-  assert (
-    rows > 0 && len > 0 && cols > 0 && cols <= out_stride
-    && in_bounds ~off:a_off ~len:(rows * len) a
-    && in_bounds ~off:0 ~len:(cols * len) b
-    && in_bounds ~off:out_off ~len:(((rows - 1) * out_stride) + cols) out);
-  c_dot_rows a a_off b len rows cols out out_off out_stride
-
-(* The direct loops make one C call per (image, group).  A call touches
+(* Every conv kernel makes one C call per (image, group).  A call touches
    only that group's slab of each operand: [cig] planes of each array in
    [ins] from offset [ib], [cog] planes of each array in [outs] from [ob],
-   and their weights in each array of [wts] from [wb].  The hoisted tap
-   bounds keep every index inside its plane. *)
-let direct_slabs ~ins ~outs ~wts ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params call =
+   and their weights in each array of [wts] from [wb]; scratch buffers are
+   checked by the caller.  The hoisted tap bounds keep every index inside
+   its plane. *)
+let slabs ~ins ~outs ~wts ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params call =
   let { stride; groups; dilation; _ } = params in
   assert (stride >= 1 && dilation >= 1);
   let cog = co / groups in
@@ -131,63 +133,19 @@ let direct_slabs ~ins ~outs ~wts ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params ca
    plane. *)
 let conv2d_direct ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
   let { stride; pad; dilation; _ } = params in
-  direct_slabs ~ins:[ id ] ~outs:[ od ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+  slabs ~ins:[ id ] ~outs:[ od ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
     (fun ~ib ~ob ~wb ~cog ->
       c_conv_direct id ib wd wb od ob cig cog h w kh kw ho wo stride pad dilation)
 
-(* im2col forward: for each (image, group) gather [col.(q * kk + k)], the
-   input tap [k = (cig, kh, kw)] of output position [q], with 0.0 for a
-   padded tap, then take one ordered dot product per output.  Outputs whose
-   window lies inside the input copy their taps through the per-call
-   offset table [koff]; only border outputs check bounds. *)
+(* im2col forward: for each (image, group) the C kernel gathers every
+   output's input taps into a row of [col] (0.0 for a padded tap), then
+   takes one ordered dot product per output. *)
 let conv2d_im2col ~arena ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
-  let { stride; pad; groups; dilation } = params in
-  let cog = co / groups in
-  let kk = cig * kh * kw and plane = ho * wo in
-  let koff =
-    Array.init kk (fun k ->
-        ((k / (kh * kw)) * h * w) + ((k / kw mod kh) * dilation * w) + (k mod kw * dilation))
-  in
-  let h_in_lo = tap_first ~off:(-pad) ~stride in
-  let h_in_hi = tap_last ~off:(((kh - 1) * dilation) - pad) ~stride ~extent:h ~out:ho in
-  let w_in_lo = tap_first ~off:(-pad) ~stride in
-  let w_in_hi = tap_last ~off:(((kw - 1) * dilation) - pad) ~stride ~extent:w ~out:wo in
-  let col = Arena.floats arena (plane * kk) in
-  for ni = 0 to n - 1 do
-    for g = 0 to groups - 1 do
-      let ibase_g = ((ni * ci) + (g * cig)) * h * w in
-      for hoi = 0 to ho - 1 do
-        for woi = 0 to wo - 1 do
-          let qbase = ((hoi * wo) + woi) * kk in
-          if hoi >= h_in_lo && hoi <= h_in_hi && woi >= w_in_lo && woi <= w_in_hi then begin
-            let src = ibase_g + ((((hoi * stride) - pad) * w) + (woi * stride) - pad) in
-            for k = 0 to kk - 1 do
-              Array.unsafe_set col (qbase + k) (Array.unsafe_get id (src + Array.unsafe_get koff k))
-            done
-          end
-          else
-            for cig_i = 0 to cig - 1 do
-              let ibase_ci = ibase_g + (cig_i * h * w) in
-              for khi = 0 to kh - 1 do
-                let hi = (hoi * stride) + (khi * dilation) - pad in
-                let cbase = qbase + (((cig_i * kh) + khi) * kw) in
-                if hi < 0 || hi >= h then Array.fill col cbase kw 0.0
-                else begin
-                  let irow = ibase_ci + (hi * w) in
-                  for kwi = 0 to kw - 1 do
-                    let wi = (woi * stride) + (kwi * dilation) - pad in
-                    Array.unsafe_set col (cbase + kwi)
-                      (if wi >= 0 && wi < w then Array.unsafe_get id (irow + wi) else 0.0)
-                  done
-                end
-              done
-            done
-        done
-      done;
-      dot_rows wd ~a_off:(g * cog * kk) col ~len:kk ~rows:cog ~cols:plane od
-        ~out_off:(((ni * co) + (g * cog)) * plane) ~out_stride:plane
-    done
-  done
+  let { stride; pad; dilation; _ } = params in
+  let col = Arena.floats arena (ho * wo * cig * kh * kw) in
+  slabs ~ins:[ id ] ~outs:[ od ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+    (fun ~ib ~ob ~wb ~cog ->
+      c_conv_im2col id ib wd wb col od ob cig cog h w kh kw ho wo stride pad dilation)
 
 let conv2d ?arena ~input ~weight ~bias params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
@@ -200,10 +158,12 @@ let conv2d ?arena ~input ~weight ~bias params =
   let ho = conv_out_dim h ~k:kh ~stride ~pad ~dilation in
   let wo = conv_out_dim w ~k:kw ~stride ~pad ~dilation in
   assert (ho > 0 && wo > 0);
-  let output = Arena.zeros arena [| n; co; ho; wo |] in
-  let id = Tensor.data input and wd = Tensor.data weight and od = Tensor.data output in
-  (if cig > 1 && all_finite id && all_finite wd then conv2d_im2col ~arena
-   else conv2d_direct)
+  let id = Tensor.data input and wd = Tensor.data weight in
+  (* im2col writes every output; the direct loop adds into zeros. *)
+  let im2col = cig > 1 && all_finite id && all_finite wd in
+  let output = (if im2col then Arena.uninit else Arena.zeros) arena [| n; co; ho; wo |] in
+  let od = Tensor.data output in
+  (if im2col then conv2d_im2col ~arena else conv2d_direct)
     ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (match bias with
   | None -> ()
@@ -228,83 +188,47 @@ let conv2d ?arena ~input ~weight ~bias params =
    pass. *)
 let conv2d_backward_input_direct ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
   let { stride; pad; dilation; _ } = params in
-  direct_slabs ~ins:[ gid ] ~outs:[ god ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo
-    params (fun ~ib ~ob ~wb ~cog ->
+  slabs ~ins:[ gid ] ~outs:[ god ] ~wts:[ wd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+    (fun ~ib ~ob ~wb ~cog ->
       c_conv_backward_input_direct god ob wd wb gid ib cig cog h w kh kw ho wo stride pad
         dilation)
 
 let conv2d_backward_direct ~id ~god ~wd ~gid ~gwd ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
   let { stride; pad; dilation; _ } = params in
-  direct_slabs ~ins:[ id; gid ] ~outs:[ god ] ~wts:[ wd; gwd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw
-    ~ho ~wo params (fun ~ib ~ob ~wb ~cog ->
+  slabs ~ins:[ id; gid ] ~outs:[ god ] ~wts:[ wd; gwd ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo
+    params (fun ~ib ~ob ~wb ~cog ->
       c_conv_backward_direct id gid ib god ob wd gwd wb cig cog h w kh kw ho wo stride pad
         dilation)
 
-(* Gather form of the input gradient, for stride 1: for each (image, group)
-   gather [gcol.(p * jj + j)], the output gradient that reaches input
-   position [p] through [j = (co, kh, kw)] (0.0 where no output does), then
-   take one ordered dot product per input against the transposed weight.
-   At stride 1, input row [hi] meets output row [hi + pad - kh * dilation]
-   through tap [kh] (columns alike).  Inputs all of whose taps land inside
-   the output copy them through the per-call offset table [joff]; only
-   border inputs check bounds. *)
+(* Gather form of the input gradient, phase by phase.  Input row [hi]
+   meets output row [(hi + pad - kh * dilation) / stride] through tap [kh]
+   when that division is exact, so the rows with one [(hi + pad) mod
+   stride] (a phase) all meet the same taps; columns alike.  The weights
+   are packed once per call by phase ([wt], as long as the weights), then
+   for each (image, group) the C kernel gathers, phase by phase, the
+   output gradients that reach each input into a row of [gcol] (0.0 where
+   no output does) and takes one ordered dot product per input against
+   the packed weight.  A phase holds at most [ceil (h / stride)] by [ceil
+   (w / stride)] inputs and meets at most every tap, which bounds [gcol]
+   and the products' scratch [tmp] (unused at stride 1, where the one
+   phase is the whole plane and the products land in [gid] directly). *)
 let conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo
     params =
   let { stride; pad; groups; dilation } = params in
-  assert (stride = 1);
   let cog = co / groups in
-  let jj = cog * kh * kw and plane = h * w in
-  let wt = Arena.floats arena (groups * cig * jj) in
+  let wlen = cog * cig * kh * kw in
+  let wt = Arena.floats arena (groups * wlen) in
   for g = 0 to groups - 1 do
-    for cig_i = 0 to cig - 1 do
-      for cog_i = 0 to cog - 1 do
-        let src = ((((g * cog) + cog_i) * cig) + cig_i) * kh * kw in
-        Array.blit wd src wt ((((g * cig) + cig_i) * jj) + (cog_i * kh * kw)) (kh * kw)
-      done
-    done
+    assert (in_bounds ~off:(g * wlen) ~len:wlen wd && in_bounds ~off:(g * wlen) ~len:wlen wt);
+    c_gather_weights wd wt (g * wlen) cig cog kh kw stride dilation
   done;
-  let joff =
-    Array.init jj (fun j ->
-        ((j / (kh * kw)) * ho * wo) - ((j / kw mod kh) * dilation * wo) - (j mod kw * dilation))
-  in
-  let h_in_lo = ((kh - 1) * dilation) - pad and h_in_hi = ho - 1 - pad in
-  let w_in_lo = ((kw - 1) * dilation) - pad and w_in_hi = wo - 1 - pad in
-  let gcol = Arena.floats arena (plane * jj) in
-  for ni = 0 to n - 1 do
-    for g = 0 to groups - 1 do
-      let obase_g = ((ni * co) + (g * cog)) * ho * wo in
-      for hi = 0 to h - 1 do
-        for wi = 0 to w - 1 do
-          let pbase = ((hi * w) + wi) * jj in
-          if hi >= h_in_lo && hi <= h_in_hi && wi >= w_in_lo && wi <= w_in_hi then begin
-            let src = obase_g + ((hi + pad) * wo) + wi + pad in
-            for j = 0 to jj - 1 do
-              Array.unsafe_set gcol (pbase + j) (Array.unsafe_get god (src + Array.unsafe_get joff j))
-            done
-          end
-          else
-            for cog_i = 0 to cog - 1 do
-              let obase = obase_g + (cog_i * ho * wo) in
-              for khi = 0 to kh - 1 do
-                let hoi = hi + pad - (khi * dilation) in
-                let cbase = pbase + (((cog_i * kh) + khi) * kw) in
-                if hoi < 0 || hoi >= ho then Array.fill gcol cbase kw 0.0
-                else begin
-                  let orow = obase + (hoi * wo) in
-                  for kwi = 0 to kw - 1 do
-                    let woi = wi + pad - (kwi * dilation) in
-                    Array.unsafe_set gcol (cbase + kwi)
-                      (if woi >= 0 && woi < wo then Array.unsafe_get god (orow + woi) else 0.0)
-                  done
-                end
-              done
-            done
-        done
-      done;
-      dot_rows wt ~a_off:(g * cig * jj) gcol ~len:jj ~rows:cig ~cols:plane gid
-        ~out_off:(((ni * ci) + (g * cig)) * plane) ~out_stride:plane
-    done
-  done
+  let npos = ((h + stride - 1) / stride) * ((w + stride - 1) / stride) in
+  let gcol = Arena.floats arena (npos * cog * kh * kw) in
+  let tmp = if stride = 1 then gcol else Arena.floats arena (cig * npos) in
+  assert (stride = 1 || Array.length tmp >= cig * npos);
+  slabs ~ins:[ gid ] ~outs:[ god ] ~wts:[ wt ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
+    (fun ~ib ~ob ~wb ~cog ->
+      c_conv_gather god ob wt wb gcol tmp gid ib cig cog h w kh kw ho wo stride pad dilation)
 
 let conv2d_backward_input ?arena ~input ~weight ~gout params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
@@ -312,15 +236,14 @@ let conv2d_backward_input ?arena ~input ~weight ~gout params =
   let co = wshape.(0) and cig = wshape.(1) and kh = wshape.(2) and kw = wshape.(3) in
   let oshape = Tensor.shape gout in
   let ho = oshape.(2) and wo = oshape.(3) in
-  let ginput = Arena.zeros arena ishape in
-  let god = Tensor.data gout and wd = Tensor.data weight and gid = Tensor.data ginput in
+  let god = Tensor.data gout and wd = Tensor.data weight in
   (* A padded tap multiplies 0.0 by a weight, so only the weight must be
-     finite for the gather form to add exact zeros.  With a stride above 1
-     most gathered taps are such zeros, and the direct loop is faster. *)
-  if cig > 1 && params.stride = 1 && all_finite wd then
-    conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
-  else
-    conv2d_backward_input_direct ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
+     finite for the gather form to add exact zeros.  The gather writes
+     every input gradient; the direct loop adds into zeros. *)
+  let gather = cig > 1 && all_finite wd in
+  let ginput = (if gather then Arena.uninit else Arena.zeros) arena ishape in
+  (if gather then conv2d_backward_input_gather ~arena else conv2d_backward_input_direct)
+    ~god ~wd ~gid:(Tensor.data ginput) ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   ginput
 
 let conv2d_backward ~input ~weight ~gout params =
@@ -388,7 +311,7 @@ external c_bn_backward :
 let hold len arrays = List.for_all (in_bounds ~off:0 ~len) arrays
 
 let relu ?arena t =
-  let out = Arena.zeros arena (Tensor.shape t) in
+  let out = Arena.uninit arena (Tensor.shape t) in
   let td = Tensor.data t and od = Tensor.data out in
   let len = Array.length td in
   assert (hold len [ td; od ]);
@@ -397,7 +320,7 @@ let relu ?arena t =
 
 let relu_backward ?arena ~input ~gout () =
   assert (Tensor.same_shape input gout);
-  let gin = Arena.zeros arena (Tensor.shape input) in
+  let gin = Arena.uninit arena (Tensor.shape input) in
   let id = Tensor.data input and god = Tensor.data gout and gd = Tensor.data gin in
   let len = Array.length id in
   assert (hold len [ id; god; gd ]);
@@ -405,7 +328,7 @@ let relu_backward ?arena ~input ~gout () =
   gin
 
 let sigmoid ?arena t =
-  let out = Arena.zeros arena (Tensor.shape t) in
+  let out = Arena.uninit arena (Tensor.shape t) in
   let td = Tensor.data t and od = Tensor.data out in
   for i = 0 to Array.length td - 1 do
     Array.unsafe_set od i (1.0 /. (1.0 +. exp (-.Array.unsafe_get td i)))
@@ -414,7 +337,7 @@ let sigmoid ?arena t =
 
 let sigmoid_backward ?arena ~out ~gout () =
   assert (Tensor.same_shape out gout);
-  let gin = Arena.zeros arena (Tensor.shape out) in
+  let gin = Arena.uninit arena (Tensor.shape out) in
   let od = Tensor.data out and god = Tensor.data gout and gd = Tensor.data gin in
   for i = 0 to Array.length od - 1 do
     let o = Array.unsafe_get od i in
@@ -427,7 +350,7 @@ let scale_channels ?arena ~input ~gate () =
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let gs = Tensor.shape gate in
   assert (Array.length gs = 2 && gs.(0) = n && gs.(1) = c);
-  let out = Arena.zeros arena s in
+  let out = Arena.uninit arena s in
   let id = Tensor.data input and gd = Tensor.data gate and od = Tensor.data out in
   let plane = h * w in
   for nc = 0 to (n * c) - 1 do
@@ -442,8 +365,8 @@ let scale_channels ?arena ~input ~gate () =
 let scale_channels_backward ?arena ~input ~gate ~gout () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let ginput = Arena.zeros arena s in
-  let ggate = Arena.zeros arena [| n; c |] in
+  let ginput = Arena.uninit arena s in
+  let ggate = Arena.uninit arena [| n; c |] in
   let id = Tensor.data input
   and gd = Tensor.data gate
   and god = Tensor.data gout
@@ -468,7 +391,7 @@ let max_pool2d ?arena t ~size ~stride ~pad =
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let ho = conv_out_dim h ~k:size ~stride ~pad in
   let wo = conv_out_dim w ~k:size ~stride ~pad in
-  let out = Arena.zeros arena [| n; c; ho; wo |] in
+  let out = Arena.uninit arena [| n; c; ho; wo |] in
   let indices = Array.make (Tensor.numel out) (-1) in
   let td = Tensor.data t and od = Tensor.data out in
   let oi = ref 0 in
@@ -513,7 +436,7 @@ let avg_pool2d ?arena t ~size ~stride ~pad =
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let ho = conv_out_dim h ~k:size ~stride ~pad in
   let wo = conv_out_dim w ~k:size ~stride ~pad in
-  let out = Arena.zeros arena [| n; c; ho; wo |] in
+  let out = Arena.uninit arena [| n; c; ho; wo |] in
   let td = Tensor.data t and od = Tensor.data out in
   let inv = 1.0 /. float_of_int (size * size) in
   let oi = ref 0 in
@@ -577,7 +500,7 @@ let upsample_nearest ?arena t f =
   assert (f >= 1);
   let s = Tensor.shape t in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let out = Arena.zeros arena [| n; c; h * f; w * f |] in
+  let out = Arena.uninit arena [| n; c; h * f; w * f |] in
   let td = Tensor.data t and od = Tensor.data out in
   let wf = w * f in
   for nc = 0 to (n * c) - 1 do
@@ -612,7 +535,7 @@ let upsample_nearest_backward ?arena ~input ~gout f =
 let global_avg_pool ?arena t =
   let s = Tensor.shape t in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let out = Arena.zeros arena [| n; c |] in
+  let out = Arena.uninit arena [| n; c |] in
   let td = Tensor.data t and od = Tensor.data out in
   let inv = 1.0 /. float_of_int (h * w) in
   for ni = 0 to n - 1 do
@@ -630,7 +553,7 @@ let global_avg_pool ?arena t =
 let global_avg_pool_backward ?arena ~input ~gout () =
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let gin = Arena.zeros arena s in
+  let gin = Arena.uninit arena s in
   let gd = Tensor.data gin and god = Tensor.data gout in
   let inv = 1.0 /. float_of_int (h * w) in
   for ni = 0 to n - 1 do
@@ -649,7 +572,7 @@ let linear ?arena ~input ~weight ~bias () =
   let n = is.(0) and f = is.(1) in
   let out_dim = ws.(0) in
   assert (ws.(1) = f);
-  let out = Arena.zeros arena [| n; out_dim |] in
+  let out = Arena.uninit arena [| n; out_dim |] in
   let id = Tensor.data input
   and wd = Tensor.data weight
   and bd = Tensor.data bias
@@ -711,8 +634,8 @@ let batch_norm ?arena ~input ~gamma ~beta ~eps () =
   assert (hold (n * c * plane) [ id ] && hold c [ mean; var; gd; bd ]);
   c_bn_stats id mean var n c plane;
   let inv_std = Array.map (fun v -> 1.0 /. sqrt (v +. eps)) var in
-  let xhat = Arena.zeros arena s in
-  let out = Arena.zeros arena s in
+  let xhat = Arena.uninit arena s in
+  let out = Arena.uninit arena s in
   let xd = Tensor.data xhat and od = Tensor.data out in
   assert (hold (n * c * plane) [ xd; od ]);
   c_bn_normalize id mean inv_std gd bd xd od n c plane;
@@ -721,9 +644,9 @@ let batch_norm ?arena ~input ~gamma ~beta ~eps () =
 let batch_norm_backward ?arena ~gout ~cache () =
   let s = Tensor.shape cache.bn_input in
   let n = s.(0) and c = s.(1) and plane = s.(2) * s.(3) in
-  let ginput = Arena.zeros arena s in
-  let ggamma = Arena.zeros arena [| c |] in
-  let gbeta = Arena.zeros arena [| c |] in
+  let ginput = Arena.uninit arena s in
+  let ggamma = Arena.uninit arena [| c |] in
+  let gbeta = Arena.uninit arena [| c |] in
   let god = Tensor.data gout
   and xd = Tensor.data cache.bn_xhat
   and gid = Tensor.data ginput
@@ -741,7 +664,7 @@ let concat_channels ?arena parts =
       let s = Tensor.shape first in
       let n = s.(0) and h = s.(2) and w = s.(3) in
       let total_c = List.fold_left (fun acc t -> acc + (Tensor.shape t).(1)) 0 parts in
-      let out = Arena.zeros arena [| n; total_c; h; w |] in
+      let out = Arena.uninit arena [| n; total_c; h; w |] in
       let od = Tensor.data out in
       let plane = h * w in
       for ni = 0 to n - 1 do
@@ -768,7 +691,7 @@ let split_channels_backward ?arena ~gout ~parts () =
   in
   List.map
     (fun (off, c) ->
-      let g = Arena.zeros arena [| n; c; h; w |] in
+      let g = Arena.uninit arena [| n; c; h; w |] in
       let gd = Tensor.data g in
       for ni = 0 to n - 1 do
         Array.blit god (((ni * total_c) + off) * plane) gd (ni * c * plane) (c * plane)

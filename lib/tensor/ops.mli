@@ -12,11 +12,19 @@
     every tensor a kernel returns (outputs, gradients, the batch-norm
     cache) and every im2col scratch buffer it uses is taken from the
     arena ({!Arena.zeros}, {!Arena.floats}) instead of allocated, so the
-    call must run inside {!Arena.scoped}.  A returned tensor is
-    zero-filled before the kernel writes it, exactly like a fresh one, so
-    its bits never depend on what the buffer held before; it is valid
-    until the scope ends and must not be kept past it.  Without
-    [?arena] a kernel allocates every tensor and buffer afresh. *)
+    call must run inside {!Arena.scoped}.  A kernel that writes every cell
+    of a result takes it uninitialized ({!Arena.uninit}): {!relu},
+    {!relu_backward}, {!sigmoid} and its backward, {!scale_channels} and
+    its backward, the pool forwards, {!upsample_nearest},
+    {!global_avg_pool} and its backward, {!linear}, {!batch_norm} and its
+    backward, {!concat_channels}, {!split_channels_backward}, the output of
+    {!conv2d} on the im2col path and the result of {!conv2d_backward_input}
+    on the gather path.  A kernel that adds into a result (the direct conv
+    loops and the pool, upsample and linear backwards) takes it
+    zero-filled ({!Arena.zeros}), exactly like a fresh one.  Either way a
+    result's bits never depend on what the buffer held before; it is valid
+    until the scope ends and must not be kept past it.  Without [?arena] a
+    kernel allocates every tensor and buffer afresh. *)
 
 type conv_params = {
   stride : int;
@@ -46,20 +54,29 @@ val conv_out_dim : ?dilation:int -> int -> k:int -> stride:int -> pad:int -> int
       positions at a time in registers.  Padded taps and zero weights then
       add exact zeros.  A sum that starts at [+0.0] cannot become [-0.0],
       so for finite operands an added zero changes no bit.
+    - The gather runs phase by phase.  Input row [h] meets output row
+      [(h + pad - kh * dilation) / stride] through tap [kh] only when
+      that division is exact, so the rows with one phase [(h + pad) mod
+      stride] meet exactly the taps with [kh * dilation] congruent to it
+      modulo [stride]; columns alike.  Phases run in row-major order of
+      (row phase, column phase); each packs its taps in ascending (output
+      channel, kh, kw) order, so an input's terms are the direct loop's
+      terms in the direct loop's order, plus exact zeros for taps that
+      land outside the output.  A phase that meets no tap writes [+0.0].
+      At stride 1 the one phase is the whole plane.
     - The direct loop skips padded taps (and, forward, zero weights).  It
-      runs for depthwise-style convolutions (one input channel per group),
-      for the input gradient of a strided convolution (where most gathered
-      taps would be zeros), and whenever an operand that meets those zeros
-      is not finite: the input or weight of {!conv2d}, the weight of
+      runs for depthwise-style convolutions (one input channel per group)
+      and whenever an operand that meets those zeros is not finite: the
+      input or weight of {!conv2d}, the weight of
       {!conv2d_backward_input}.  There [0 * inf] would add a NaN the direct
       loop never computes, so the direct loop keeps NaN placement exact.
 
     {!conv2d_backward} always runs the direct loop, computing the input and
     weight gradients in one pass.
 
-    The inner loops of both implementations (the blocked dot product and
-    the direct loops) are C, in [conv_stubs.c]; only the im2col and gather
-    packing is OCaml.  The C is compiled with [-O3 -ffp-contract=off
+    Both implementations are C, in [conv_stubs.c]: the im2col and gather
+    packing, the blocked dot product, the direct loops, and the finiteness
+    scan that chooses between them.  The C is compiled with [-O3 -ffp-contract=off
     -fno-fast-math] and no [-march] flag: [-ffp-contract=off] keeps every
     [x * w + s] two roundings (no fused multiply-add), [-fno-fast-math]
     keeps every sum in the order above (no reassociation, so the compiler

@@ -608,8 +608,10 @@ let t_pad_channels () =
   check_close "zero" 0.0 (Tensor.get p [| 0; 4; 0; 0 |])
 
 (* Random convolution geometry.  [cog] of 1-9 reaches the kernels' 4-wide
-   output-channel block and every remainder; [zeros] zeroes every
-   [zeros]-th weight (0: none). *)
+   output-channel block and every remainder; planes of 1x1 and 2x2 put
+   every output on the border path; strides up to 3 (and stride 2 at
+   dilation 2) give input-gradient phases that meet no tap; [zeros] zeroes
+   every [zeros]-th weight (0: none). *)
 type conv_geom = {
   n : int;
   cig : int;
@@ -628,8 +630,8 @@ let conv_geom_arb =
   let open QCheck.Gen in
   let gen =
     let* n = int_range 1 2 and* cig = int_range 1 4 and* cog = int_range 1 9 in
-    let* groups = int_range 1 3 and* hw = int_range 3 7 and* k = oneofl [ 1; 3 ] in
-    let* stride = int_range 1 2 and* dilation = int_range 1 2 and* same_pad = bool in
+    let* groups = int_range 1 3 and* hw = int_range 1 7 and* k = oneofl [ 1; 3 ] in
+    let* stride = int_range 1 3 and* dilation = int_range 1 2 and* same_pad = bool in
     let* zeros = int_range 0 3 and* seed = int_bound 9999 in
     return { n; cig; cog; groups; hw; k; stride; dilation; same_pad; zeros; seed }
   in

@@ -1,18 +1,24 @@
 (* Kernel bits, to check the bytecode entry points of the C kernels
    against the native ones.  Each line names one kernel path and the MD5
    digest of the bits of its result:
-   - an im2col forward conv (the ordered dot product, with row and column
-     tails);
+   - an im2col forward conv (the packing and the ordered dot product, with
+     row and column tails), on a square plane and on a 5x7 one at stride 2
+     and dilation 2;
    - a depthwise forward conv (the direct loop);
-   - the gathered input gradient of a stride-1 conv (the dot product
-     again);
-   - the direct input gradient of a stride-2 conv;
+   - the gathered input gradient of a stride-1 conv (the packed weights,
+     the packing and the dot product again), square and 5x7 at dilation 2;
+   - the phased input gradient of a stride-2 conv, square, 5x7, and 5x7 at
+     dilation 2 (where half the phases meet no tap);
+   - the direct input gradient of a depthwise conv;
    - the input and weight gradients of the full backward (the direct loop
      with the weight gradient);
    - ReLU forward and backward on random signs;
    - batch-norm forward and its input, gamma and beta gradients, at seven
      channels: one block of four side-by-side channel sums and a tail of
      three.
+
+   A 5x7 plane tells height from width, so a kernel that swapped them
+   would read other cells than its native twin.
 
    Usage: conv_bits [EXPECTED].  Without an argument the lines are
    printed; with one they are compared to the lines of the file
@@ -27,7 +33,9 @@ let bits t =
 let lines () =
   let r = Rng.create 2026 in
   let normal shape = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0 in
-  let p ?(stride = 1) ?(groups = 1) () = { Ops.stride; pad = 1; groups; dilation = 1 } in
+  let p ?(stride = 1) ?(groups = 1) ?(dilation = 1) () =
+    { Ops.stride; pad = dilation; groups; dilation }
+  in
   (* Ten output channels and a 5x5 plane: a row tail of two and an odd
      column count. *)
   let input = normal [| 2; 8; 5; 5 |] and weight = normal [| 10; 8; 3; 3 |] in
@@ -35,17 +43,34 @@ let lines () =
   let gather = Ops.conv2d_backward_input ~input ~weight ~gout:(normal (Tensor.shape fwd)) (p ()) in
   let dw_input = normal [| 2; 6; 7; 7 |] and dw_weight = normal [| 6; 1; 3; 3 |] in
   let dw = Ops.conv2d ~input:dw_input ~weight:dw_weight ~bias:None (p ~groups:6 ()) in
+  let dw_direct =
+    Ops.conv2d_backward_input ~input:dw_input ~weight:dw_weight ~gout:(normal (Tensor.shape dw))
+      (p ~groups:6 ())
+  in
+  (* The forward output and the input gradient of [weight] on [input]. *)
+  let both input params =
+    let out = Ops.conv2d ~input ~weight ~bias:None params in
+    let gout = normal (Tensor.shape out) in
+    (out, gout, Ops.conv2d_backward_input ~input ~weight ~gout params)
+  in
   let s2 = p ~stride:2 () in
   let s2_input = normal [| 2; 8; 7; 7 |] in
-  let gout = normal (Tensor.shape (Ops.conv2d ~input:s2_input ~weight ~bias:None s2)) in
-  let direct = Ops.conv2d_backward_input ~input:s2_input ~weight ~gout s2 in
+  let _, gout, phased = both s2_input s2 in
   let gin, gw, _ = Ops.conv2d_backward ~input:s2_input ~weight ~gout s2 in
+  let rect = normal [| 2; 8; 5; 7 |] in
+  let rect_fwd, _, _ = both rect (p ~stride:2 ~dilation:2 ()) in
+  let _, _, rect_gather = both rect (p ~dilation:2 ()) in
+  let _, _, rect_phased = both rect s2 in
+  let _, _, rect_phased_d2 = both rect (p ~stride:2 ~dilation:2 ()) in
   let x = normal [| 2; 7; 5; 5 |] and g = normal [| 2; 7; 5; 5 |] in
   let gamma = normal [| 7 |] and beta = normal [| 7 |] in
   let bn, cache = Ops.batch_norm ~input:x ~gamma ~beta ~eps:1e-5 () in
   let bn_gin, bn_ggamma, bn_gbeta = Ops.batch_norm_backward ~gout:g ~cache () in
-  [ ("im2col forward", fwd); ("depthwise forward", dw); ("gathered input gradient", gather);
-    ("stride-2 input gradient", direct); ("backward input gradient", gin);
+  [ ("im2col forward", fwd); ("im2col forward 5x7 s2 d2", rect_fwd); ("depthwise forward", dw);
+    ("gathered input gradient", gather); ("gathered input gradient 5x7 d2", rect_gather);
+    ("phased input gradient s2", phased); ("phased input gradient 5x7 s2", rect_phased);
+    ("phased input gradient 5x7 s2 d2", rect_phased_d2);
+    ("depthwise input gradient", dw_direct); ("backward input gradient", gin);
     ("backward weight gradient", gw); ("relu forward", Ops.relu x);
     ("relu backward", Ops.relu_backward ~input:x ~gout:g ()); ("batch-norm forward", bn);
     ("batch-norm input gradient", bn_gin); ("batch-norm gamma gradient", bn_ggamma);
