@@ -44,7 +44,7 @@ let conv_bwd_test =
 let conv_bwd_input_test =
   bwd_input_test ~name:"conv2d bwd-input 4x16x16x16 k3" ~seed:2 ~n:4 ~c:16 ~hw:16 ()
 
-(* Grouped (im2col per group), depthwise (the direct loops) and two
+(* Grouped (im2col per group), depthwise (the padded stencil) and two
    stride-2 input gradients (the phased gather): a k3 one, whose four
    phases meet four, two, two and one taps, and the 1x1 of a downsampling
    shortcut, where three phases of four meet no tap. *)
@@ -61,6 +61,18 @@ let conv_dw_bwd_input_test =
   bwd_input_test ~p:depthwise ~name:"conv2d bwd-input 16x32x8x8 g32 k3" ~seed:7 ~n:16 ~c:32
     ~hw:8 ()
 
+(* mobilenet_small's last-stage depthwise conv: a 4x4 plane, so each
+   output row is four outputs. *)
+let depthwise_late = { same_pad with Ops.groups = 128 }
+
+let conv_dw_late_test =
+  fwd_test ~p:depthwise_late ~name:"conv2d fwd 16x128x4x4 g128 k3" ~seed:11 ~n:16 ~c:128 ~hw:4
+    ()
+
+let conv_dw_late_bwd_input_test =
+  bwd_input_test ~p:depthwise_late ~name:"conv2d bwd-input 16x128x4x4 g128 k3" ~seed:11 ~n:16
+    ~c:128 ~hw:4 ()
+
 let conv_s2_bwd_input_test =
   bwd_input_test ~co:64
     ~p:{ same_pad with Ops.stride = 2 }
@@ -72,7 +84,8 @@ let conv_s2_k1_bwd_input_test =
     ~name:"conv2d bwd-input 16x64x8x8 co128 s2 k1" ~seed:10 ~n:16 ~c:64 ~hw:8 ()
 
 (* ReLU and batch norm at mobilenet_small's largest Fisher-pass
-   activation (batch 16, 32 channels, 16x16), on random signs, through a
+   activation (batch 16, 32 channels, 16x16), on random signs, and the
+   nearest upsampling of a spatial bottleneck (16x32x8x8 by 2), through a
    warm arena as in the Fisher pass. *)
 let elementwise_tests =
   let rng = Rng.create 9 in
@@ -82,6 +95,7 @@ let elementwise_tests =
   let gamma = Tensor.rand_normal rng [| 32 |] ~mean:1.0 ~std:0.1 in
   let beta = Tensor.rand_normal rng [| 32 |] ~mean:0.0 ~std:0.1 in
   let _, cache = Ops.batch_norm ~input:x ~gamma ~beta ~eps:1e-5 () in
+  let small = Tensor.rand_normal rng [| 16; 32; 8; 8 |] ~mean:0.0 ~std:1.0 in
   let arena = Arena.create () in
   let row name f =
     Test.make ~name (Staged.stage (fun () -> Arena.scoped arena (fun () -> ignore (f ()))))
@@ -90,7 +104,10 @@ let elementwise_tests =
     row "relu bwd 16x32x16x16" (fun () -> Ops.relu_backward ~arena ~input:x ~gout ());
     row "batch_norm fwd 16x32x16x16" (fun () ->
         Ops.batch_norm ~arena ~input:x ~gamma ~beta ~eps:1e-5 ());
-    row "batch_norm bwd 16x32x16x16" (fun () -> Ops.batch_norm_backward ~arena ~gout ~cache ()) ]
+    row "batch_norm bwd 16x32x16x16" (fun () -> Ops.batch_norm_backward ~arena ~gout ~cache ());
+    row "upsample fwd 16x32x8x8 f2" (fun () -> Ops.upsample_nearest ~arena small 2);
+    row "upsample bwd 16x32x8x8 f2" (fun () ->
+        Ops.upsample_nearest_backward ~arena ~input:small ~gout 2) ]
 
 let fisher_test =
   let rng = Rng.create 3 in
@@ -125,7 +142,8 @@ let interp_test =
 let tests =
   Test.make_grouped ~name:"kernels"
     ([ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; conv_grouped_test;
-       conv_dw_test; conv_dw_bwd_input_test; conv_s2_bwd_input_test; conv_s2_k1_bwd_input_test ]
+       conv_dw_test; conv_dw_bwd_input_test; conv_dw_late_test; conv_dw_late_bwd_input_test;
+       conv_s2_bwd_input_test; conv_s2_k1_bwd_input_test ]
     @ elementwise_tests
     @ [ fisher_test; cost_test; tune_test; interp_test ])
 

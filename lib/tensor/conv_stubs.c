@@ -1,7 +1,8 @@
 /* Exact convolution kernels for Ops (ops.ml): the im2col forward pass
    and the phased gather of the input gradient (each packs its operands
-   and runs the one ordered dot product, [dot_rows]), the direct forward
-   and backward loops, and the finiteness scan that picks between them.
+   and runs the one ordered dot product, [dot_rows]), the depthwise
+   stencils over zero-framed planes, the direct forward and backward
+   loops, and the finiteness scan that picks between them.
 
    Each kernel adds the same IEEE double terms in the same order as the
    ordered-accumulation contract in ops.mli: every sum is its own scalar
@@ -14,8 +15,9 @@
    The OCaml side checks, before every call, that each index a kernel
    touches lies inside its array; the kernels do no bounds checks.  They
    neither allocate nor raise ([@@noalloc]), and one call covers at most
-   one (image, group), so another domain waiting for a stop-the-world
-   collection never waits for a whole layer. */
+   one (image, group), or one image for a depthwise stencil, so another
+   domain waiting for a stop-the-world collection never waits for a whole
+   layer. */
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
@@ -390,6 +392,191 @@ static void conv_gather(const double *gout, const double *wtp, double *gcol, dou
   }
 }
 
+/* Depthwise kernels (one input channel per group).  Both read a copy of
+   a plane framed by zeros without a bounds check, so every sum is +0.0
+   plus all its taps (a padded one adds an exact zero), and they
+   vectorize across the sums of a row, which are independent. */
+
+/* out[r * ostride + q * ocstep], for r < rows and q < cols, is +0.0 (or,
+   with [add], its own value) plus p[r * rstep + q * cstep + off[t]] *
+   wv[t] for t ascending.  Inlined with a constant number of taps, each
+   sum stays in a register while the loop over q vectorizes. */
+static inline __attribute__((always_inline)) void stencil_n(
+  const double *restrict p, intnat rstep, intnat cstep, const intnat *off, const double *wv,
+  intnat taps, double *restrict out, intnat ostride, intnat ocstep, intnat rows, intnat cols,
+  int add)
+{
+  for (intnat r = 0; r < rows; r++, p += rstep, out += ostride)
+    for (intnat q = 0; q < cols; q++) {
+      const double *x = p + q * cstep;
+      double s = add ? out[q * ocstep] : 0.0;
+      for (intnat t = 0; t < taps; t++) s = s + x[off[t]] * wv[t];
+      out[q * ocstep] = s;
+    }
+}
+
+/* The same for any number of taps: a count the kernels meet often is
+   inlined as a constant; any other keeps its sums in [out] and adds the
+   taps one at a time. */
+static void stencil(const double *restrict p, intnat rstep, intnat cstep, const intnat *off,
+                    const double *wv, intnat taps, double *restrict out, intnat ostride,
+                    intnat ocstep, intnat rows, intnat cols, int add)
+{
+#define STENCIL(n)                                                                       \
+  case n:                                                                                \
+    if (cstep == 1 && ocstep == 1 && !add)                                               \
+      stencil_n(p, rstep, 1, off, wv, n, out, ostride, 1, rows, cols, 0);                \
+    else stencil_n(p, rstep, cstep, off, wv, n, out, ostride, ocstep, rows, cols, add);  \
+    return;
+  switch (taps) {
+    STENCIL(1)
+    STENCIL(2)
+    STENCIL(4)
+    STENCIL(9)
+  default:
+    for (intnat r = 0; r < rows; r++, p += rstep, out += ostride) {
+      if (!add)
+        for (intnat q = 0; q < cols; q++) out[q * ocstep] = 0.0;
+      for (intnat t = 0; t < taps; t++) {
+        const double *pt = p + off[t];
+        const double wt = wv[t];
+        for (intnat q = 0; q < cols; q++) out[q * ocstep] = out[q * ocstep] + pt[q * cstep] * wt;
+      }
+    }
+  }
+#undef STENCIL
+}
+
+/* dst, a (top + h + bottom) x (left + w + right) plane, is the h x w
+   plane [src] framed by zeros. */
+static void pad_plane(const double *src, double *dst, intnat h, intnat w, intnat top,
+                      intnat bottom, intnat left, intnat right)
+{
+  const intnat pitch = left + w + right;
+  memset(dst, 0, (size_t) (top * pitch) * sizeof(double));
+  dst += top * pitch;
+  for (intnat r = 0; r < h; r++, dst += pitch, src += w) {
+    for (intnat q = 0; q < left; q++) dst[q] = 0.0;
+    memcpy(dst + left, src, (size_t) w * sizeof(double));
+    for (intnat q = left + w; q < pitch; q++) dst[q] = 0.0;
+  }
+  memset(dst, 0, (size_t) (bottom * pitch) * sizeof(double));
+}
+
+/* The zero margin after the [extent] inputs of an axis in the depthwise
+   forward: [pad], or more where the last output's taps reach further (a
+   kernel wider than the padded input still has one output).  ops.ml
+   sizes the scratch with the same formula. */
+static intnat frame_after(intnat extent, intnat out, intnat k, intnat stride, intnat pad,
+                          intnat dilation)
+{
+  const intnat r = (out - 1) * stride + (k - 1) * dilation + 1 - pad - extent;
+  return r > pad ? r : pad;
+}
+
+/* Depthwise forward for one image: for each of [groups] input planes,
+   [plane] is the plane framed by zeros ([pad] before, [frame_after]
+   after), and each of the [cog] output channels reading it is, per
+   output, +0.0 plus its taps in (kh, kw) order. */
+static void conv_depthwise(const double *in, const double *wt, double *plane, double *out,
+                           intnat groups, const struct geom *g)
+{
+  const intnat bottom = frame_after(g->h, g->ho, g->kh, g->stride, g->pad, g->dilation);
+  const intnat right = frame_after(g->w, g->wo, g->kw, g->stride, g->pad, g->dilation);
+  const intnat pitch = g->pad + g->w + right, taps = g->kh * g->kw;
+  intnat off[taps];
+  for (intnat t = 0; t < taps; t++)
+    off[t] = (t / g->kw) * g->dilation * pitch + (t % g->kw) * g->dilation;
+  for (intnat c = 0; c < groups; c++) {
+    pad_plane(in + c * g->h * g->w, plane, g->h, g->w, g->pad, bottom, g->pad, right);
+    for (intnat co = c * g->cog; co < (c + 1) * g->cog; co++) {
+      double *o = out + co * g->ho * g->wo;
+      stencil(plane, g->stride * pitch, g->stride, off, wt + co * taps, taps, o, g->wo, 1, g->ho,
+              g->wo, 0);
+    }
+  }
+}
+
+/* The zero margins of the output-gradient planes the depthwise input
+   gradient reads, before and after [out] outputs along an axis of
+   [extent] inputs: an input of any phase reads outputs from -before to
+   out - 1 + after.  ops.ml sizes the scratch with the same formula. */
+static intnat margin_before(intnat k, intnat stride, intnat pad, intnat dilation)
+{
+  const intnat r = (k - 1) * dilation - pad;
+  return r > 0 ? r / stride : 0;
+}
+
+static intnat margin_after(intnat extent, intnat out, intnat stride, intnat pad)
+{
+  const intnat r = (extent - 1 + pad) / stride - (out - 1);
+  return r > 0 ? r : 0;
+}
+
+/* Depthwise input gradient for one image, input-stationary over padded
+   output-gradient planes, phase by phase as in [conv_gather].  The phases
+   are laid out once: phase f covers the nh[f] x nw[f] inputs from (h0[f],
+   w0[f]) and meets the taps j in [first[f], first[f + 1]), each reading
+   the framed plane at offset off[j] through weight tap wtap[j], in (kh,
+   kw) order.  Then, per group, [buf] holds the group's [cog]
+   output-gradient planes framed by zeros, and each input is +0.0 plus
+   its phase's taps in (co, kh, kw) order, written in place (every
+   stride-th cell of every stride-th row): each output channel's taps are
+   added to the sums the channels before it left.  A phase that meets no
+   tap writes +0.0. */
+static void conv_depthwise_input(const double *gout, const double *wt, double *buf, double *gin,
+                                 intnat groups, const struct geom *g)
+{
+  const intnat s = g->stride, hw = g->h * g->w, howo = g->ho * g->wo, taps_all = g->kh * g->kw;
+  const intnat top = margin_before(g->kh, s, g->pad, g->dilation);
+  const intnat left = margin_before(g->kw, s, g->pad, g->dilation);
+  const intnat bottom = margin_after(g->h, g->ho, s, g->pad);
+  const intnat right = margin_after(g->w, g->wo, s, g->pad);
+  const intnat pitch = left + g->wo + right, plane = (top + g->ho + bottom) * pitch;
+  const intnat phases = s * s;
+  intnat h0[phases], w0[phases], nh[phases], nw[phases], first[phases + 1];
+  intnat off[taps_all], wtap[taps_all], th[g->kh], tw[g->kw];
+  double wv[taps_all];
+  first[0] = 0;
+  for (intnat f = 0; f < phases; f++) {
+    const intnat ph = f / s, pw = f % s;
+    const intnat nth = phase_taps(ph, g->kh, s, g->dilation, th);
+    const intnat ntw = phase_taps(pw, g->kw, s, g->dilation, tw);
+    h0[f] = phase_first(ph, s, g->pad);
+    w0[f] = phase_first(pw, s, g->pad);
+    nh[f] = phase_count(h0[f], s, g->h);
+    nw[f] = phase_count(w0[f], s, g->w);
+    intnat j = first[f];
+    for (intnat a = 0; a < nth; a++)
+      for (intnat b = 0; b < ntw; b++, j++) {
+        const intnat bh = (h0[f] + g->pad - th[a] * g->dilation) / s;
+        const intnat bw = (w0[f] + g->pad - tw[b] * g->dilation) / s;
+        off[j] = (bh + top) * pitch + bw + left;
+        wtap[j] = th[a] * g->kw + tw[b];
+      }
+    first[f + 1] = j;
+  }
+  for (intnat c = 0; c < groups; c++) {
+    double *gc = gin + c * hw;
+    for (intnat k = 0; k < g->cog; k++)
+      pad_plane(gout + (c * g->cog + k) * howo, buf + k * plane, g->ho, g->wo, top, bottom, left,
+                right);
+    for (intnat f = 0; f < phases; f++) {
+      const intnat taps = first[f + 1] - first[f];
+      double *dst = gc + h0[f] * g->w + w0[f];
+      if (taps == 0)
+        for (intnat m = 0; m < nh[f]; m++)
+          for (intnat q = 0; q < nw[f]; q++) dst[m * s * g->w + q * s] = 0.0;
+      for (intnat k = 0; k < g->cog && taps > 0; k++) {
+        const double *w = wt + (c * g->cog + k) * taps_all;
+        for (intnat j = 0; j < taps; j++) wv[j] = w[wtap[first[f] + j]];
+        stencil(buf + k * plane, pitch, 1, off + first[f], wv, taps, dst, s * g->w, s, nh[f],
+                nw[f], k > 0);
+      }
+    }
+  }
+}
+
 value nas_conv_im2col(value in, intnat in_off, value wt, intnat wt_off, value col, value out,
                       intnat out_off, intnat cig, intnat cog, intnat h, intnat w, intnat kh,
                       intnat kw, intnat ho, intnat wo, intnat stride, intnat pad,
@@ -416,6 +603,28 @@ value nas_conv_gather(value gout, intnat gout_off, value wtp, intnat wtp_off, va
   struct geom g = { cig, cog, h, w, kh, kw, ho, wo, stride, pad, dilation };
   conv_gather(FLOATS(gout) + gout_off, FLOATS(wtp) + wtp_off, FLOATS(gcol), FLOATS(tmp),
               FLOATS(gin) + gin_off, &g);
+  return Val_unit;
+}
+
+value nas_conv_depthwise(value in, intnat in_off, value wt, value plane, value out,
+                         intnat out_off, intnat groups, intnat cog, intnat h, intnat w,
+                         intnat kh, intnat kw, intnat ho, intnat wo, intnat stride, intnat pad,
+                         intnat dilation)
+{
+  struct geom g = { 1, cog, h, w, kh, kw, ho, wo, stride, pad, dilation };
+  conv_depthwise(FLOATS(in) + in_off, FLOATS(wt), FLOATS(plane), FLOATS(out) + out_off, groups,
+                 &g);
+  return Val_unit;
+}
+
+value nas_conv_depthwise_input(value gout, intnat gout_off, value wt, value buf, value gin,
+                               intnat gin_off, intnat groups, intnat cog, intnat h, intnat w,
+                               intnat kh, intnat kw, intnat ho, intnat wo, intnat stride,
+                               intnat pad, intnat dilation)
+{
+  struct geom g = { 1, cog, h, w, kh, kw, ho, wo, stride, pad, dilation };
+  conv_depthwise_input(FLOATS(gout) + gout_off, FLOATS(wt), FLOATS(buf), FLOATS(gin) + gin_off,
+                       groups, &g);
   return Val_unit;
 }
 
@@ -475,6 +684,20 @@ value nas_conv_gather_byte(value *argv, int argn)
   (void) argn;
   return nas_conv_gather(argv[0], I(1), argv[2], I(3), argv[4], argv[5], argv[6], I(7), I(8),
                          I(9), I(10), I(11), I(12), I(13), I(14), I(15), I(16), I(17), I(18));
+}
+
+value nas_conv_depthwise_byte(value *argv, int argn)
+{
+  (void) argn;
+  return nas_conv_depthwise(argv[0], I(1), argv[2], argv[3], argv[4], I(5), I(6), I(7), I(8),
+                            I(9), I(10), I(11), I(12), I(13), I(14), I(15), I(16));
+}
+
+value nas_conv_depthwise_input_byte(value *argv, int argn)
+{
+  (void) argn;
+  return nas_conv_depthwise_input(argv[0], I(1), argv[2], argv[3], argv[4], I(5), I(6), I(7),
+                                  I(8), I(9), I(10), I(11), I(12), I(13), I(14), I(15), I(16));
 }
 
 value nas_conv_direct_byte(value *argv, int argn)

@@ -1,4 +1,4 @@
-/* Exact ReLU and batch-norm kernels for Ops (ops.ml).
+/* Exact ReLU, batch-norm and nearest-upsampling kernels for Ops (ops.ml).
 
    Built with the same flags as conv_stubs.c (-O3 -ffp-contract=off
    -fno-fast-math, no -march), so every result has the bits of plain IEEE
@@ -279,6 +279,65 @@ value nas_bn_backward(value gout, value xhat, value gamma, value inv_std, value 
   return Val_unit;
 }
 
+/* Nearest upsampling by [f] of [planes] planes of h x w: each output row
+   repeats every input cell [f] times and is then copied to the f - 1 rows
+   below it.  Copies keep every bit, NaN payloads included.  Inlined with
+   a constant [f] for the common factor 2. */
+static inline __attribute__((always_inline)) void upsample(const double *restrict in,
+                                                           double *restrict out, intnat rows,
+                                                           intnat w, intnat f)
+{
+  const intnat wf = w * f;
+  for (intnat r = 0; r < rows; r++, in += w) {
+    double *row = out + r * f * wf;
+    for (intnat j = 0; j < w; j++)
+      for (intnat k = 0; k < f; k++) row[j * f + k] = in[j];
+    for (intnat k = 1; k < f; k++) memcpy(row + k * wf, row, (size_t) wf * sizeof(double));
+  }
+}
+
+value nas_upsample(value in, value out, intnat planes, intnat h, intnat w, intnat f)
+{
+  if (f == 2) upsample(FLOATS(in), FLOATS(out), planes * h, w, 2);
+  else upsample(FLOATS(in), FLOATS(out), planes * h, w, f);
+  return Val_unit;
+}
+
+/* The gradient of one input cell: +0.0 plus its f x f output gradients
+   [g] (row pitch [wf]) in (dh, dw) order, through [add_a] when [exact]. */
+static inline __attribute__((always_inline)) double cell_sum(const double *g, intnat wf,
+                                                             intnat f, int exact)
+{
+  double s = 0.0;
+  for (intnat dh = 0; dh < f; dh++)
+    for (intnat dw = 0; dw < f; dw++) s = exact ? add_a(s, g[dh * wf + dw]) : s + g[dh * wf + dw];
+  return s;
+}
+
+/* Upsampling backward: gin[r][j] is the [cell_sum] of output rows r * f
+   onwards, columns j * f onwards.  A sum that ends NaN met a NaN term and
+   is summed again through [add_a]. */
+static inline __attribute__((always_inline)) void upsample_backward(const double *restrict gout,
+                                                                    double *restrict gin,
+                                                                    intnat rows, intnat w,
+                                                                    intnat f)
+{
+  const intnat wf = w * f;
+  for (intnat r = 0; r < rows; r++, gin += w) {
+    const double *g = gout + r * f * wf;
+    for (intnat j = 0; j < w; j++) gin[j] = cell_sum(g + j * f, wf, f, 0);
+    for (intnat j = 0; j < w; j++)
+      if (gin[j] != gin[j]) gin[j] = cell_sum(g + j * f, wf, f, 1);
+  }
+}
+
+value nas_upsample_backward(value gout, value gin, intnat planes, intnat h, intnat w, intnat f)
+{
+  if (f == 2) upsample_backward(FLOATS(gout), FLOATS(gin), planes * h, w, 2);
+  else upsample_backward(FLOATS(gout), FLOATS(gin), planes * h, w, f);
+  return Val_unit;
+}
+
 /* Bytecode entry points: the same kernels with every int tagged, and the
    arguments in [argv] beyond five. */
 
@@ -312,4 +371,16 @@ value nas_bn_backward_byte(value *argv, int argn)
   (void) argn;
   return nas_bn_backward(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], I(7),
                          I(8), I(9));
+}
+
+value nas_upsample_byte(value *argv, int argn)
+{
+  (void) argn;
+  return nas_upsample(argv[0], argv[1], I(2), I(3), I(4), I(5));
+}
+
+value nas_upsample_backward_byte(value *argv, int argn)
+{
+  (void) argn;
+  return nas_upsample_backward(argv[0], argv[1], I(2), I(3), I(4), I(5));
 }

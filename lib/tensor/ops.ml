@@ -3,33 +3,37 @@ type conv_params = { stride : int; pad : int; groups : int; dilation : int }
 let conv_out_dim ?(dilation = 1) d ~k ~stride ~pad =
   ((d + (2 * pad) - (dilation * (k - 1)) - 1) / stride) + 1
 
-(* The convolution, ReLU and batch-norm kernels are the hot path of the
-   whole project (training, Fisher passes and NAS-bench evaluation all
-   funnel through them).  Their inner loops are C.  conv_stubs.c holds
-   the im2col forward pass and the phased gather of the input gradient
-   (packing and the one ordered dot product, [dot_rows]), the direct
-   forward and backward loops and the [all_finite] scan; this file picks
-   the path, takes the buffers and checks the bounds.  elementwise_stubs.c
-   holds ReLU forward and backward and batch norm's statistics, normalize
-   and backward loops; batch norm's [inv_std] stays here.  dune compiles
-   the C with -O3 -ffp-contract=off -fno-fast-math and no -march flag: no
-   multiply-add is fused, no sum is reassociated, and no instruction
-   depends on the host, so every output keeps the bits of the OCaml loops
-   it replaced (the bitwise [naive_conv*], [naive_relu*] and
-   [naive_batch_norm*] references in test_tensor are the specification).
+(* The convolution, ReLU, batch-norm and upsampling kernels are the hot
+   path of the whole project (training, Fisher passes and NAS-bench
+   evaluation all funnel through them).  Their inner loops are C.
+   conv_stubs.c holds the im2col forward pass and the phased gather of the
+   input gradient (packing and the one ordered dot product, [dot_rows]),
+   the depthwise stencils over zero-framed planes, the direct forward and
+   backward loops and the [all_finite] scan; this file picks the path,
+   takes the buffers and checks the bounds.  elementwise_stubs.c holds
+   ReLU forward and backward, batch norm's statistics, normalize and
+   backward loops, and nearest upsampling and its backward; batch norm's
+   [inv_std] stays here.  dune compiles the C with -O3 -ffp-contract=off
+   -fno-fast-math and no -march flag: no multiply-add is fused, no sum is
+   reassociated, and no instruction depends on the host, so every output
+   keeps the bits of the OCaml loops it replaced (the bitwise
+   [naive_conv*], [naive_relu*], [naive_batch_norm*] and [naive_upsample*]
+   references in test_tensor are the specification).
 
    Before every C call an [assert] checks that each index the kernel
    touches lies inside its array; the C code itself checks nothing.  The
    externals are [@@noalloc].  A conv call covers at most one (image,
-   group), so a stop-the-world collection on another domain never waits
-   for a whole layer; a ReLU or batch-norm call covers one tensor, which
-   takes far less time than one conv call.
+   group), or one image for a depthwise stencil, so a stop-the-world
+   collection on another domain never waits for a whole layer; a ReLU,
+   batch-norm or upsampling call covers one tensor, which takes far less
+   time than one conv call.
 
    Outputs.  A kernel that writes every cell of a result (the im2col
-   forward, the gathered input gradient, ReLU, batch norm and the other
-   full writers below) takes it from [Arena.uninit]; one that adds into it
-   (the direct conv loops and the pooling, upsampling and linear
-   backwards) takes it from [Arena.zeros].
+   forward, the gathered input gradient, the depthwise stencils, ReLU,
+   batch norm, upsampling and its backward and the other full writers
+   below) takes it from [Arena.uninit]; one that adds into it (the direct
+   conv loops and the pooling and linear backwards) takes it from
+   [Arena.zeros].
 
    Ordered accumulation (the contract is in ops.mli).  Every output of a
    kernel below is +0.0 plus its terms in one fixed order.  The fast paths
@@ -73,6 +77,26 @@ external c_conv_gather :
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
   (int[@untagged]) -> unit = "nas_conv_gather_byte" "nas_conv_gather"
+[@@noalloc]
+
+(* input, weight, padded-plane scratch, output; groups cog h w kh kw ho wo
+   stride pad dilation *)
+external c_conv_depthwise :
+  float array -> (int[@untagged]) -> float array -> float array -> float array ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_conv_depthwise_byte" "nas_conv_depthwise"
+[@@noalloc]
+
+(* output gradient, weight, padded-planes scratch, input gradient; the
+   same ints *)
+external c_conv_depthwise_input :
+  float array -> (int[@untagged]) -> float array -> float array -> float array ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nas_conv_depthwise_input_byte" "nas_conv_depthwise_input"
 [@@noalloc]
 
 (* input, weight, output *)
@@ -129,6 +153,19 @@ let slabs ~ins ~outs ~wts ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params call =
     done
   done
 
+(* Each array in [arrays] holds at least [len > 0] floats. *)
+let hold len arrays = List.for_all (in_bounds ~off:0 ~len) arrays
+
+(* A depthwise kernel makes one C call per image, over [ilen] floats of
+   [input] and [olen] of [output] from the image's offsets; weights and
+   scratch are checked by the caller. *)
+let images ~n ~ilen ~olen input output call =
+  for ni = 0 to n - 1 do
+    let ib = ni * ilen and ob = ni * olen in
+    assert (in_bounds ~off:ib ~len:ilen input && in_bounds ~off:ob ~len:olen output);
+    call ~ib ~ob
+  done
+
 (* Direct forward loop: scatters each nonzero weight over the output
    plane. *)
 let conv2d_direct ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params =
@@ -147,6 +184,22 @@ let conv2d_im2col ~arena ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo param
     (fun ~ib ~ob ~wb ~cog ->
       c_conv_im2col id ib wd wb col od ob cig cog h w kh kw ho wo stride pad dilation)
 
+(* Depthwise forward (one input channel per group): for each image the C
+   kernel copies every input plane into [plane], framed by zeros, and
+   adds each output's taps without a bounds check.  The frame is [pad]
+   wide, or wider after the plane where the last output's taps reach
+   further (conv_stubs.c's [frame_after]). *)
+let conv2d_depthwise ~arena ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig:_ ~kh ~kw ~ho ~wo params =
+  let { stride; pad; groups; dilation } = params in
+  let framed extent out k =
+    extent + pad + max pad (((out - 1) * stride) + ((k - 1) * dilation) + 1 - pad - extent)
+  in
+  let plane = Arena.floats arena (framed h ho kh * framed w wo kw) in
+  assert (stride >= 1 && dilation >= 1 && hold (co * kh * kw) [ wd ]);
+  images ~n ~ilen:(ci * h * w) ~olen:(co * ho * wo) id od (fun ~ib ~ob ->
+      c_conv_depthwise id ib wd plane od ob groups (co / groups) h w kh kw ho wo stride pad
+        dilation)
+
 let conv2d ?arena ~input ~weight ~bias params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
   let n = ishape.(0) and ci = ishape.(1) and h = ishape.(2) and w = ishape.(3) in
@@ -159,11 +212,13 @@ let conv2d ?arena ~input ~weight ~bias params =
   let wo = conv_out_dim w ~k:kw ~stride ~pad ~dilation in
   assert (ho > 0 && wo > 0);
   let id = Tensor.data input and wd = Tensor.data weight in
-  (* im2col writes every output; the direct loop adds into zeros. *)
-  let im2col = cig > 1 && all_finite id && all_finite wd in
-  let output = (if im2col then Arena.uninit else Arena.zeros) arena [| n; co; ho; wo |] in
+  (* The fast paths write every output; the direct loop adds into zeros. *)
+  let fast = all_finite id && all_finite wd in
+  let output = (if fast then Arena.uninit else Arena.zeros) arena [| n; co; ho; wo |] in
   let od = Tensor.data output in
-  (if im2col then conv2d_im2col ~arena else conv2d_direct)
+  (if not fast then conv2d_direct
+   else if cig = 1 then conv2d_depthwise ~arena
+   else conv2d_im2col ~arena)
     ~id ~wd ~od ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   (match bias with
   | None -> ()
@@ -209,9 +264,11 @@ let conv2d_backward_direct ~id ~god ~wd ~gid ~gwd ~n ~ci ~h ~w ~co ~cig ~kh ~kw 
    output gradients that reach each input into a row of [gcol] (0.0 where
    no output does) and takes one ordered dot product per input against
    the packed weight.  A phase holds at most [ceil (h / stride)] by [ceil
-   (w / stride)] inputs and meets at most every tap, which bounds [gcol]
-   and the products' scratch [tmp] (unused at stride 1, where the one
-   phase is the whole plane and the products land in [gid] directly). *)
+   (w / stride)] inputs and meets at most the taps of the largest row
+   phase by those of the largest column phase, which bounds [gcol] and
+   the products' scratch [tmp] (unused at stride 1, where the one phase
+   is the whole plane and meets every tap, and the products land in [gid]
+   directly). *)
 let conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo
     params =
   let { stride; pad; groups; dilation } = params in
@@ -223,12 +280,40 @@ let conv2d_backward_input_gather ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig ~kh 
     c_gather_weights wd wt (g * wlen) cig cog kh kw stride dilation
   done;
   let npos = ((h + stride - 1) / stride) * ((w + stride - 1) / stride) in
-  let gcol = Arena.floats arena (npos * cog * kh * kw) in
+  (* The most taps [t < k] with one [t * dilation mod stride]. *)
+  let phase_taps k =
+    let count = Array.make stride 0 in
+    for t = 0 to k - 1 do
+      let ph = t * dilation mod stride in
+      count.(ph) <- count.(ph) + 1
+    done;
+    Array.fold_left max 0 count
+  in
+  let gcol = Arena.floats arena (npos * cog * phase_taps kh * phase_taps kw) in
   let tmp = if stride = 1 then gcol else Arena.floats arena (cig * npos) in
   assert (stride = 1 || Array.length tmp >= cig * npos);
   slabs ~ins:[ gid ] ~outs:[ god ] ~wts:[ wt ] ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params
     (fun ~ib ~ob ~wb ~cog ->
       c_conv_gather god ob wt wb gcol tmp gid ib cig cog h w kh kw ho wo stride pad dilation)
+
+(* Depthwise input gradient: for each image the C kernel frames each
+   group's output-gradient planes with zeros in [buf] and, phase by phase
+   as in the gather, adds each input's taps without a bounds check.  The
+   margins are conv_stubs.c's [margin_before] and [margin_after]. *)
+let conv2d_backward_input_depthwise ~arena ~god ~wd ~gid ~n ~ci ~h ~w ~co ~cig:_ ~kh ~kw ~ho ~wo
+    params =
+  let { stride; pad; groups; dilation } = params in
+  (* The framed extent along an axis of [extent] inputs and [out] outputs. *)
+  let framed k extent out =
+    max 0 (((k - 1) * dilation) - pad) / stride
+    + out
+    + max 0 (((extent - 1 + pad) / stride) - (out - 1))
+  in
+  let buf = Arena.floats arena (co / groups * framed kh h ho * framed kw w wo) in
+  assert (stride >= 1 && dilation >= 1 && hold (co * kh * kw) [ wd ]);
+  images ~n ~ilen:(ci * h * w) ~olen:(co * ho * wo) gid god (fun ~ib ~ob ->
+      c_conv_depthwise_input god ob wd buf gid ib groups (co / groups) h w kh kw ho wo stride pad
+        dilation)
 
 let conv2d_backward_input ?arena ~input ~weight ~gout params =
   let ishape = Tensor.shape input and wshape = Tensor.shape weight in
@@ -238,11 +323,13 @@ let conv2d_backward_input ?arena ~input ~weight ~gout params =
   let ho = oshape.(2) and wo = oshape.(3) in
   let god = Tensor.data gout and wd = Tensor.data weight in
   (* A padded tap multiplies 0.0 by a weight, so only the weight must be
-     finite for the gather form to add exact zeros.  The gather writes
-     every input gradient; the direct loop adds into zeros. *)
-  let gather = cig > 1 && all_finite wd in
-  let ginput = (if gather then Arena.uninit else Arena.zeros) arena ishape in
-  (if gather then conv2d_backward_input_gather ~arena else conv2d_backward_input_direct)
+     finite for the fast paths to add exact zeros.  They write every input
+     gradient; the direct loop adds into zeros. *)
+  let fast = all_finite wd in
+  let ginput = (if fast then Arena.uninit else Arena.zeros) arena ishape in
+  (if not fast then conv2d_backward_input_direct
+   else if cig = 1 then conv2d_backward_input_depthwise ~arena
+   else conv2d_backward_input_gather ~arena)
     ~god ~wd ~gid:(Tensor.data ginput) ~n ~ci ~h ~w ~co ~cig ~kh ~kw ~ho ~wo params;
   ginput
 
@@ -307,8 +394,17 @@ external c_bn_backward :
   = "nas_bn_backward_byte" "nas_bn_backward"
 [@@noalloc]
 
-(* Each array in [arrays] holds at least [len > 0] floats. *)
-let hold len arrays = List.for_all (in_bounds ~off:0 ~len) arrays
+(* Nearest upsampling (elementwise_stubs.c): one call per tensor; the
+   ints are the planes n * c, h, w and the factor. *)
+external c_upsample :
+  float array -> float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "nas_upsample_byte" "nas_upsample"
+[@@noalloc]
+
+external c_upsample_backward :
+  float array -> float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "nas_upsample_backward_byte" "nas_upsample_backward"
+[@@noalloc]
 
 let relu ?arena t =
   let out = Arena.uninit arena (Tensor.shape t) in
@@ -502,34 +598,20 @@ let upsample_nearest ?arena t f =
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
   let out = Arena.uninit arena [| n; c; h * f; w * f |] in
   let td = Tensor.data t and od = Tensor.data out in
-  let wf = w * f in
-  for nc = 0 to (n * c) - 1 do
-    let ibase = nc * h * w and obase = nc * h * f * wf in
-    for ho = 0 to (h * f) - 1 do
-      let irow = ibase + (ho / f * w) and orow = obase + (ho * wf) in
-      for wo = 0 to wf - 1 do
-        Array.unsafe_set od (orow + wo) (Array.unsafe_get td (irow + (wo / f)))
-      done
-    done
-  done;
+  let len = n * c * h * w in
+  assert (hold len [ td ] && hold (len * f * f) [ od ]);
+  c_upsample td od (n * c) h w f;
   out
 
 let upsample_nearest_backward ?arena ~input ~gout f =
+  assert (f >= 1);
   let s = Tensor.shape input in
   let n = s.(0) and c = s.(1) and h = s.(2) and w = s.(3) in
-  let gin = Arena.zeros arena s in
-  let gd = Tensor.data gin and god = Tensor.data gout in
-  let wf = w * f in
-  for nc = 0 to (n * c) - 1 do
-    let ibase = nc * h * w and obase = nc * h * f * wf in
-    for ho = 0 to (h * f) - 1 do
-      let irow = ibase + (ho / f * w) and orow = obase + (ho * wf) in
-      for wo = 0 to wf - 1 do
-        let idx = irow + (wo / f) in
-        gd.(idx) <- gd.(idx) +. Array.unsafe_get god (orow + wo)
-      done
-    done
-  done;
+  let gin = Arena.uninit arena s in
+  let god = Tensor.data gout and gd = Tensor.data gin in
+  let len = n * c * h * w in
+  assert (hold len [ gd ] && hold (len * f * f) [ god ]);
+  c_upsample_backward god gd (n * c) h w f;
   gin
 
 let global_avg_pool ?arena t =

@@ -10,21 +10,23 @@
     The kernels that the Fisher pass runs ([Graph.forward] and
     [Graph.backward_activations]) take an optional [?arena].  With one,
     every tensor a kernel returns (outputs, gradients, the batch-norm
-    cache) and every im2col scratch buffer it uses is taken from the
+    cache) and every scratch buffer it uses is taken from the
     arena ({!Arena.zeros}, {!Arena.floats}) instead of allocated, so the
     call must run inside {!Arena.scoped}.  A kernel that writes every cell
     of a result takes it uninitialized ({!Arena.uninit}): {!relu},
     {!relu_backward}, {!sigmoid} and its backward, {!scale_channels} and
     its backward, the pool forwards, {!upsample_nearest},
-    {!global_avg_pool} and its backward, {!linear}, {!batch_norm} and its
-    backward, {!concat_channels}, {!split_channels_backward}, the output of
-    {!conv2d} on the im2col path and the result of {!conv2d_backward_input}
-    on the gather path.  A kernel that adds into a result (the direct conv
-    loops and the pool, upsample and linear backwards) takes it
-    zero-filled ({!Arena.zeros}), exactly like a fresh one.  Either way a
-    result's bits never depend on what the buffer held before; it is valid
-    until the scope ends and must not be kept past it.  Without [?arena] a
-    kernel allocates every tensor and buffer afresh. *)
+    {!upsample_nearest_backward}, {!global_avg_pool} and its backward,
+    {!linear}, {!batch_norm} and its backward, {!concat_channels},
+    {!split_channels_backward}, the output of {!conv2d} and the result of
+    {!conv2d_backward_input} on their fast paths (im2col or the depthwise
+    stencil, the gather or the depthwise stencil).  A kernel that adds
+    into a result (the direct conv loops and the pool and linear
+    backwards) takes it zero-filled ({!Arena.zeros}), exactly like a fresh
+    one.  Either way a result's bits never depend on what the buffer held
+    before; it is valid until the scope ends and must not be kept past
+    it.  Without [?arena] a kernel allocates every tensor and buffer
+    afresh. *)
 
 type conv_params = {
   stride : int;
@@ -64,9 +66,15 @@ val conv_out_dim : ?dilation:int -> int -> k:int -> stride:int -> pad:int -> int
       terms in the direct loop's order, plus exact zeros for taps that
       land outside the output.  A phase that meets no tap writes [+0.0].
       At stride 1 the one phase is the whole plane.
+    - Depthwise convolutions (one input channel per group) take a
+      stencil instead.  Each input plane is copied into a scratch plane
+      framed by zeros, and each output is [+0.0] plus all its [kh * kw]
+      taps in (kh, kw) order, read without a bounds check; padded taps
+      add exact zeros as above.  The input gradient is the same stencil,
+      input-stationary, over zero-framed [gout] planes, in (output
+      channel, kh, kw) order and phase by phase like the gather.
     - The direct loop skips padded taps (and, forward, zero weights).  It
-      runs for depthwise-style convolutions (one input channel per group)
-      and whenever an operand that meets those zeros is not finite: the
+      runs whenever an operand that meets those zeros is not finite: the
       input or weight of {!conv2d}, the weight of
       {!conv2d_backward_input}.  There [0 * inf] would add a NaN the direct
       loop never computes, so the direct loop keeps NaN placement exact.
@@ -74,17 +82,19 @@ val conv_out_dim : ?dilation:int -> int -> k:int -> stride:int -> pad:int -> int
     {!conv2d_backward} always runs the direct loop, computing the input and
     weight gradients in one pass.
 
-    Both implementations are C, in [conv_stubs.c]: the im2col and gather
-    packing, the blocked dot product, the direct loops, and the finiteness
-    scan that chooses between them.  The C is compiled with [-O3 -ffp-contract=off
-    -fno-fast-math] and no [-march] flag: [-ffp-contract=off] keeps every
+    All the implementations are C, in [conv_stubs.c]: the im2col and gather
+    packing, the blocked dot product, the depthwise stencils, the direct
+    loops, and the finiteness scan that chooses between them.  The C is
+    compiled with [-O3 -ffp-contract=off -fno-fast-math] and no [-march]
+    flag: [-ffp-contract=off] keeps every
     [x * w + s] two roundings (no fused multiply-add), [-fno-fast-math]
     keeps every sum in the order above (no reassociation, so the compiler
     vectorizes only across independent outputs), and without [-march] the
     instructions are baseline x86-64 on every host.  The results are
     therefore the bits of the order above on any machine.  Each C call
-    covers one (image, group), after an OCaml [assert] has checked that
-    every index it touches lies inside its array. *)
+    covers one (image, group), or one image for a depthwise stencil,
+    after an OCaml [assert] has checked that every index it touches lies
+    inside its array. *)
 
 val conv2d :
   ?arena:Arena.t ->
@@ -197,11 +207,15 @@ val avg_pool2d_backward :
 
 val upsample_nearest : ?arena:Arena.t -> Tensor.t -> int -> Tensor.t
 (** [upsample_nearest t f] repeats every spatial cell [f] times along both
-    spatial axes. *)
+    spatial axes, copying its bits (C, in [elementwise_stubs.c], one call
+    per tensor). *)
 
 val upsample_nearest_backward :
   ?arena:Arena.t -> input:Tensor.t -> gout:Tensor.t -> int -> Tensor.t
-(** Gradient of {!upsample_nearest}: each input cell sums its [f * f] copies. *)
+(** Gradient of {!upsample_nearest}: each input cell is [+0.0] plus its
+    [f * f] output gradients in (dh, dw) order.  Where a sum meets two
+    NaNs it carries the running sum's payload, as for batch norm (C, in
+    [elementwise_stubs.c]). *)
 
 val global_avg_pool : ?arena:Arena.t -> Tensor.t -> Tensor.t
 (** [N;C;H;W] -> [N;C]. *)

@@ -244,6 +244,25 @@ let naive_batch_norm_backward ~gout ~xhat ~gamma ~inv_std =
   done;
   (ginput, ggamma, gbeta)
 
+(* Reference nearest upsampling: output cell (i, j) copies input cell
+   (i / f, j / f); backward, each input cell is +0.0 plus its f x f
+   output gradients in (dh, dw) order, the running sum on the left. *)
+let naive_upsample t f =
+  let s = Tensor.shape t in
+  Tensor.init [| s.(0); s.(1); s.(2) * f; s.(3) * f |] (fun idx ->
+      Tensor.get t [| idx.(0); idx.(1); idx.(2) / f; idx.(3) / f |])
+
+let naive_upsample_backward ~input ~gout f =
+  Tensor.init (Tensor.shape input) (fun idx ->
+      let acc = ref 0.0 in
+      for dh = 0 to f - 1 do
+        for dw = 0 to f - 1 do
+          let g = Tensor.get gout [| idx.(0); idx.(1); (idx.(2) * f) + dh; (idx.(3) * f) + dw |] in
+          acc := !acc +. g
+        done
+      done;
+      !acc)
+
 let conv_case ~n ~ci ~co ~hw ~k ~stride ~pad ~groups () =
   let r = rng () in
   let input = Tensor.rand_normal r [| n; ci; hw; hw |] ~mean:0.0 ~std:1.0 in
@@ -359,28 +378,69 @@ let t_conv_non_finite () =
   Alcotest.(check bool) "input gradient matches the direct loop" true (same_bits gin expected);
   Alcotest.(check bool) "both backward kernels agree" true (same_bits gin' expected)
 
+(* The depthwise twin: three input channels with a channel multiplier of
+   2, so input channel 1 feeds output channels 2 and 3.  An [inf] in it,
+   read only through channel 2's zero weights, must leave channel 2 finite
+   (the padded stencil would add [inf * 0 = NaN]) while channel 3 sees
+   it.  An [inf] weight at tap (0, 0) of channel 4 takes the direct input
+   gradient: input channel 2's bottom-right cell reads that tap from
+   outside the output, so it must stay finite where the stencil's padded
+   zero would make it NaN. *)
+let t_depthwise_non_finite () =
+  let r = rng () in
+  let normal shape = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0 in
+  let input = normal [| 1; 3; 4; 5 |] in
+  Tensor.set input [| 0; 1; 1; 2 |] infinity;
+  let weight = normal [| 6; 1; 3; 3 |] in
+  for t = 0 to 8 do
+    Tensor.set weight [| 2; 0; t / 3; t mod 3 |] 0.0
+  done;
+  let p = { Ops.stride = 1; pad = 1; groups = 3; dilation = 1 } in
+  let out = Ops.conv2d ~input ~weight ~bias:None p in
+  let channel c = Array.sub (Tensor.data out) (c * 20) 20 in
+  Alcotest.(check bool) "forward matches the direct loop" true
+    (same_bits out (naive_conv ~input ~weight ~stride:1 ~pad:1 ~groups:3 ()));
+  Alcotest.(check bool) "channel 2 stays finite" true (Array.for_all Float.is_finite (channel 2));
+  Alcotest.(check bool) "channel 3 sees the inf" false (Array.for_all Float.is_finite (channel 3));
+  let weight = normal [| 6; 1; 3; 3 |] in
+  Tensor.set weight [| 4; 0; 0; 0 |] infinity;
+  let gout = normal [| 1; 6; 4; 5 |] in
+  let gin = Ops.conv2d_backward_input ~input ~weight ~gout p in
+  let gin', _, _ = Ops.conv2d_backward ~input ~weight ~gout p in
+  let expected = naive_conv_backward_input ~input ~weight ~gout ~stride:1 ~pad:1 ~groups:3 () in
+  Alcotest.(check bool) "input gradient matches the direct loop" true (same_bits gin expected);
+  Alcotest.(check bool) "both backward kernels agree" true (same_bits gin' expected);
+  Alcotest.(check bool) "a cell off the inf tap stays finite" true
+    (Float.is_finite (Tensor.get gin [| 0; 2; 3; 4 |]))
+
 (* The 3x3 conv shapes of the resnet18 and mobilenet_small search models
    at the probe's 16x16 input (batch 16 there, 2 here), plus the
-   depthwise replacements a search puts at resnet18's stages: input
-   channels x plane, output channels, stride, groups.  They reach
-   [len] 576 and the 2x2 and 4x4 planes where [dot_rows] runs its
-   row and column tails, which the random geometries above do not. *)
+   depthwise replacements a search puts at resnet18's stages (down to a
+   2x2 plane) and the channel-multiplier 1x1 depthwise convs that
+   grouping builds in mobilenet_small (16 -> 32 and 8 -> 32 at groups =
+   ci, so two or four output channels per input): input channels x
+   plane, output channels, stride, groups, kernel.  They reach [len] 576
+   and the 2x2 and 4x4 planes where [dot_rows] runs its row and column
+   tails, which the random geometries above do not. *)
 let workload_shapes =
-  [ (3, 16, 8, 1, 1); (8, 16, 8, 1, 1); (8, 16, 16, 2, 1); (16, 8, 16, 1, 1);
-    (16, 8, 32, 2, 1); (32, 4, 32, 1, 1); (32, 4, 64, 2, 1); (64, 2, 64, 1, 1);
-    (32, 16, 32, 1, 32); (32, 16, 32, 2, 32); (64, 8, 64, 1, 64); (64, 8, 64, 2, 64);
-    (128, 4, 128, 1, 128); (16, 8, 16, 1, 16); (32, 4, 32, 1, 32) ]
+  [ (3, 16, 8, 1, 1, 3); (8, 16, 8, 1, 1, 3); (8, 16, 16, 2, 1, 3); (16, 8, 16, 1, 1, 3);
+    (16, 8, 32, 2, 1, 3); (32, 4, 32, 1, 1, 3); (32, 4, 64, 2, 1, 3); (64, 2, 64, 1, 1, 3);
+    (32, 16, 32, 1, 32, 3); (32, 16, 32, 2, 32, 3); (64, 8, 64, 1, 64, 3);
+    (64, 8, 64, 2, 64, 3); (128, 4, 128, 1, 128, 3); (16, 8, 16, 1, 16, 3);
+    (32, 4, 32, 1, 32, 3); (64, 2, 64, 1, 64, 3); (16, 8, 32, 1, 16, 1); (8, 16, 32, 1, 8, 1) ]
 
 let t_conv_workload_shapes () =
   List.iter
-    (fun (ci, hw, co, stride, groups) ->
+    (fun (ci, hw, co, stride, groups, k) ->
       let name =
-        Printf.sprintf "2x%dx%dx%d w%dx%dx3x3 s%d g%d" ci hw hw co (ci / groups) stride groups
+        Printf.sprintf "2x%dx%dx%d w%dx%dx%dx%d s%d g%d" ci hw hw co (ci / groups) k k stride
+          groups
       in
       let r = Rng.create (ci + hw + co + stride + groups) in
       let normal shape = Tensor.rand_normal r shape ~mean:0.0 ~std:1.0 in
-      let input = normal [| 2; ci; hw; hw |] and weight = normal [| co; ci / groups; 3; 3 |] in
-      let p = { Ops.stride; pad = 1; groups; dilation = 1 } in
+      let input = normal [| 2; ci; hw; hw |] and weight = normal [| co; ci / groups; k; k |] in
+      let pad = k / 2 in
+      let p = { Ops.stride; pad; groups; dilation = 1 } in
       let out = Ops.conv2d ~input ~weight ~bias:None p in
       let gout = normal (Tensor.shape out) in
       let gin = Ops.conv2d_backward_input ~input ~weight ~gout p in
@@ -388,12 +448,12 @@ let t_conv_workload_shapes () =
       let check what got want =
         Alcotest.(check bool) (name ^ " " ^ what) true (same_bits got want)
       in
-      check "forward" out (naive_conv ~input ~weight ~stride ~pad:1 ~groups ());
-      let want = naive_conv_backward_input ~input ~weight ~gout ~stride ~pad:1 ~groups () in
+      check "forward" out (naive_conv ~input ~weight ~stride ~pad ~groups ());
+      let want = naive_conv_backward_input ~input ~weight ~gout ~stride ~pad ~groups () in
       check "input gradient" gin want;
       check "input gradient of the full backward" gin' want;
       check "weight gradient" gw
-        (naive_conv_backward_weight ~input ~weight ~gout ~stride ~pad:1 ~groups ()))
+        (naive_conv_backward_weight ~input ~weight ~gout ~stride ~pad ~groups ()))
     workload_shapes
 
 let t_linear_backward () =
@@ -519,6 +579,48 @@ let t_elementwise_bits () =
   check "specials relu" (Ops.relu x) (naive_relu x);
   check "specials relu backward" (Ops.relu_backward ~input:x ~gout:g ())
     (naive_relu_backward ~input:x ~gout:g)
+
+(* Upsampling against the references at factors 1-3, on 1x1, 2x3 and
+   4x4 planes, with [specials] in the input and the output gradient, and
+   with an output gradient of NaNs whose payloads and signs all differ
+   (every third one signaling), so each input cell sums several NaNs. *)
+let t_upsample_bits () =
+  let check what got want =
+    if not (same_bits got want) then Alcotest.failf "%s: bits differ from the reference" what
+  in
+  let nan_payloads shape =
+    let n = Array.fold_left ( * ) 1 shape in
+    Tensor.of_array shape
+      (Array.init n (fun i ->
+           let quiet = if i mod 3 = 0 then 0L else 0x0008_0000_0000_0000L in
+           let sign = if i mod 2 = 0 then 0L else Int64.min_int in
+           Int64.float_of_bits
+             (Int64.logor (Int64.logor 0x7FF0_0000_0000_0000L sign)
+                (Int64.logor quiet (Int64.of_int (i + 1))))))
+  in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (h, w) ->
+          List.iter
+            (fun every ->
+              let name = Printf.sprintf "f%d 2x3x%dx%d specials every %d" f h w every in
+              let r = Rng.create ((f * 100) + (h * 10) + w + every) in
+              let input = with_specials r [| 2; 3; h; w |] ~every ~from:1 in
+              let gout = with_specials r [| 2; 3; h * f; w * f |] ~every ~from:0 in
+              check (name ^ " forward") (Ops.upsample_nearest input f) (naive_upsample input f);
+              check (name ^ " backward")
+                (Ops.upsample_nearest_backward ~input ~gout f)
+                (naive_upsample_backward ~input ~gout f))
+            [ 0; 1; 3 ];
+          let input = Tensor.zeros [| 1; 2; h; w |] in
+          let gout = nan_payloads [| 1; 2; h * f; w * f |] in
+          check
+            (Printf.sprintf "f%d %dx%d NaN payloads backward" f h w)
+            (Ops.upsample_nearest_backward ~input ~gout f)
+            (naive_upsample_backward ~input ~gout f))
+        [ (1, 1); (2, 3); (4, 4) ])
+    [ 1; 2; 3 ]
 
 let t_pool () =
   let input =
@@ -905,11 +1007,16 @@ let () =
           quick "1x1" (conv_case ~n:2 ~ci:8 ~co:4 ~hw:5 ~k:1 ~stride:1 ~pad:0 ~groups:1);
           quick "grouped" (conv_case ~n:1 ~ci:8 ~co:8 ~hw:6 ~k:3 ~stride:1 ~pad:1 ~groups:4);
           quick "depthwise" (conv_case ~n:1 ~ci:6 ~co:6 ~hw:5 ~k:3 ~stride:1 ~pad:1 ~groups:6);
+          (* A 5x5 kernel on a 2x2 plane still has one output, whose taps
+             reach past the plane and its padding. *)
+          quick "depthwise kernel past the plane"
+            (conv_case ~n:1 ~ci:3 ~co:6 ~hw:2 ~k:5 ~stride:4 ~pad:0 ~groups:3);
           quick "no padding" (conv_case ~n:1 ~ci:2 ~co:3 ~hw:6 ~k:3 ~stride:1 ~pad:0 ~groups:1);
           quick "bias" t_conv_bias;
           quick "backward fd" t_conv_backward;
           quick "backward input fd" t_conv_backward_input;
           quick "non-finite operands" t_conv_non_finite;
+          quick "depthwise non-finite operands" t_depthwise_non_finite;
           quick "workload shapes" t_conv_workload_shapes ] );
       ( "kernels",
         [ quick "linear backward fd" t_linear_backward;
@@ -920,6 +1027,7 @@ let () =
           quick "pooling backward fd" t_pool_backward;
           quick "global avg pool" t_gap;
           quick "upsample" t_upsample_roundtrip;
+          quick "upsample bits" t_upsample_bits;
           quick "concat/split" t_concat_split;
           quick "softmax-ce" t_softmax_ce;
           quick "softmax-ce fd" t_softmax_grad_fd;
