@@ -1,4 +1,6 @@
-(* Utility tests: RNG determinism and distributional sanity, statistics
+(* Utility tests: RNG determinism and distributional sanity, MD5 pins of
+   the generator's streams and of the probe batch and initial weights
+   drawn from them, statistics
    against hand-computed values, and the JSON codec's round trip, strict
    reader and number rendering. *)
 
@@ -63,6 +65,122 @@ let t_rng_sample_without_replacement () =
   Array.iteri
     (fun i v -> if i > 0 then Alcotest.(check bool) "distinct" true (v <> sorted.(i - 1)))
     sorted
+
+(* Stream pins: MD5 digests of the exact bits each draw returns, for seeds
+   that include zero, a negative seed and [max_int].  Every weight
+   initialization, probe batch and candidate derives from these streams,
+   so a change to how the generator stores or steps its state must leave
+   every digest unchanged. *)
+let pin_seeds = [ 0; 1; 42; -7; max_int ]
+
+let digest_of fill =
+  let b = Buffer.create 65536 in
+  fill b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+let add_int b x = Buffer.add_int64_le b (Int64.of_int x)
+
+let stream_digest draw =
+  digest_of (fun b ->
+      List.iter
+        (fun seed ->
+          let r = Rng.create seed in
+          for _ = 1 to 500 do
+            draw r b
+          done)
+        pin_seeds)
+
+let rng_golden =
+  let ints = Array.init 20 (fun i -> i) in
+  [ ( "bits64", "6f74e506aac50d4d32a5fac89979436c",
+      fun r b -> Buffer.add_int64_le b (Rng.bits64 r) );
+    ("uniform", "4dd41b40c1195870818f5e9ccbb49931", fun r b -> add_float b (Rng.uniform r));
+    ("gauss", "3da2cf80a04bc0c4d1a37832da16a938", fun r b -> add_float b (Rng.gauss r));
+    ( "gauss_scaled", "20931a67cdb5d8639bacb6fdbc431f3c",
+      fun r b -> add_float b (Rng.gauss_scaled r ~mean:0.5 ~std:3.0) );
+    ("float", "13737276a59d1818b7e976074db8aa4d", fun r b -> add_float b (Rng.float r 3.5));
+    ("int 1", "b2fe457348de243a579a1591d3815170", fun r b -> add_int b (Rng.int r 1));
+    ("int 10", "0d0ab006ebf80db8db68ff894cad1b4f", fun r b -> add_int b (Rng.int r 10));
+    ("int 1000", "8a835ec72c856f28c3d70a5c3af368fb", fun r b -> add_int b (Rng.int r 1000));
+    ( "int max_int", "ae05f87abdc1067bd5bdefc3ef9b21fb",
+      fun r b -> add_int b (Rng.int r max_int) );
+    ( "bool", "0fb18f5704adb6b1abe4ef705ae86f3d",
+      fun r b -> add_int b (Bool.to_int (Rng.bool r)) );
+    ( "split", "5ce2e1373c250b9e6924755d7161439c",
+      fun r b ->
+        let child = Rng.split r in
+        Buffer.add_int64_le b (Rng.bits64 child);
+        Buffer.add_int64_le b (Rng.bits64 child) );
+    ( "shuffle", "6b3535f15e05f5d02df983bb7627c677",
+      fun r b ->
+        let a = Array.init 50 (fun i -> i) in
+        Rng.shuffle r a;
+        Array.iter (add_int b) a );
+    ( "permutation", "80640d84ff3c678fbf895bce58421e5e",
+      fun r b -> Array.iter (add_int b) (Rng.permutation r 37) );
+    ( "sample", "3c36bf28a2df2a7ff5df1c21d868b13f",
+      fun r b -> Array.iter (add_int b) (Rng.sample r 5 ints) );
+    ("choice", "fffbeba5595eae71da171542ff31dcdd", fun r b -> add_int b (Rng.choice r ints));
+    ( "choice_list", "98db9b26113f8d2428cfbf163c926f7c",
+      fun r b -> add_int b (Rng.choice_list r [ 3; 1; 4; 1; 5 ]) ) ]
+
+let t_rng_golden () =
+  List.iter
+    (fun (name, expected, draw) ->
+      Alcotest.(check string) name expected (stream_digest draw))
+    rng_golden
+
+let t_rng_copy () =
+  let r = Rng.create 5 and twin = Rng.create 5 in
+  for _ = 1 to 7 do
+    ignore (Rng.bits64 r);
+    ignore (Rng.bits64 twin)
+  done;
+  let c = Rng.copy r in
+  Alcotest.(check int64) "the copy continues the stream" (Rng.bits64 (Rng.copy r))
+    (Rng.bits64 c);
+  for _ = 1 to 10 do
+    ignore (Rng.gauss c)
+  done;
+  Alcotest.(check int64) "drawing from a copy leaves the original" (Rng.bits64 twin)
+    (Rng.bits64 r)
+
+let tensor_bits b t = Array.iter (add_float b) (Tensor.data t)
+
+(* The probe minibatch every search scores its candidates on. *)
+let probe_golden =
+  [ (8, "54507dc496391c8e2a4a9cd881996a58");
+    (16, "e022607bac8450ac28ebfb85a72a431c");
+    (32, "91f3e6e0e573e321a39f63cd74713fb4") ]
+
+let t_probe_golden () =
+  List.iter
+    (fun (size, expected) ->
+      let digest =
+        digest_of (fun b ->
+            let probe = Job.probe_batch (Rng.create 42) ~input_size:size in
+            tensor_bits b probe.Train.images;
+            Array.iter (add_int b) probe.labels)
+      in
+      Alcotest.(check string) (Printf.sprintf "probe batch %dx%d" size size) expected digest)
+    probe_golden
+
+(* Every parameter of a freshly built network, in node order. *)
+let model_golden =
+  [ ("resnet18", "c9ac05056318f1643bd655b2c0ed4335");
+    ("mobilenet_small", "a008359c54f794598a5df8dca3d50e9a") ]
+
+let t_model_golden () =
+  List.iter
+    (fun (name, expected) ->
+      let m = Models.build (Option.get (Zoo.spec name)) (Rng.create 42) in
+      let digest =
+        digest_of (fun b ->
+            List.iter (fun p -> tensor_bits b p.Layer.p_value) (Graph.params m.Models.graph))
+      in
+      Alcotest.(check string) (name ^ " parameters") expected digest)
+    model_golden
 
 let t_stats_basics () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -269,7 +387,11 @@ let () =
           quick "uniform mean" t_rng_uniform_mean;
           quick "gauss moments" t_rng_gauss_moments;
           quick "shuffle" t_rng_shuffle_permutes;
-          quick "sample" t_rng_sample_without_replacement ] );
+          quick "sample" t_rng_sample_without_replacement;
+          quick "rng golden streams" t_rng_golden;
+          quick "copy" t_rng_copy;
+          quick "probe batch golden" t_probe_golden;
+          quick "model parameters golden" t_model_golden ] );
       ( "stats",
         [ quick "basics" t_stats_basics;
           quick "percentile" t_stats_percentile;
