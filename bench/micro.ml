@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the performance-critical kernels: the
    convolution forward, backward and backward-input (dense, grouped,
-   depthwise and strided), ReLU and batch norm forward and backward, one
+   depthwise and strided), ReLU and batch norm forward and backward, the
+   set-up of a search (normal draws, the probe batch, a model build), one
    Fisher Potential pass, the analytic cost model, the autotuner sweep and
    the loop-nest interpreter. *)
 
@@ -109,6 +110,21 @@ let elementwise_tests =
     row "upsample bwd 16x32x8x8 f2" (fun () ->
         Ops.upsample_nearest_backward ~arena ~input:small ~gout 2) ]
 
+(* What every search and served ask does before its first candidate:
+   draw normals, generate the probe batch and initialize the network. *)
+let setup_tests =
+  let rng = Rng.create 12 in
+  let spec = Models.resnet18 () in
+  [ Test.make ~name:"rng gauss x1000"
+      (Staged.stage (fun () ->
+           for _ = 1 to 1000 do
+             ignore (Sys.opaque_identity (Rng.gauss rng))
+           done));
+    Test.make ~name:"probe batch 16x16"
+      (Staged.stage (fun () -> ignore (Job.probe_batch (Rng.create 42) ~input_size:16)));
+    Test.make ~name:"Models.build resnet18"
+      (Staged.stage (fun () -> ignore (Models.build spec (Rng.create 42)))) ]
+
 let fisher_test =
   let rng = Rng.create 3 in
   let model = Models.build (Models.resnet34 ()) rng in
@@ -144,7 +160,7 @@ let tests =
     ([ conv_test; conv_late_test; conv_bwd_test; conv_bwd_input_test; conv_grouped_test;
        conv_dw_test; conv_dw_bwd_input_test; conv_dw_late_test; conv_dw_late_bwd_input_test;
        conv_s2_bwd_input_test; conv_s2_k1_bwd_input_test ]
-    @ elementwise_tests
+    @ elementwise_tests @ setup_tests
     @ [ fisher_test; cost_test; tune_test; interp_test ])
 
 let run ppf =

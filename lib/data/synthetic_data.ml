@@ -6,15 +6,28 @@ type t = {
 }
 
 (* A smooth template: coarse Gaussian noise upsampled to full resolution so
-   that class evidence has spatial structure a convolution can exploit. *)
+   that class evidence has spatial structure a convolution can exploit.
+
+   The draw order is part of every seeded result: the templates class by
+   class, each coarse plane in flat order, then the images in label order,
+   each element in flat order. *)
 let template rng ~size =
   let coarse_size = max 2 (size / 4) in
-  let coarse = Tensor.rand_normal rng [| 3; coarse_size; coarse_size |] ~mean:0.0 ~std:1.0 in
-  Tensor.init [| 3; size; size |] (fun idx ->
-      let c = idx.(0) and h = idx.(1) and w = idx.(2) in
+  let coarse =
+    Tensor.data (Tensor.rand_normal rng [| 3; coarse_size; coarse_size |] ~mean:0.0 ~std:1.0)
+  in
+  let t = Tensor.zeros [| 3; size; size |] in
+  let d = Tensor.data t in
+  for c = 0 to 2 do
+    for h = 0 to size - 1 do
       let ch = min (coarse_size - 1) (h * coarse_size / size) in
-      let cw = min (coarse_size - 1) (w * coarse_size / size) in
-      Tensor.get coarse [| c; ch; cw |])
+      for w = 0 to size - 1 do
+        let cw = min (coarse_size - 1) (w * coarse_size / size) in
+        d.((((c * size) + h) * size) + w) <- coarse.((((c * coarse_size) + ch) * coarse_size) + cw)
+      done
+    done
+  done;
+  t
 
 let make rng ~classes ~size ~n ?(signal = 1.0) ?(noise = 0.6) () =
   let templates = Array.init classes (fun _ -> template rng ~size) in
@@ -22,9 +35,13 @@ let make rng ~classes ~size ~n ?(signal = 1.0) ?(noise = 0.6) () =
   let images =
     Array.map
       (fun label ->
-        let base = templates.(label) in
-        Tensor.init [| 3; size; size |] (fun idx ->
-            (signal *. Tensor.get base idx) +. Rng.gauss_scaled rng ~mean:0.0 ~std:noise))
+        let base = Tensor.data templates.(label) in
+        let img = Tensor.zeros [| 3; size; size |] in
+        let d = Tensor.data img in
+        for i = 0 to Array.length d - 1 do
+          d.(i) <- (signal *. base.(i)) +. Rng.gauss_scaled rng ~mean:0.0 ~std:noise
+        done;
+        img)
       labels
   in
   (* Shuffle example order so batches mix classes. *)

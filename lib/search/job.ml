@@ -49,9 +49,13 @@ let run ~ctx ?stop ?checkpoint ?checkpoint_every ?on_sched_stats j =
     | _ ->
         invalid_arg ("Job.run: unknown network or device: " ^ j.jb_network ^ ", " ^ j.jb_device)
   in
+  let obs = Eval_ctx.obs ctx in
   let rng = Rng.create j.jb_seed in
-  let model = Models.build spec rng in
-  let probe = probe_batch (Rng.split rng) ~input_size:model.Models.input_size in
+  let model = Obs.with_span obs "build" (fun () -> Models.build spec rng) in
+  let probe =
+    Obs.with_span obs "probe" (fun () ->
+        probe_batch (Rng.split rng) ~input_size:model.Models.input_size)
+  in
   ( model,
     Unified_search.search ~candidates:j.jb_candidates ?mutate_prob:j.jb_mutate_prob
       ?stop ?budget:j.jb_budget ?checkpoint ?checkpoint_every ~workers:j.jb_workers

@@ -49,5 +49,7 @@ val run :
   Models.t * Unified_search.result
 (** [Rng.create seed], the model built from it, the probe batch from its
     first split and {!Unified_search.search} on [ctx] from its second;
-    the hooks pass through unchanged.  Faults come from [ctx] alone.
+    the hooks pass through unchanged.  Faults come from [ctx] alone.  The
+    model build and the probe batch run in [build] and [probe] spans on
+    [ctx]'s recorder, ahead of the search's own spans.
     @raise Invalid_argument on an unknown network or device. *)

@@ -1,4 +1,12 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live unboxed in a 32-byte [Bytes.t], read
+   and written with the unchecked 64-bit accessors, which ocamlopt
+   compiles to plain loads and stores.  [bits64] is inlined into every draw,
+   so a draw allocates nothing beyond the boxed value it returns to a
+   caller in another module. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64 is used only to expand the integer seed into four well-mixed
    64-bit words for xoshiro256**. *)
@@ -12,26 +20,26 @@ let splitmix64 state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for w = 0 to 3 do
+    set64 t (8 * w) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 let split t =
@@ -45,21 +53,21 @@ let int t bound =
   let raw = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   raw mod bound
 
-let uniform t =
-  let raw = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float raw *. (1.0 /. 9007199254740992.0)
+(* The top 53 bits scaled by 2^-53: below 2^53, so the conversion is exact. *)
+let[@inline] uniform t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. (1.0 /. 9007199254740992.0)
 
 let float t bound = uniform t *. bound
 
-let gauss t =
-  let rec draw () =
-    let u1 = uniform t in
-    if u1 <= 1e-12 then draw ()
-    else
-      let u2 = uniform t in
-      sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-  in
-  draw ()
+(* Box-Muller; a [u1] too close to zero for [log] is drawn again, [u2] is
+   drawn once after it. *)
+let[@inline] gauss t =
+  let u1 = ref (uniform t) in
+  while !u1 <= 1e-12 do
+    u1 := uniform t
+  done;
+  let u2 = uniform t in
+  sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
 
 let gauss_scaled t ~mean ~std = mean +. (std *. gauss t)
 let bool t = Int64.logand (bits64 t) 1L = 1L

@@ -3,7 +3,15 @@
     All randomness in the project flows through this module so that every
     experiment is reproducible from a fixed seed.  The generator is
     xoshiro256** seeded through splitmix64, which gives high-quality streams
-    and cheap stream splitting. *)
+    and cheap stream splitting.
+
+    The four state words are stored unboxed, so a draw allocates nothing
+    beyond the boxed [int64] or [float] it returns to a caller in another
+    module; {!Tensor.rand_normal} and the synthetic data fill their arrays
+    at that cost.  Every stream below is pinned bit for bit by MD5 digests
+    in the utility tests, for seeds including 0, a negative seed and
+    [max_int], as are the probe batch and initial weights drawn from
+    them. *)
 
 type t
 (** Mutable generator state. *)

@@ -1,8 +1,7 @@
-(* Utility tests: RNG determinism and distributional sanity, MD5 pins of
-   the generator's streams and of the probe batch and initial weights
-   drawn from them, statistics
-   against hand-computed values, and the JSON codec's round trip, strict
-   reader and number rendering. *)
+(* Utility tests: RNG determinism, distributional sanity and allocation,
+   MD5 pins of the generator's streams and of the probe batch and initial
+   weights drawn from them, statistics against hand-computed values, and
+   the JSON codec's round trip, strict reader and number rendering. *)
 
 let t_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -145,6 +144,39 @@ let t_rng_copy () =
   done;
   Alcotest.(check int64) "drawing from a copy leaves the original" (Rng.bits64 twin)
     (Rng.bits64 r)
+
+(* Allocation gate: a draw keeps the generator's state unboxed, so it
+   allocates at most the float it returns boxed to another module (2 words
+   on 64-bit).  A boxed state word costs 3 more words per step and a
+   closure per [gauss] call more again, so this catches either coming
+   back.  Minor-word counts are deterministic; a minor collection brackets
+   each count, as in the Fisher pass's allocation gate. *)
+let minor_words_per_draw n f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let t_rng_alloc_free () =
+  let n = 100_000 in
+  let r = Rng.create 3 in
+  let uniform =
+    minor_words_per_draw n (fun () ->
+        let acc = ref 0.0 in
+        for _ = 1 to n do
+          acc := !acc +. Rng.uniform r
+        done;
+        ignore (Sys.opaque_identity !acc))
+  in
+  let normal =
+    minor_words_per_draw n (fun () ->
+        ignore (Sys.opaque_identity (Tensor.rand_normal r [| n |] ~mean:0.0 ~std:1.0)))
+  in
+  List.iter
+    (fun (what, words) ->
+      if words > 3.0 then Alcotest.failf "%s: %.2f minor words per draw" what words)
+    [ ("Rng.uniform", uniform); ("Tensor.rand_normal", normal) ]
 
 let tensor_bits b t = Array.iter (add_float b) (Tensor.data t)
 
@@ -390,6 +422,7 @@ let () =
           quick "sample" t_rng_sample_without_replacement;
           quick "rng golden streams" t_rng_golden;
           quick "copy" t_rng_copy;
+          quick "allocation-free draws" t_rng_alloc_free;
           quick "probe batch golden" t_probe_golden;
           quick "model parameters golden" t_model_golden ] );
       ( "stats",

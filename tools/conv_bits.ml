@@ -1,6 +1,7 @@
-(* Kernel bits, to check the bytecode entry points of the C kernels
-   against the native ones.  Each line names one kernel path and the MD5
-   digest of the bits of its result:
+(* Kernel bits, to check the bytecode entry points of the C kernels and
+   the bytecode primitives of the random generator against the native
+   ones.  Each line names one path and the MD5 digest of the bits of its
+   result:
    - an im2col forward conv (the packing and the ordered dot product, with
      row and column tails), on a square plane and on a 5x7 one at stride 2
      and dilation 2;
@@ -22,7 +23,10 @@
      plane;
    - batch-norm forward and its input, gamma and beta gradients, at seven
      channels: one block of four side-by-side channel sums and a tail of
-     three.
+     three;
+   - an Rng stream ([bits64], [gauss] and [int] draws), whose state the
+     unchecked 64-bit bytes accessors load and store;
+   - the 16x16 probe batch of [Job.probe_batch], images and labels.
 
    A 5x7 plane tells height from width, so a kernel that swapped them
    would read other cells than its native twin.
@@ -31,11 +35,29 @@
    printed; with one they are compared to the lines of the file
    EXPECTED, and the first difference exits 1. *)
 
-let bits t =
-  let d = Tensor.data t in
-  let b = Bytes.create (8 * Array.length d) in
-  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) d;
+let digest words =
+  let b = Bytes.create (8 * Array.length words) in
+  Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) words;
   Digest.to_hex (Digest.bytes b)
+
+let bits t = digest (Array.map Int64.bits_of_float (Tensor.data t))
+
+let rng_stream () =
+  let r = Rng.create 2026 in
+  let draws f = Array.init 100 (fun _ -> f ()) in
+  digest
+    (Array.concat
+       [ draws (fun () -> Rng.bits64 r);
+         draws (fun () -> Int64.bits_of_float (Rng.gauss r));
+         draws (fun () -> Int64.of_int (Rng.int r 10));
+         draws (fun () -> Int64.of_int (Rng.int r max_int)) ])
+
+let probe_bits () =
+  let probe = Job.probe_batch (Rng.create 42) ~input_size:16 in
+  digest
+    (Array.append
+       (Array.map Int64.bits_of_float (Tensor.data probe.Train.images))
+       (Array.map Int64.of_int probe.labels))
 
 let lines () =
   let r = Rng.create 2026 in
@@ -113,7 +135,7 @@ let lines () =
   |> List.map (fun (name, t) -> name ^ " " ^ bits t)
 
 let () =
-  let got = lines () in
+  let got = lines () @ [ "rng stream " ^ rng_stream (); "probe batch 16x16 " ^ probe_bits () ] in
   match Sys.argv with
   | [| _ |] -> List.iter print_endline got
   | [| _; path |] ->
